@@ -35,7 +35,7 @@ from .construction import (
 from .equivalence import chain_members, chain_of, verify_equivalence
 from .errors import CapacityError, InputError
 from .gray import gray
-from .invariants import invariant_pair, is_linear
+from .invariants import invariant_pair
 from .ring import RingParams
 
 FORMATS = ("table", "csv", "json")
@@ -157,7 +157,7 @@ def cmd_invariants(args: argparse.Namespace, cfg: RunConfig) -> int:
     sig = _sig(args)
     gc = materialize_gray(AdditiveCode.build(sig), cfg.budget_bytes)
     r, k = invariant_pair(gc)
-    linear = is_linear(gc)
+    linear = r == sig.t + 1  # p^rank = |C| = p^(t+1)
     if cfg.fmt == "json":
         _emit(_jline({"p": sig.p, "type": list(sig.ts), "r": r, "k": k, "linear": linear}), cfg)
     else:

@@ -13,16 +13,14 @@ p^(t-1) (p-1).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
 from .gray import gray_matrix
-from .ring import RingParams, RingVector, vector_order
+from .ring import RingParams, RingVector
 
 DEFAULT_BUDGET_BYTES = 4 * 2**30
 GH_SAMPLE_SEED = 0xC0DE
@@ -258,18 +256,26 @@ def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_
     return out.astype(sig.params.dtype())
 
 
-def _fingerprints(words: np.ndarray) -> list[bytes]:
-    h = hashlib.blake2b
-    return [h(row.tobytes(), digest_size=8).digest() for row in np.ascontiguousarray(words)]
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous uint8 matrix as one fixed-width byte key (a view)."""
+    return words.view(np.dtype((np.void, words.shape[1]))).reshape(-1)
 
 
 @dataclass
 class GrayCode:
-    """A fully materialized Gray image: one uint8 row per codeword."""
+    """A fully materialized Gray image: one uint8 row per word.
+
+    The rows may be any word set (a permuted or corrupted code included).
+    Membership is exact: rows are compared as fixed-width byte keys against
+    one cached argsort of the code's own rows.
+    """
 
     sig: TypeSignature
     words: np.ndarray
-    _index: "dict[bytes, list[int]] | None" = field(default=None, repr=False)
+    _order: "np.ndarray | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.words = np.ascontiguousarray(self.words, dtype=np.uint8)
 
     @property
     def length(self) -> int:
@@ -278,35 +284,39 @@ class GrayCode:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def index(self) -> dict[bytes, list[int]]:
-        """Digest -> row indices, built on first use."""
-        if self._index is None:
-            idx: dict[bytes, list[int]] = {}
-            for i, fp in enumerate(_fingerprints(self.words)):
-                idx.setdefault(fp, []).append(i)
-            self._index = idx
-        return self._index
+    def index(self) -> np.ndarray:
+        """Row order that sorts the byte keys, built on first use."""
+        if self._order is None:
+            self._order = np.argsort(_row_keys(self.words))
+        return self._order
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Exact membership of each row: digests prefilter, full rows confirm."""
-        idx = self.index()
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        """Exact membership of each row: binary search on the sorted keys, then a row compare.
+
+        Queries run in chunks of at most 4 MiB, so no temporary grows with the code.
+        """
+        rows = np.asarray(rows)
         out = np.zeros(rows.shape[0], dtype=bool)
-        for i, fp in enumerate(_fingerprints(rows)):
-            for cand in idx.get(fp, ()):
-                if np.array_equal(rows[i], self.words[cand]):
-                    out[i] = True
-                    break
+        if rows.shape[1] != self.length:
+            return out
+        keys, order = _row_keys(self.words), self.index()
+        step = max(1, 2**22 // self.length)
+        for start in range(0, rows.shape[0], step):
+            chunk = np.ascontiguousarray(rows[start : start + step], dtype=np.uint8)
+            pos = np.searchsorted(keys, _row_keys(chunk), sorter=order)
+            cand = order[np.minimum(pos, len(order) - 1)]
+            out[start : start + step] = (self.words[cand] == chunk).all(axis=1)
         return out
 
     def contains_row(self, row: np.ndarray) -> bool:
         return bool(self.contains_rows(np.asarray(row, dtype=np.uint8)[None, :])[0])
 
     def set_equal(self, rows: np.ndarray) -> bool:
-        """Is {rows} the same set of words as this code? Exact, not probabilistic."""
+        """Is {rows} the same set of words as this code, with as many rows? Exact."""
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
         if rows.shape != self.words.shape:
             return False
-        return bool(self.contains_rows(rows).all())
+        return bool(self.contains_rows(rows).all() and GrayCode(self.sig, rows).contains_rows(self.words).all())
 
 
 def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
@@ -415,30 +425,21 @@ def is_gh_code(
     return GHVerdict(True, mode, checked)
 
 
-def _bitplanes(words: np.ndarray) -> np.ndarray:
-    """Pack a binary matrix into bytes along the coordinate axis."""
-    return np.packbits(words, axis=1)
-
-
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.int32)
 
 
-def min_distance(gc: GrayCode, use_bitplanes: "bool | None" = None) -> int:
+def min_distance(gc: GrayCode) -> int:
     """Minimum Hamming distance over all pairs of distinct words.
 
     Full pairwise scan; intended for codes a few thousand words long.  For
-    p = 2 a packed-bitplane XOR/popcount path is used by default — a pure
-    speed toggle that cannot change the result.
+    p = 2 the words are packed into bytes and compared by XOR/popcount.
     """
     m, n = gc.words.shape
     if m < 2:
         raise InputError("need at least two words")
-    p = gc.sig.p
-    if use_bitplanes is None:
-        use_bitplanes = p == 2
     best = n
-    if use_bitplanes and p == 2:
-        packed = _bitplanes(gc.words)
+    if gc.sig.p == 2:
+        packed = np.packbits(gc.words, axis=1)
         for u in range(m - 1):
             d = _POPCOUNT[np.bitwise_xor(packed[u + 1 :], packed[u])].sum(axis=1).min()
             best = min(best, int(d))

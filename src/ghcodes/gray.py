@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NotAGrayImage
-from .ring import RingParams, RingVector, digits
+from .ring import RingParams, RingVector
 
 __all__ = [
     "GrayWord",
@@ -267,30 +267,28 @@ def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
     return table[rows].reshape(m, -1)
 
 
-@lru_cache(maxsize=None)
-def _phi_inverse_cached(p: int, s: int):
-    table = _phi_table_cached(p, s)
-    return {row.tobytes(): u for u, row in enumerate(table)}
-
-
 def gray_inverse(w: GrayWord, params: RingParams) -> RingVector:
-    """Phi^(-1): split into p^(s-1)-blocks and invert each one.
+    """Phi^(-1): read the digits of each p^(s-1)-block off its columns.
 
-    Raises NotAGrayImage when some block is not a phi-image.
+    Column 0 of Y is zero and column p^i is e_i, so block[0] = u_{s-1} and
+    block[p^i] - block[0] = u_i (mod p).  The result is re-encoded and
+    compared; NotAGrayImage names the first block that is not a phi-image.
     """
     if w.p != params.p:
         raise InputError("alphabet mismatch")
-    width = params.p ** (params.s - 1)
+    p, s = params.p, params.s
+    width = p ** (s - 1)
     if len(w) % width:
         raise InputError(f"word length {len(w)} is not a multiple of {width}")
-    inv = _phi_inverse_cached(params.p, params.s)
     blocks = w.entries.reshape(-1, width)
-    out = np.empty(blocks.shape[0], dtype=np.int64)
-    for i, block in enumerate(blocks):
-        u = inv.get(block.tobytes())
-        if u is None:
-            raise NotAGrayImage(f"block {i} = {block.tolist()} has no Gray preimage")
-        out[i] = u
+    lead = blocks[:, 0].astype(np.int64)
+    out = lead * width
+    for i in range(s - 1):
+        out += (blocks[:, p**i] - lead) % p * p**i
+    bad = np.flatnonzero((phi_table(params)[out] != blocks).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise NotAGrayImage(f"block {i} = {blocks[i].tolist()} has no Gray preimage")
     return RingVector(params, out)
 
 

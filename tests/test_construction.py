@@ -167,6 +167,14 @@ def test_set_equal_ignores_order():
     assert not gc.set_equal(tweaked)
 
 
+def test_set_equal_rejects_repeated_rows():
+    gc = build_gray_code(sig(3, (1, 1)))
+    assert not gc.set_equal(np.repeat(gc.words[:1], len(gc), axis=0))
+    copied = gc.words.copy()
+    copied[4] = copied[9]  # every row is still a codeword, word 4 is gone
+    assert not gc.set_equal(copied)
+
+
 def test_capacity_errors_carry_sizes():
     a = sig(3, (2, 2))
     with pytest.raises(CapacityError) as exc:
@@ -247,11 +255,6 @@ def test_min_distance_golden(p, ts):
     d = min_distance(gc)
     assert d == naive_min_distance(gc.words)
     assert d == p ** (gc.sig.t - 1) * (p - 1)
-
-
-def test_min_distance_bitplane_paths_agree():
-    gc = build_gray_code(sig(2, (2, 1)))
-    assert min_distance(gc, use_bitplanes=True) == min_distance(gc, use_bitplanes=False)
 
 
 # ---------------------------------------------------------------------------

@@ -175,13 +175,18 @@ def test_gray_inverse_roundtrip(ps, data):
 
 
 def test_gray_inverse_rejects_non_image():
-    w = gray(5, PS)
-    bad = np.array(w.entries, copy=True)
-    bad[0] = (bad[0] + 1) % 3
     from ghcodes.gray import GrayWord
 
-    with pytest.raises(NotAGrayImage):
-        gray_inverse(GrayWord(3, bad), PS)
+    # (residues, coordinate to corrupt): coordinate 0 is read by the decode,
+    # coordinate 4 of a 9-wide block is not (only the re-encode catches it),
+    # and coordinate 22 lies in block 2 of a three-block word
+    for us, coord in [((5,), 0), ((5,), 4), ((13, 0, 26), 22)]:
+        w = gray_vector(ring_vector(PS, us))
+        assert gray_inverse(w, PS).tolist() == list(us)
+        bad = np.array(w.entries, copy=True)
+        bad[coord] = (bad[coord] + 1) % 3
+        with pytest.raises(NotAGrayImage, match=f"block {coord // 9} "):
+            gray_inverse(GrayWord(3, bad), PS)
 
 
 # lemma: phi_s(lambda * p^(s-1)) is the constant word
