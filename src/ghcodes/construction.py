@@ -349,22 +349,99 @@ class GHVerdict:
         return self.passed
 
 
-def _mod_p_diff(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a - b) mod p for uint8 symbol matrices, without leaving uint8."""
+def _mod_p_diff(a: np.ndarray, b: np.ndarray, p: int, overwrite_a: bool = False) -> np.ndarray:
+    """(a - b) mod p for uint8 symbol matrices, without leaving uint8.
+
+    With ``overwrite_a`` the result may be written into ``a`` (a fresh
+    gather the caller no longer needs), which saves one matrix of memory.
+    """
     if p > 127:
         return ((a.astype(np.int16) - b) % p).astype(np.uint8)
-    d = a + (p - b)  # entries < 2p, no wraparound
-    d[d >= p] -= np.uint8(p)
+    # a - b < 0 wraps to 256 + a - b >= 257 - p; adding p wraps exactly
+    # those entries back to a - b + p < p and lifts the others to >= p
+    d = np.subtract(a, b, out=a if overwrite_a else None)
+    np.minimum(d, d + np.uint8(p), out=d)
     return d
 
 
+def _gh_pairs_ok(counts: np.ndarray, n: int, p: int) -> np.ndarray:
+    """GH test per pair from counts[d] = N_d, the coordinates where the difference is d.
+
+    Only N_0 .. N_{p-2} are given; N_{p-1} is n minus their sum.  A pair
+    passes when every N_d is n/p (balanced) or when its difference is a
+    nonzero constant: N_d = n for some d >= 1, or all given counts are 0.
+    """
+    balanced = (counts == n // p).all(axis=0)
+    constant = (counts[1:] == n).any(axis=0) | ~counts.any(axis=0)
+    return balanced | constant
+
+
 def _pair_rows_ok(diffs: np.ndarray, p: int) -> np.ndarray:
-    """Per-row test: difference is constant, or each symbol appears length/p times."""
+    """Per-row GH test of difference words.
+
+    Each symbol d < p - 1 is counted in one pass, reducing the uint8 view of
+    the (diffs == d) mask into the narrowest unsigned type that holds the length.
+    """
     m, n = diffs.shape
-    counts = np.empty((m, p), dtype=np.int64)
-    for sym in range(p):
-        counts[:, sym] = (diffs == sym).sum(axis=1)
-    return (counts.max(axis=1) == n) | (counts == n // p).all(axis=1)
+    counts = np.empty((p - 1, m), dtype=np.min_scalar_type(n))
+    for d in range(p - 1):
+        np.add.reduce((diffs == d).view(np.uint8), axis=1, dtype=counts.dtype, out=counts[d])
+    return _gh_pairs_ok(counts, n, p)
+
+
+_PAIR_BLOCK_BYTES = 2**22  # per working buffer of _pair_counts
+_GATHER_BYTES = 2**18  # per gathered matrix of the sampled check, so its working set stays in cache
+
+
+def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first prod(shape) entries of a flat buffer, as a C-contiguous array of that shape."""
+    return buf[: int(np.prod(shape))].reshape(shape)
+
+
+def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact difference counts of all pairs of rows, one block of rows at a time.
+
+    Yields (u0, counts) with counts[d, i, j] = #{c : words[u0+i, c] -
+    words[u0+j, c] = d (mod p)} for d < syms, the block rows u0 + i against
+    the rows u0 + j from u0 on.  Entries with j <= i are not pairs of the
+    scan and are set to 0, which passes the GH test (as the constant p - 1)
+    and never raises the maximum of N_0.  Each count is a sum of float32 one-hot products over
+    coordinate chunks; a chunk adds at most its width (far below 2^24) to
+    an entry, so every sum is exact, and it is accumulated in int32.  The
+    yielded array is overwritten by the next block.  Each of the four
+    working buffers holds about _PAIR_BLOCK_BYTES, whatever the code size.
+    """
+    m, n = words.shape
+    chunk_cols = min(n, max(1, _PAIR_BLOCK_BYTES // (4 * p * m)))
+    block_rows = min(m, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)))
+    values = np.arange(p, dtype=np.uint8)
+    shifted = ((values + np.arange(syms)[:, None]) % p).astype(np.uint8)  # [d, s] = s + d
+    acc = np.empty(syms * block_rows * m, dtype=np.int32)
+    prod = np.empty(acc.size, dtype=np.float32)
+    lhs = np.empty(syms * block_rows * p * chunk_cols, dtype=np.float32)
+    rhs = np.empty(m * p * chunk_cols, dtype=np.float32)
+    for u0 in range(0, m, block_rows):
+        left, rest = words[u0 : u0 + block_rows], words[u0:]
+        rows, cols = syms * len(left), len(rest)
+        counts = _head(acc, (rows, cols))
+        counts[:] = 0
+        for c0 in range(0, n, chunk_cols):
+            width = min(chunk_cols, n - c0)
+            # row (d, i) of x holds [w_i,c = s + d] and row j of y holds [w_j,c = s], over (s, c)
+            x = _head(lhs, (syms, len(left), p, width))
+            np.equal(left[None, :, None, c0 : c0 + width], shifted[:, None, :, None], out=x, casting="unsafe")
+            y = _head(rhs, (cols, p, width))
+            np.equal(rest[:, None, c0 : c0 + width], values[:, None], out=y, casting="unsafe")
+            part = np.matmul(x.reshape(rows, -1), y.reshape(cols, -1).T, out=_head(prod, (rows, cols)))
+            np.add(counts, part, out=counts, casting="unsafe")
+        counts = counts.reshape(syms, len(left), cols)
+        counts[:, :, : len(left)][:, np.tri(len(left), dtype=bool)] = 0
+        yield u0, counts
+
+
+def _failed(words: np.ndarray, mode: str, checked: int, u: int, v: int) -> GHVerdict:
+    what = "a repeated word" if np.array_equal(words[u], words[v]) else "neither constant nor balanced"
+    return GHVerdict(False, mode, checked, f"pair ({u}, {v}) is {what}")
 
 
 def is_gh_code(
@@ -375,9 +452,18 @@ def is_gh_code(
 ) -> GHVerdict:
     """Check the Hadamard difference property of a materialized Gray image.
 
-    Every difference of two distinct words must be a constant word or take
-    each of the p symbols exactly length/p times.  "auto" checks all pairs
-    for codes up to 3^6 words and falls back to seeded sampling beyond.
+    Every difference of two distinct rows must be a nonzero constant word
+    or take each of the p symbols exactly length/p times; a repeated row
+    (zero difference) fails.  "auto" checks all pairs for codes up to 3^6
+    words and falls back to seeded sampling beyond.
+
+    The exhaustive mode counts the symbols of all m(m-1)/2 differences at
+    once with blocked exact matrix products and reports the first failing
+    pair (u < v) in lexicographic order; ``pairs_checked`` is then the
+    number of pairs up to and including row u.  The sampled mode draws
+    ``pairs`` pairs u != v from ``seed``, 8192 per draw, and stops at the
+    first draw with a failing pair, reporting the first such pair drawn;
+    ``pairs_checked`` then counts the whole draw.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -391,20 +477,20 @@ def is_gh_code(
         mode = "exhaustive" if m <= _EXHAUSTIVE_CUTOFF else "sampled"
 
     words = gc.words
-    checked = 0
     if mode == "exhaustive":
-        for u in range(m - 1):
-            diffs = _mod_p_diff(words[u + 1 :], words[u][None, :], p)
-            ok = _pair_rows_ok(diffs, p)
-            checked += diffs.shape[0]
-            if not ok.all():
-                v = u + 1 + int(np.flatnonzero(~ok)[0])
-                return GHVerdict(False, mode, checked, f"pair ({u}, {v}) is neither constant nor balanced")
-        return GHVerdict(True, mode, checked)
+        for u0, counts in _pair_counts(words, p, p - 1):
+            bad = np.flatnonzero(~_gh_pairs_ok(counts, n, p))
+            if bad.size:
+                i, j = divmod(int(bad[0]), counts.shape[2])
+                u = u0 + i
+                return _failed(words, mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, u0 + j)
+        return GHVerdict(True, mode, m * (m - 1) // 2)
 
     rng = np.random.default_rng(seed)
+    checked = 0
     remaining = pairs
     chunk = 8192
+    step = max(1, _GATHER_BYTES // n)
     while remaining > 0:
         k = min(chunk, remaining)
         u = rng.integers(0, m, size=k)
@@ -413,38 +499,27 @@ def is_gh_code(
         u, v = u[keep], v[keep]
         if u.size == 0:
             continue
-        diffs = _mod_p_diff(words[u], words[v], p)
-        ok = _pair_rows_ok(diffs, p)
         checked += int(u.size)
         remaining -= int(u.size)
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            return GHVerdict(
-                False, mode, checked, f"pair ({int(u[bad])}, {int(v[bad])}) is neither constant nor balanced"
-            )
+        for s0 in range(0, u.size, step):
+            us, vs = u[s0 : s0 + step], v[s0 : s0 + step]
+            ok = _pair_rows_ok(_mod_p_diff(words[us], words[vs], p, overwrite_a=True), p)
+            if not ok.all():
+                bad = int(np.flatnonzero(~ok)[0])
+                return _failed(words, mode, checked, int(us[bad]), int(vs[bad]))
     return GHVerdict(True, mode, checked)
 
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.int32)
-
-
 def min_distance(gc: GrayCode) -> int:
-    """Minimum Hamming distance over all pairs of distinct words.
+    """Minimum Hamming distance over all pairs of rows u < v (0 if a word repeats).
 
-    Full pairwise scan; intended for codes a few thousand words long.  For
-    p = 2 the words are packed into bytes and compared by XOR/popcount.
+    The distance of rows u and v is n - N_0[u, v], N_0 being the number of
+    equal coordinates; all N_0 come from the blocked exact matrix products
+    of the exhaustive GH check, so the scan is O(m^2 n p) arithmetic in a
+    few MiB of working memory.
     """
     m, n = gc.words.shape
     if m < 2:
         raise InputError("need at least two words")
-    best = n
-    if gc.sig.p == 2:
-        packed = np.packbits(gc.words, axis=1)
-        for u in range(m - 1):
-            d = _POPCOUNT[np.bitwise_xor(packed[u + 1 :], packed[u])].sum(axis=1).min()
-            best = min(best, int(d))
-    else:
-        for u in range(m - 1):
-            d = (gc.words[u + 1 :] != gc.words[u]).sum(axis=1).min()
-            best = min(best, int(d))
-    return best
+    same = max(int(counts[0].max()) for _, counts in _pair_counts(gc.words, gc.sig.p, 1))
+    return n - same

@@ -122,7 +122,8 @@ def kernel(gc: GrayCode, probes: int = 24) -> tuple[int, ReducedBasis]:
     for pi in _probe_indices(m, probes):
         if surv.size <= 1:
             break
-        shifted = _mod_p_diff(words[surv], (p - words[pi]) % p, p)  # words[surv] + words[pi]
+        # words[surv] + words[pi]; the gather words[surv] is fresh, so it can hold the result
+        shifted = _mod_p_diff(words[surv], (p - words[pi]) % p, p, overwrite_a=True)
         surv = surv[gc.contains_rows(shifted)]
 
     accepted = ReducedBasis(p, gc.length)

@@ -1,10 +1,16 @@
 """Generator matrices, code materialization and the Hadamard checks."""
 
+import tracemalloc
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghcodes import construction
+from ghcodes.classification import enumerate_types
 from ghcodes.construction import (
     AdditiveCode,
     GrayCode,
@@ -21,6 +27,7 @@ from ghcodes.construction import (
     row_orders,
     validate_type,
 )
+from ghcodes.construction import _mod_p_diff, _pair_counts
 from ghcodes.errors import CapacityError, InputError
 
 
@@ -191,19 +198,50 @@ def test_capacity_errors_carry_sizes():
 # ---------------------------------------------------------------------------
 
 
-def naive_is_gh(words, p):
-    """Pair-by-pair reference check: differences constant or balanced."""
+def naive_gh_scan(words, p):
+    """Pair-by-pair reference scan: (pairs examined, first failing pair or None).
+
+    A difference passes when it is a nonzero constant or balanced; pairs
+    are scanned in lexicographic (u, v) order, a whole row u at a time.
+    """
     m, n = words.shape
     lam = n // p
     a = words.astype(np.int64)
-    for i in range(m):
-        d = (a[i + 1 :] - a[i]) % p
+    checked = 0
+    for u in range(m):
+        d = (a[u + 1 :] - a[u]) % p
         counts = np.stack([(d == v).sum(axis=1) for v in range(p)], axis=1)
-        constant = (counts == n).any(axis=1)
+        constant = (counts[:, 1:] == n).any(axis=1)
         balanced = (counts == lam).all(axis=1)
-        if not (constant | balanced).all():
-            return False
-    return True
+        checked += len(d)
+        bad = np.flatnonzero(~(constant | balanced))
+        if bad.size:
+            return checked, (u, u + 1 + int(bad[0]))
+    return checked, None
+
+
+def naive_is_gh(words, p):
+    return naive_gh_scan(words, p)[1] is None
+
+
+def naive_sampled_scan(words, p, pairs, seed):
+    """Reference for the sampled mode: the same draws (8192 per call, pairs u == v dropped),
+    checked in int64 arithmetic; (pairs examined, first failing pair or None)."""
+    m, n = words.shape
+    rng = np.random.default_rng(seed)
+    checked, remaining = 0, pairs
+    while remaining > 0:
+        k = min(8192, remaining)
+        u, v = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+        u, v = u[u != v], v[u != v]
+        checked += u.size
+        remaining -= u.size
+        d = (words[u].astype(np.int64) - words[v]) % p
+        counts = np.stack([(d == s).sum(axis=1) for s in range(p)])
+        bad = np.flatnonzero(~((counts[1:] == n).any(axis=0) | (counts == n // p).all(axis=0)))
+        if bad.size:
+            return checked, (int(u[bad[0]]), int(v[bad[0]]))
+    return checked, None
 
 
 def naive_min_distance(words):
@@ -236,6 +274,19 @@ def test_corrupted_code_fails_check():
     assert verdict.reason
 
 
+def test_repeated_word_fails_check():
+    gc = build_gray_code(sig(3, (1, 1)))
+    bad = gc.words.copy()
+    bad[7] = bad[8]  # a zero difference is constant, but not a nonzero constant
+    broken = GrayCode(gc.sig, bad)
+    assert not naive_is_gh(bad, 3)
+    verdict = is_gh_code(broken, mode="exhaustive")
+    assert not verdict.passed
+    assert verdict.reason.startswith("pair (7, 8) ")
+    assert not is_gh_code(broken, mode="sampled", pairs=5000, seed=1).passed
+    assert min_distance(broken) == 0
+
+
 def test_sampled_mode_is_deterministic():
     gc = build_gray_code(sig(3, (2, 0)))
     a = is_gh_code(gc, mode="sampled", pairs=2000, seed=99)
@@ -255,6 +306,140 @@ def test_min_distance_golden(p, ts):
     d = min_distance(gc)
     assert d == naive_min_distance(gc.words)
     assert d == p ** (gc.sig.t - 1) * (p - 1)
+
+
+# every code of at most 3^5 words for p = 2, 3, 5
+GH_TYPES = [
+    (p, ts)
+    for p, t_max in ((2, 6), (3, 4), (5, 2))
+    for t in range(1, t_max + 1)
+    for s in range(1, t + 2)
+    for ts in enumerate_types(t, s)
+]
+
+
+@lru_cache(maxsize=None)
+def gh_code(p, ts):
+    return build_gray_code(sig(p, ts))
+
+
+@st.composite
+def gh_inputs(draw):
+    """A small Gray image, as is, column-permuted, with one symbol changed or with a row repeated."""
+    p, ts = draw(st.sampled_from(GH_TYPES))
+    gc = gh_code(p, ts)
+    words = gc.words.copy()
+    m, n = words.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(["genuine", "permuted", "corrupted", "repeated"]))
+    if how == "permuted":
+        words = words[:, rng.permutation(n)]
+    elif how == "corrupted":
+        r, c = rng.integers(0, m), rng.integers(0, n)
+        words[r, c] = (words[r, c] + rng.integers(1, p)) % p
+    elif how == "repeated":
+        r, q = rng.choice(m, size=2, replace=False)
+        words[r] = words[q]
+    return GrayCode(gc.sig, words), how
+
+
+@settings(max_examples=60, deadline=None)
+@given(gh_inputs(), st.sampled_from([0, 2**10, 2**13]))
+def test_exhaustive_check_and_distance_match_oracle(case, block_bytes):
+    gc, how = case
+    m = len(gc)
+    with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", block_bytes or construction._PAIR_BLOCK_BYTES):
+        verdict = is_gh_code(gc, mode="exhaustive")
+        distance = min_distance(gc)
+    checked, first_bad = naive_gh_scan(gc.words, gc.sig.p)
+    assert verdict.passed == (first_bad is None)
+    assert verdict.pairs_checked == checked
+    if first_bad is None:
+        assert checked == m * (m - 1) // 2 and not verdict.reason
+    else:
+        assert verdict.reason.startswith("pair ({}, {}) is ".format(*first_bad))
+    assert distance == naive_min_distance(gc.words)
+    if how in ("genuine", "permuted"):
+        assert verdict.passed
+        assert distance == gc.sig.p ** (gc.sig.t - 1) * (gc.sig.p - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gh_inputs(), st.integers(1, 3 * 8192), st.integers(0, 2**16), st.sampled_from([0, 1, 2**8, 2**12]))
+def test_sampled_check_matches_oracle(case, pairs, seed, gather_bytes):
+    gc, _ = case
+    with mock.patch.object(construction, "_GATHER_BYTES", gather_bytes or construction._GATHER_BYTES):
+        verdict = is_gh_code(gc, mode="sampled", pairs=pairs, seed=seed)
+    checked, first_bad = naive_sampled_scan(gc.words, gc.sig.p, pairs, seed)
+    assert verdict.passed == (first_bad is None)
+    assert verdict.pairs_checked == checked
+    if first_bad is not None:
+        assert verdict.reason.startswith("pair ({}, {}) is ".format(*first_bad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gh_inputs(), st.integers(1, 4 * 40), st.integers(1, 4))
+def test_pair_counts_exact_across_block_and_chunk_seams(case, units, syms):
+    gc, _ = case
+    p = gc.sig.p
+    syms = min(syms, p)
+    a = gc.words.astype(np.int64)
+    u0_next = 0
+    # a budget of 4 * m * units bytes gives blocks of units // syms rows and chunks of units // p columns
+    with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", 4 * len(a) * units):
+        for u0, counts in _pair_counts(gc.words, p, syms):
+            assert u0 == u0_next and counts.shape[::2] == (syms, len(a) - u0)
+            u0_next += counts.shape[1]
+            for i in range(counts.shape[1]):
+                diff = (a[u0 + i] - a[u0:]) % p
+                for d in range(syms):
+                    want = (diff == d).sum(axis=1)
+                    want[: i + 1] = 0  # v = u0 + j <= u is no pair of the scan
+                    assert np.array_equal(counts[d, i], want)
+    assert u0_next == len(a)
+
+
+def test_pair_counts_exact_for_a_large_alphabet():
+    p = 251  # a + d for the shifted one-hot exceeds 255 here
+    words = np.random.default_rng(7).integers(0, p, size=(9, 5)).astype(np.uint8)
+    words[3] = words[0]
+    a = words.astype(np.int64)
+    with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", 4 * 9 * 2 * p):  # 2 rows, 2 columns
+        for u0, counts in _pair_counts(words, p, p - 1):
+            for i in range(counts.shape[1]):
+                diff = (a[u0 + i] - a[u0 + i + 1 :]) % p
+                want = (diff[None, :, :] == np.arange(p - 1)[:, None, None]).sum(axis=2)
+                assert np.array_equal(counts[:, i, i + 1 :], want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 131])
+def test_mod_p_diff_matches_integer_arithmetic(p):
+    a = np.repeat(np.arange(p, dtype=np.uint8), p).reshape(p, p)
+    b = a.T.copy()
+    want = (a.astype(np.int64) - b) % p
+    got = _mod_p_diff(a, b, p)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert np.array_equal(_mod_p_diff(a.copy(), b, p, overwrite_a=True), want)
+    row = np.arange(p, dtype=np.uint8)[::-1].copy()  # one word against many, as the callers use it
+    assert np.array_equal(_mod_p_diff(a, row[None, :], p), (a.astype(np.int64) - row) % p)
+
+
+def test_exhaustive_check_memory_stays_near_the_gray_image():
+    a = sig(3, (3, 1))  # t = 6: 2187 words of length 729
+    gc = build_gray_code(a)
+    tracemalloc.start()
+    try:
+        verdict = is_gh_code(gc, mode="exhaustive")
+        gh_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        distance = min_distance(gc)
+        distance_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.pairs_checked == len(gc) * (len(gc) - 1) // 2
+    assert distance == 3**5 * 2
+    assert max(gh_peak, distance_peak) <= gray_bytes(a) + 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
