@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Recompute the classification tables from scratch, with per-row timing.
+"""Recompute the classification tables from scratch, with per-t timing.
 
-Runs the census with invariants for a range of t and prints every row as
-it lands, so a long run shows progress.  t = 8 for p = 3 takes a few
+Prints `ghcodes classify --format table` (with (r,k) per class) for each t
+in the range, each followed by its wall time, so a long run shows
+progress; then `ghcodes isolated` up to t_max.  t = 8 for p = 3 takes a few
 minutes; t >= 9 representatives that exceed the byte budget are marked
 skipped rather than attempted.
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ghcodes import DEFAULT_BUDGET_BYTES, census, isolated_types
+from ghcodes import DEFAULT_BUDGET_BYTES, cli
 
 
 def main() -> int:
@@ -30,39 +31,16 @@ def main() -> int:
     ap.add_argument("--no-invariants", action="store_true", help="chain algebra only, no rank/kernel")
     args = ap.parse_args()
 
+    common = ["--p", str(args.p), "--threads", str(args.threads), "--budget-bytes", str(args.budget_bytes)]
+    invariants = [] if args.no_invariants else ["--invariants"]
     for t in range(args.t_min, args.t_max + 1):
         t0 = time.perf_counter()
-        c = census(
-            t,
-            args.p,
-            with_invariants=not args.no_invariants,
-            budget_bytes=args.budget_bytes,
-            threads=args.threads,
-        )
-        dt = time.perf_counter() - t0
-        print(f"# p={args.p} t={t}  classes={c.class_count}  ({dt:.1f}s)")
-        for row in c.rows:
-            ts = ",".join(map(str, row.ts))
-            rep = ",".join(map(str, row.representative))
-            if row.linear:
-                tail = "linear"
-            elif row.skipped:
-                tail = "skipped"
-            elif row.r is not None:
-                tail = f"(r,k)=({row.r},{row.k})"
-            else:
-                tail = "-"
-            print(f"  s={row.s}  ({ts})  rep=({rep}) pos={row.position}/{row.chain_len}  {tail}")
-        if c.skipped_reps:
-            skipped = "; ".join(",".join(map(str, ts)) for ts in c.skipped_reps)
-            print(f"  ! representatives over budget: {skipped}")
-
-    iso = isolated_types(args.t_max, args.p)
+        status = cli.main(["classify", "--t", str(t), *common, *invariants, "--format", "table"])
+        print(f"# p={args.p} t={t}  ({time.perf_counter() - t0:.1f}s)", flush=True)
+        if status:
+            return status
     print(f"# isolated types, p={args.p}, t <= {args.t_max}")
-    for t in sorted(iso):
-        listing = "  ".join("(" + ",".join(map(str, ts)) + ")" for ts in iso[t])
-        print(f"  t={t}  {listing}")
-    return 0
+    return cli.main(["isolated", "--p", str(args.p), "--t-max", str(args.t_max)])
 
 
 if __name__ == "__main__":

@@ -1,9 +1,24 @@
 """Command-line surface.
 
 Subcommands: construct, gray, invariants, chain, equiv-check, classify,
-isolated, tables, verify.  Output is deterministic for fixed inputs and
-seed: fixed orderings everywhere, no timestamps, single-threaded output
-assembly (workers only run inside the library).
+isolated, tables, verify.  Each command returns a `Result` with what it
+computed: its text lines, its JSON document and, for the tabular commands,
+its CSV rows.  `main` renders the one format asked for and writes it to
+stdout or ``--output``.  A subcommand offers only the formats it renders:
+
+    construct, gray             text only (no --format)
+    equiv-check                 json
+    invariants, chain, verify   table (default) or json
+    classify                    csv (default), table or json
+    isolated, tables            table (default), csv or json
+
+``--budget-bytes`` exists only on the commands that materialize codes
+(construct, invariants, equiv-check, classify, tables, verify).  An option
+or format a subcommand does not offer is a usage error (exit code 2).
+
+Output is deterministic for fixed inputs and seed: fixed orderings
+everywhere, no timestamps, single-threaded output assembly (workers only
+run inside the library).
 
 Exit codes: 0 success, 1 verification FAIL, 2 bad input, 3 capacity
 (over the memory budget).
@@ -13,11 +28,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from .classification import bounds_report, census, isolated_types
 from .construction import (
@@ -53,71 +69,74 @@ def _parse_type(text: str) -> tuple[int, ...]:
     return ts
 
 
-def _default_threads() -> int:
-    env = os.environ.get("GHCODE_THREADS", "")
-    if env:
+def _check_limits(args: argparse.Namespace) -> None:
+    """Validate --budget-bytes and --threads; GHCODE_THREADS fills in a missing --threads."""
+    budget = getattr(args, "budget_bytes", None)
+    if budget is not None and budget <= 0:
+        raise InputError(f"--budget-bytes must be positive, got {budget}")
+    if getattr(args, "threads", None) is None:
+        env = os.environ.get("GHCODE_THREADS", "") or "1"
         try:
-            n = int(env)
+            args.threads = int(env)
         except ValueError:
             raise InputError(f"GHCODE_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise InputError(f"GHCODE_THREADS must be >= 1, got {n}")
-        return n
-    return 1
+        if args.threads < 1:
+            raise InputError(f"GHCODE_THREADS must be >= 1, got {args.threads}")
+    elif args.threads < 1:
+        raise InputError(f"--threads must be >= 1, got {args.threads}")
+
+
+# ---------------------------------------------------------------------------
+# results and their one renderer
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs besides the command itself."""
+class Result:
+    """What one command computed, in every form its formats need."""
 
-    command: str
-    fmt: str
-    output: "str | None"
-    budget_bytes: int
-    threads: int
-    seed: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        budget = getattr(args, "budget_bytes", DEFAULT_BUDGET_BYTES)
-        if budget <= 0:
-            raise InputError(f"--budget-bytes must be positive, got {budget}")
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            threads = _default_threads()
-        elif threads < 1:
-            raise InputError(f"--threads must be >= 1, got {threads}")
-        return cls(
-            command=args.command,
-            fmt=getattr(args, "format", "table"),
-            output=getattr(args, "output", None),
-            budget_bytes=budget,
-            threads=threads,
-            seed=getattr(args, "seed", GH_SAMPLE_SEED),
-        )
+    lines: "list[str]" = field(default_factory=list)  # text, the "table" format
+    doc: object = None  # JSON document
+    rows: "list[list] | None" = None  # CSV header row, then the data rows
+    indent: "int | None" = None  # JSON style: None is compact on one line
+    status: int = 0  # exit code
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if cfg.output is None:
-        sys.stdout.write(text)
+def _json(doc, indent: "int | None" = None) -> str:
+    # key order as inserted
+    return json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return value  # csv writes None as an empty cell
+
+
+def _render(result: Result, fmt: str) -> str:
+    if fmt == "json":
+        text = _json(result.doc, result.indent)
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in result.rows)
+        text = buf.getvalue()
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _jline(obj) -> str:
-    # compact one-line JSON, stable key order as inserted
-    return json.dumps(obj, separators=(",", ":"))
+        text = "\n".join(result.lines)
+    return text if text.endswith("\n") else text + "\n"
 
 
 def _sig(args: argparse.Namespace, attr: str = "type") -> TypeSignature:
     return validate_type(args.p, _parse_type(getattr(args, attr)))
 
 
-def _descriptor(sig: TypeSignature) -> dict:
-    return {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
+def _words(rows) -> "list[str]":
+    return [" ".join(str(int(v)) for v in row) for row in rows]
+
+
+def _label(ts) -> str:
+    return "(" + ",".join(map(str, ts)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -125,79 +144,65 @@ def _descriptor(sig: TypeSignature) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> Result:
+    """descriptor and generator matrix (or codeword dump) of one type"""
     sig = _sig(args)
     code = AdditiveCode.build(sig)
-    lines = [_jline(_descriptor(sig))]
     if args.codewords is None:
-        for row in code.generator:
-            lines.append(" ".join(str(int(v)) for v in row))
+        rows = code.generator
     elif args.codewords == "additive":
-        words = materialize_additive(code, cfg.budget_bytes)
-        for row in words:
-            lines.append(" ".join(str(int(v)) for v in row))
+        rows = materialize_additive(code, args.budget_bytes)
     else:  # gray
-        gc = materialize_gray(code, cfg.budget_bytes)
-        for row in gc.words:
-            lines.append(" ".join(str(int(v)) for v in row))
-    _emit("\n".join(lines), cfg)
-    return 0
+        rows = materialize_gray(code, args.budget_bytes).words
+    descriptor = {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
+    return Result([_json(descriptor), *_words(rows)])
 
 
-def cmd_gray(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_gray(args: argparse.Namespace) -> Result:
+    """Gray image of one residue"""
     params = RingParams(args.p, args.s)
     if not 0 <= args.value < params.modulus:
         raise InputError(f"value {args.value} outside [0, {params.modulus})")
-    w = gray(args.value, params)
-    _emit(" ".join(str(int(v)) for v in w.entries), cfg)
-    return 0
+    return Result(_words([gray(args.value, params).entries]))
 
 
-def cmd_invariants(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_invariants(args: argparse.Namespace) -> Result:
+    """rank, kernel dimension and linearity of one type"""
     sig = _sig(args)
-    gc = materialize_gray(AdditiveCode.build(sig), cfg.budget_bytes)
+    gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
     r, k = invariant_pair(gc)
     linear = r == sig.t + 1  # p^rank = |C| = p^(t+1)
-    if cfg.fmt == "json":
-        _emit(_jline({"p": sig.p, "type": list(sig.ts), "r": r, "k": k, "linear": linear}), cfg)
-    else:
-        _emit(f"r={r} k={k} linear={str(linear).lower()}", cfg)
-    return 0
+    return Result(
+        lines=[f"r={r} k={k} linear={str(linear).lower()}"],
+        doc={"p": sig.p, "type": list(sig.ts), "r": r, "k": k, "linear": linear},
+    )
 
 
-def cmd_chain(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_chain(args: argparse.Namespace) -> Result:
+    """locate a type in its chain of equivalences"""
     sig = _sig(args)
     cp = chain_of(sig)
     chain = chain_members(cp.representative)
-    if cfg.fmt == "json":
-        _emit(
-            _jline(
-                {
-                    "p": sig.p,
-                    "type": list(sig.ts),
-                    "representative": list(cp.representative.ts),
-                    "position": cp.position,
-                    "chain_len": len(chain),
-                    "members": [list(m.ts) for m in chain],
-                }
-            ),
-            cfg,
-        )
-    else:
-        head = (
-            f"representative {cp.representative.label()} "
-            f"position {cp.position} members {len(chain)}"
-        )
-        body = [f"  {i}: {m.label()} (s={m.s})" for i, m in enumerate(chain, start=1)]
-        _emit("\n".join([head, *body]), cfg)
-    return 0
+    head = f"representative {cp.representative.label()} position {cp.position} members {len(chain)}"
+    return Result(
+        lines=[head, *(f"  {i}: {m.label()} (s={m.s})" for i, m in enumerate(chain, start=1))],
+        doc={
+            "p": sig.p,
+            "type": list(sig.ts),
+            "representative": list(cp.representative.ts),
+            "position": cp.position,
+            "chain_len": len(chain),
+            "members": [list(m.ts) for m in chain],
+        },
+    )
 
 
-def cmd_equiv_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_equiv_check(args: argparse.Namespace) -> Result:
+    """decide equivalence of two types (JSON verdict, witness permutation)"""
     sig_a = _sig(args, "type_a")
     sig_b = _sig(args, "type_b")
     check_sets = {"auto": None, "always": True, "never": False}[args.sets]
-    report = verify_equivalence(sig_a, sig_b, check_sets=check_sets, budget_bytes=cfg.budget_bytes)
+    report = verify_equivalence(sig_a, sig_b, check_sets=check_sets, budget_bytes=args.budget_bytes)
     doc = {
         "verdict": report.verdict,
         "representative": list(report.representative) if report.representative else None,
@@ -207,73 +212,38 @@ def cmd_equiv_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     }
     if report.detail:
         doc["detail"] = report.detail
-    _emit(_jline(doc), cfg)
-    return 0 if report.passed else 1
+    return Result(doc=doc, status=0 if report.passed else 1)
 
 
-_CENSUS_HEADER = ["p", "t", "s", "type", "representative", "position", "chain_len", "linear", "r", "k"]
+def _census_rows(rows, json_keys, csv_keys) -> "tuple[list[dict], list[list]]":
+    """The fields ``json_keys`` of each census row as a JSON object, and a
+    CSV table of the fields ``csv_keys``, where r and k of a skipped row
+    read "skipped"."""
+    docs, cells = [], [list(csv_keys)]
+    for row in rows:
+        fields = dict(vars(row), type=row.ts)  # JSON writes tuples as arrays
+        docs.append({key: fields[key] for key in json_keys})
+        if row.skipped:
+            fields["r"] = fields["k"] = "skipped"
+        cells.append([fields[key] for key in csv_keys])
+    return docs, cells
 
 
-def _rk_cell(value: "int | None", skipped: bool) -> str:
-    if skipped:
-        return "skipped"
-    return "" if value is None else str(value)
-
-
-def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> Result:
+    """census of all types of one length"""
     c = census(
         args.t,
         args.p,
         s=args.s,
         with_invariants=args.invariants,
-        budget_bytes=cfg.budget_bytes,
-        threads=cfg.threads,
+        budget_bytes=args.budget_bytes,
+        threads=args.threads,
     )
-    if cfg.fmt == "json":
-        doc = {
-            "p": c.p,
-            "t": c.t,
-            "class_count": c.class_count,
-            "skipped_representatives": [list(rep) for rep in c.skipped_reps],
-            "rows": [
-                {
-                    "s": row.s,
-                    "type": list(row.ts),
-                    "representative": list(row.representative),
-                    "position": row.position,
-                    "chain_len": row.chain_len,
-                    "linear": row.linear,
-                    "r": row.r,
-                    "k": row.k,
-                    "skipped": row.skipped,
-                }
-                for row in c.rows
-            ],
-        }
-        _emit(json.dumps(doc, indent=2), cfg)
-        return 0
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CENSUS_HEADER)
-        for row in c.rows:
-            writer.writerow(
-                [
-                    row.p,
-                    row.t,
-                    row.s,
-                    ",".join(map(str, row.ts)),
-                    ",".join(map(str, row.representative)),
-                    row.position,
-                    row.chain_len,
-                    str(row.linear).lower(),
-                    _rk_cell(row.r, row.skipped),
-                    _rk_cell(row.k, row.skipped),
-                ]
-            )
-        _emit(buf.getvalue(), cfg)
-        return 0
-    # table
+    docs, cells = _census_rows(
+        c.rows,
+        ("s", "type", "representative", "position", "chain_len", "linear", "r", "k", "skipped"),
+        ("p", "t", "s", "type", "representative", "position", "chain_len", "linear", "r", "k"),
+    )
     lines = [f"p={c.p} t={c.t} length={c.p}^{c.t} classes={c.class_count}"]
     for row in c.rows:
         rk = ""
@@ -281,187 +251,118 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
             rk = "  skipped" if row.skipped else f"  (r,k)=({row.r},{row.k})"
         flag = "linear" if row.linear else "      "
         lines.append(
-            f"  s={row.s}  ({','.join(map(str, row.ts))})  {flag}"
-            f"  rep=({','.join(map(str, row.representative))}) pos={row.position}/{row.chain_len}{rk}"
+            f"  s={row.s}  {_label(row.ts)}  {flag}"
+            f"  rep={_label(row.representative)} pos={row.position}/{row.chain_len}{rk}"
         )
     if c.skipped_reps:
         lines.append("skipped representatives: " + "; ".join(",".join(map(str, r)) for r in c.skipped_reps))
-    _emit("\n".join(lines), cfg)
-    return 0
+    doc = {
+        "p": c.p,
+        "t": c.t,
+        "class_count": c.class_count,
+        "skipped_representatives": [list(rep) for rep in c.skipped_reps],
+        "rows": docs,
+    }
+    return Result(lines, doc, cells, indent=2)
 
 
-def cmd_isolated(args: argparse.Namespace, cfg: RunConfig) -> int:
-    table = isolated_types(args.t_max, args.p)
-    if cfg.fmt == "json":
-        doc = {
-            "p": args.p,
-            "t_max": args.t_max,
-            "isolated": {str(t): [list(ts) for ts in hits] for t, hits in sorted(table.items())},
-        }
-        _emit(_jline(doc), cfg)
-        return 0
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "type"])
-        for t, hits in sorted(table.items()):
-            for ts in hits:
-                writer.writerow([t, ",".join(map(str, ts))])
-        _emit(buf.getvalue(), cfg)
-        return 0
+def _isolated(p: int, t_min: int, t_max: int) -> Result:
+    table = {t: hits for t, hits in sorted(isolated_types(t_max, p).items()) if t >= t_min}
+    lines = [f"t={t}  " + "  ".join(_label(ts) for ts in hits) for t, hits in table.items()]
+    return Result(
+        lines=lines or ["none"],
+        doc={"p": p, "t_max": t_max, "isolated": {str(t): [list(ts) for ts in hits] for t, hits in table.items()}},
+        rows=[["t", "type"], *([t, ts] for t, hits in table.items() for ts in hits)],
+    )
+
+
+def cmd_isolated(args: argparse.Namespace) -> Result:
+    """single-member chains (equivalent to no other type)"""
+    return _isolated(args.p, 0, args.t_max)
+
+
+def _tables_types(args: argparse.Namespace) -> Result:
+    rows = [
+        row
+        for t in range(args.t_min, args.t_max + 1)
+        for row in census(t, args.p, with_invariants=True, budget_bytes=args.budget_bytes, threads=args.threads).rows
+        if not row.linear
+    ]
     lines = []
-    for t, hits in sorted(table.items()):
-        pretty = "  ".join("(" + ",".join(map(str, ts)) + ")" for ts in hits)
-        lines.append(f"t={t}  {pretty}")
-    _emit("\n".join(lines) if lines else "none", cfg)
-    return 0
+    for row in rows:
+        rk = "skipped" if row.skipped else f"({row.r},{row.k})"
+        lines.append(f"t={row.t} s={row.s}  {_label(row.ts)} -> {rk}")
+    docs, cells = _census_rows(
+        rows, ("p", "t", "s", "type", "r", "k", "skipped"), ("p", "t", "s", "type", "r", "k", "linear")
+    )
+    return Result(lines, docs, cells, indent=2)
 
 
-def _tables_types(args: argparse.Namespace, cfg: RunConfig) -> str:
-    lines = []
-    rows_csv = []
-    for t in range(args.t_min, args.t_max + 1):
-        c = census(t, args.p, with_invariants=True, budget_bytes=cfg.budget_bytes, threads=cfg.threads)
-        for row in c.rows:
-            if row.linear:
-                continue
-            rows_csv.append(row)
-            rk = "skipped" if row.skipped else f"({row.r},{row.k})"
-            lines.append(f"t={row.t} s={row.s}  ({','.join(map(str, row.ts))}) -> {rk}")
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "t", "s", "type", "r", "k", "linear"])
-        for row in rows_csv:
-            writer.writerow(
-                [
-                    row.p,
-                    row.t,
-                    row.s,
-                    ",".join(map(str, row.ts)),
-                    _rk_cell(row.r, row.skipped),
-                    _rk_cell(row.k, row.skipped),
-                    str(row.linear).lower(),
-                ]
-            )
-        return buf.getvalue()
-    if cfg.fmt == "json":
-        doc = [
-            {
-                "p": row.p,
-                "t": row.t,
-                "s": row.s,
-                "type": list(row.ts),
-                "r": row.r,
-                "k": row.k,
-                "skipped": row.skipped,
-            }
-            for row in rows_csv
-        ]
-        return json.dumps(doc, indent=2)
-    return "\n".join(lines)
-
-
-def _tables_bounds(args: argparse.Namespace, cfg: RunConfig) -> str:
+def _tables_bounds(args: argparse.Namespace) -> Result:
     report = bounds_report(
         args.p,
         args.t_min,
         args.t_max,
         with_lower=args.with_lower,
-        budget_bytes=cfg.budget_bytes,
-        threads=cfg.threads,
+        budget_bytes=args.budget_bytes,
+        threads=args.threads,
     )
-    if cfg.fmt == "json":
-        doc = {
-            "p": report.p,
-            "assumption": report.assumption,
-            "discrepancies": list(report.discrepancies),
-            "rows": [
-                {
-                    "t": r.t,
-                    "types_all_s": r.types_all_s,
-                    "classes_all_s": r.classes_all_s,
-                    "types_reps": r.types_reps,
-                    "classes_reps": r.classes_reps,
-                    "lower_rk": r.lower_rk,
-                    "lower_rk_partial": r.lower_rk_partial,
-                }
-                for r in report.rows
-            ],
-        }
-        return json.dumps(doc, indent=2)
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "types_all_s", "classes_all_s", "types_reps", "classes_reps", "lower_rk"])
-        for r in report.rows:
-            lower = "" if r.lower_rk is None else (f"{r.lower_rk}+" if r.lower_rk_partial else str(r.lower_rk))
-            writer.writerow([r.t, r.types_all_s, r.classes_all_s, r.types_reps, r.classes_reps, lower])
-        return buf.getvalue()
     # the * columns lean on the level-wise class-count assumption below
     lines = [f"{'t':>3} {'types(all s)':>13} {'classes(all s)*':>16} {'types(reps)':>12} {'classes(reps)*':>15} {'lower(r,k)':>11}"]
+    cells = [["t", "types_all_s", "classes_all_s", "types_reps", "classes_reps", "lower_rk"]]
     for r in report.rows:
-        lower = "-" if r.lower_rk is None else (f"{r.lower_rk}+" if r.lower_rk_partial else str(r.lower_rk))
+        lower = None if r.lower_rk is None else (f"{r.lower_rk}+" if r.lower_rk_partial else str(r.lower_rk))
         lines.append(
-            f"{r.t:>3} {r.types_all_s:>13} {r.classes_all_s:>16} {r.types_reps:>12} {r.classes_reps:>15} {lower:>11}"
+            f"{r.t:>3} {r.types_all_s:>13} {r.classes_all_s:>16} {r.types_reps:>12} {r.classes_reps:>15} {lower or '-':>11}"
         )
+        cells.append([r.t, r.types_all_s, r.classes_all_s, r.types_reps, r.classes_reps, lower])
     lines.append(f"* {report.assumption}")
-    for d in report.discrepancies:
-        lines.append(f"note: {d}")
-    return "\n".join(lines)
+    lines.extend(f"note: {d}" for d in report.discrepancies)
+    doc = {
+        "p": report.p,
+        "assumption": report.assumption,
+        "discrepancies": list(report.discrepancies),
+        "rows": [asdict(r) for r in report.rows],
+    }
+    return Result(lines, doc, cells, indent=2)
 
 
-def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> Result:
+    """rank/kernel, bounds or isolated tables over a range of t"""
+    if args.kind == "isolated":
+        return _isolated(args.p, args.t_min, args.t_max)
     if args.kind == "bounds":
-        _emit(_tables_bounds(args, cfg), cfg)
-    elif args.kind == "isolated":
-        table = isolated_types(args.t_max, args.p)
-        lines = []
-        for t in range(args.t_min, args.t_max + 1):
-            hits = table.get(t, [])
-            if hits:
-                pretty = "  ".join("(" + ",".join(map(str, ts)) + ")" for ts in hits)
-                lines.append(f"t={t}  {pretty}")
-        _emit("\n".join(lines) if lines else "none", cfg)
-    else:
-        _emit(_tables_types(args, cfg), cfg)
-    return 0
+        return _tables_bounds(args)
+    return _tables_types(args)
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> Result:
+    """GH difference property and minimum distance of one type"""
     sig = _sig(args)
-    gc = materialize_gray(AdditiveCode.build(sig), cfg.budget_bytes)
-    verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=cfg.seed)
+    gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
+    verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)
     ok = verdict.passed
-    md = None
-    expected = None
+    lines = [
+        f"gh {'PASS' if verdict.passed else 'FAIL'} mode={verdict.mode} pairs={verdict.pairs_checked}"
+        + (f" reason={verdict.reason}" if verdict.reason else "")
+    ]
+    doc = {
+        "p": sig.p,
+        "type": list(sig.ts),
+        "gh": {
+            "passed": verdict.passed,
+            "mode": verdict.mode,
+            "pairs_checked": verdict.pairs_checked,
+            "reason": verdict.reason or None,
+        },
+    }
     if args.min_distance:
         md = min_distance(gc)
         expected = sig.p ** (sig.t - 1) * (sig.p - 1)
         ok = ok and md == expected
-    if cfg.fmt == "json":
-        doc = {
-            "p": sig.p,
-            "type": list(sig.ts),
-            "gh": {
-                "passed": verdict.passed,
-                "mode": verdict.mode,
-                "pairs_checked": verdict.pairs_checked,
-                "reason": verdict.reason or None,
-            },
-        }
-        if md is not None:
-            doc["min_distance"] = {"value": md, "expected": expected}
-        _emit(_jline(doc), cfg)
-    else:
-        lines = [
-            f"gh {'PASS' if verdict.passed else 'FAIL'} mode={verdict.mode} pairs={verdict.pairs_checked}"
-            + (f" reason={verdict.reason}" if verdict.reason else "")
-        ]
-        if md is not None:
-            lines.append(f"min_distance {md} expected {expected}")
-        _emit("\n".join(lines), cfg)
-    return 0 if ok else 1
+        lines.append(f"min_distance {md} expected {expected}")
+        doc["min_distance"] = {"value": md, "expected": expected}
+    return Result(lines, doc, status=0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,103 +370,95 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, fmt_default: str = "table") -> None:
-    sub.add_argument("--format", choices=FORMATS, default=fmt_default)
-    sub.add_argument("--output", "-o", metavar="PATH", default=None, help="write to a file instead of stdout")
-    sub.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES, metavar="N")
+def _command(sub, name: str, func, formats: "tuple[str, ...]" = (), budget: bool = False) -> argparse.ArgumentParser:
+    """Subcommand ``name`` running ``func`` (its docstring is the help line):
+    --p, --format over the formats it renders (the first is the default),
+    --output, and --budget-bytes where it materializes codes."""
+    sp = sub.add_parser(name, help=func.__doc__)
+    sp.set_defaults(func=func)
+    sp.add_argument("--p", type=int, required=True)
+    if formats:
+        sp.add_argument("--format", choices=formats, default=formats[0])
+    else:
+        sp.set_defaults(format="table")
+    sp.add_argument("--output", "-o", metavar="PATH", default=None, help="write to a file instead of stdout")
+    if budget:
+        sp.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES, metavar="N")
+    return sp
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ghcodes`` argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ghcodes",
         description="Z_{p^s}-additive generalized Hadamard codes: construction, Gray images, invariants, equivalences, classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("construct", help="descriptor and generator matrix (or codeword dump) of one type")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "construct", cmd_construct, budget=True)
     sp.add_argument("--type", required=True, metavar="T1,...,TS")
     sp.add_argument("--codewords", choices=("additive", "gray"), default=None, help="dump codewords instead of the generator")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("gray", help="Gray image of one residue")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "gray", cmd_gray)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--value", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gray)
 
-    sp = sub.add_parser("invariants", help="rank, kernel dimension and linearity of one type")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "invariants", cmd_invariants, ("table", "json"), budget=True)
     sp.add_argument("--type", required=True, metavar="T1,...,TS")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_invariants)
 
-    sp = sub.add_parser("chain", help="locate a type in its chain of equivalences")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "chain", cmd_chain, ("table", "json"))
     sp.add_argument("--type", required=True, metavar="T1,...,TS")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_chain)
 
-    sp = sub.add_parser("equiv-check", help="decide equivalence of two types (JSON verdict, witness permutation)")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "equiv-check", cmd_equiv_check, ("json",), budget=True)
     sp.add_argument("--type-a", required=True, metavar="T1,...,TS")
     sp.add_argument("--type-b", required=True, metavar="T1,...,TS")
     sp.add_argument("--sets", choices=("auto", "always", "never"), default="auto", help="verify set equality of the mapped codes")
-    _add_common(sp, fmt_default="json")
-    sp.set_defaults(func=cmd_equiv_check)
 
-    sp = sub.add_parser("classify", help="census of all types of one length")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "classify", cmd_classify, ("csv", "table", "json"), budget=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, default=None, help="restrict to one ring level")
     sp.add_argument("--invariants", action="store_true", help="attach (r,k) per class within budget")
     sp.add_argument("--threads", type=int, default=None, metavar="N")
-    _add_common(sp, fmt_default="csv")
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("isolated", help="single-member chains (equivalent to no other type)")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "isolated", cmd_isolated, FORMATS)
     sp.add_argument("--t-max", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_isolated)
 
-    sp = sub.add_parser("tables", help="rank/kernel, bounds or isolated tables over a range of t")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "tables", cmd_tables, FORMATS, budget=True)
     sp.add_argument("--t-min", type=int, required=True)
     sp.add_argument("--t-max", type=int, required=True)
     sp.add_argument("--kind", choices=("types", "bounds", "isolated"), default="types")
     sp.add_argument("--with-lower", action="store_true", help="bounds: include the (r,k) lower bound (materializes codes)")
     sp.add_argument("--threads", type=int, default=None, metavar="N")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_tables)
 
-    sp = sub.add_parser("verify", help="GH difference property and minimum distance of one type")
-    sp.add_argument("--p", type=int, required=True)
+    sp = _command(sub, "verify", cmd_verify, ("table", "json"), budget=True)
     sp.add_argument("--type", required=True, metavar="T1,...,TS")
     sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
     sp.add_argument("--pairs", type=int, default=GH_SAMPLE_PAIRS, metavar="N")
     sp.add_argument("--seed", type=int, default=GH_SAMPLE_SEED, metavar="N")
     sp.add_argument("--min-distance", action="store_true", help="also compute the minimum distance (full pair scan)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        _check_limits(args)
+        result = args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = _render(result, args.format)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return result.status
 
 
 if __name__ == "__main__":

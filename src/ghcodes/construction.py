@@ -469,12 +469,12 @@ def is_gh_code(
         raise InputError(f"unknown mode {mode!r}")
     m, n = gc.words.shape
     p = gc.sig.p
-    if n % p:
-        return GHVerdict(False, "exhaustive", 0, f"length {n} not divisible by p")
-    if m != gc.sig.size:
-        return GHVerdict(False, "exhaustive", 0, f"expected {gc.sig.size} words, found {m}")
     if mode == "auto":
         mode = "exhaustive" if m <= _EXHAUSTIVE_CUTOFF else "sampled"
+    if n % p:
+        return GHVerdict(False, mode, 0, f"length {n} not divisible by p")
+    if m != gc.sig.size:
+        return GHVerdict(False, mode, 0, f"expected {gc.sig.size} words, found {m}")
 
     words = gc.words
     if mode == "exhaustive":

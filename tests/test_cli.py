@@ -1,14 +1,16 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import csv
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from ghcodes.cli import main
-from ghcodes.construction import build_gray_code, validate_type
+from ghcodes import cli
+from ghcodes.cli import build_parser, main
+from ghcodes.construction import GH_SAMPLE_SEED, build_gray_code, validate_type
 
 
 def run(capsys, *argv):
@@ -298,3 +300,300 @@ def test_threads_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("GHCODE_THREADS", "zero")  # flag wins, env never parsed
     code, _, _ = run(capsys, "classify", "--p", "3", "--t", "4", "--threads", "1")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# byte goldens of every (command, format) pair and the options each offers
+# ---------------------------------------------------------------------------
+
+# (argv, exit code, stdout): the stdout literally, or its sha256 when long
+GOLDEN = [
+    (
+        ("gray", "--p", "3", "--s", "3", "--value", "13"),
+        0,
+        "1 2 0 2 0 1 0 1 2\n",
+    ),
+    (
+        ("construct", "--p", "3", "--type", "2,1"),
+        0,
+        '{"p":3,"s":2,"type":[2,1],"t":4,"n":27}\n'
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n"
+        "0 1 2 3 4 5 6 7 8 0 1 2 3 4 5 6 7 8 0 1 2 3 4 5 6 7 8\n"
+        "0 0 0 0 0 0 0 0 0 3 3 3 3 3 3 3 3 3 6 6 6 6 6 6 6 6 6\n",
+    ),
+    (
+        ("construct", "--p", "3", "--type", "1,1", "--codewords", "additive"),
+        0,
+        "sha256:6789e981bfbea2f8133384b24d54c0b4a07642f40226467c0a4ce1f7688aed6f",
+    ),
+    (
+        ("construct", "--p", "3", "--type", "1,1", "--codewords", "gray"),
+        0,
+        "sha256:f95361248cba083aaf984ffa7015cace6bd3aef14f44d3eb3e4315a0e51ad226",
+    ),
+    (
+        ("invariants", "--p", "3", "--type", "2,1"),
+        0,
+        "r=6 k=3 linear=false\n",
+    ),
+    (
+        ("invariants", "--p", "3", "--type", "2,1", "--format", "json"),
+        0,
+        '{"p":3,"type":[2,1],"r":6,"k":3,"linear":false}\n',
+    ),
+    (
+        ("chain", "--p", "3", "--type", "1,0,2,1"),
+        0,
+        "representative 3,3 position 3 members 4\n"
+        "  1: 3,3 (s=2)\n"
+        "  2: 1,2,2 (s=3)\n"
+        "  3: 1,0,2,1 (s=4)\n"
+        "  4: 1,0,0,2,0 (s=5)\n",
+    ),
+    (
+        ("chain", "--p", "3", "--type", "1,0,2,1", "--format", "json"),
+        0,
+        '{"p":3,"type":[1,0,2,1],"representative":[3,3],"position":3,"chain_len":4,"members":[[3,3],[1,2,2],[1,0,2,1],[1,0,0,2,0]]}\n',
+    ),
+    (
+        ("equiv-check", "--p", "3", "--type-a", "2,1", "--type-b", "1,1,0"),
+        0,
+        '{"verdict":"PASS","representative":[2,1],"positions":[1,2],"witness":[1,28,55,2,29,56,3,30,57,4,31,58,5,32,59,6,33,60,7,34,61,8,35,62,9,36,63,10,37,64,11,38,65,12,39,66,13,40,67,14,41,68,15,42,69,16,43,70,17,44,71,18,45,72,19,46,73,20,47,74,21,48,75,22,49,76,23,50,77,24,51,78,25,52,79,26,53,80,27,54,81],"mode":"set-equality"}\n',
+    ),
+    (
+        ("equiv-check", "--p", "3", "--type-a", "2,2", "--type-b", "1,0,1,0", "--sets", "never"),
+        0,
+        "sha256:1fa0f39daeb3df96a60e60c2150befad8f3a835039899e526a537e2a59cec79a",
+    ),
+    (
+        ("equiv-check", "--p", "3", "--type-a", "3,0", "--type-b", "2,2"),
+        1,
+        '{"verdict":"FAIL","representative":null,"positions":[1,1],"witness":null,"mode":"algebra-only","detail":"distinct representatives (3, 0) and (2, 2)"}\n',
+    ),
+    (
+        ("classify", "--p", "3", "--t", "4"),
+        0,
+        "p,t,s,type,representative,position,chain_len,linear,r,k\n"
+        '3,4,2,"1,3",4,2,5,true,,\n'
+        '3,4,2,"2,1","2,1",1,2,false,,\n'
+        '3,4,3,"1,0,2",4,3,5,true,,\n'
+        '3,4,3,"1,1,0","2,1",2,2,false,,\n'
+        '3,4,4,"1,0,0,1",4,4,5,true,,\n'
+        '3,4,5,"1,0,0,0,0",4,5,5,true,,\n',
+    ),
+    (
+        ("classify", "--p", "3", "--t", "4", "--s", "2", "--format", "table"),
+        0,
+        "p=3 t=4 length=3^4 classes=2\n"
+        "  s=2  (1,3)  linear  rep=(4) pos=2/5\n"
+        "  s=2  (2,1)          rep=(2,1) pos=1/2\n",
+    ),
+    (
+        ("classify", "--p", "3", "--t", "4", "--invariants", "--format", "csv"),
+        0,
+        "p,t,s,type,representative,position,chain_len,linear,r,k\n"
+        '3,4,2,"1,3",4,2,5,true,5,5\n'
+        '3,4,2,"2,1","2,1",1,2,false,6,3\n'
+        '3,4,3,"1,0,2",4,3,5,true,5,5\n'
+        '3,4,3,"1,1,0","2,1",2,2,false,6,3\n'
+        '3,4,4,"1,0,0,1",4,4,5,true,5,5\n'
+        '3,4,5,"1,0,0,0,0",4,5,5,true,5,5\n',
+    ),
+    (
+        ("classify", "--p", "3", "--t", "4", "--invariants", "--format", "table"),
+        0,
+        "p=3 t=4 length=3^4 classes=2\n"
+        "  s=2  (1,3)  linear  rep=(4) pos=2/5  (r,k)=(5,5)\n"
+        "  s=2  (2,1)          rep=(2,1) pos=1/2  (r,k)=(6,3)\n"
+        "  s=3  (1,0,2)  linear  rep=(4) pos=3/5  (r,k)=(5,5)\n"
+        "  s=3  (1,1,0)          rep=(2,1) pos=2/2  (r,k)=(6,3)\n"
+        "  s=4  (1,0,0,1)  linear  rep=(4) pos=4/5  (r,k)=(5,5)\n"
+        "  s=5  (1,0,0,0,0)  linear  rep=(4) pos=5/5  (r,k)=(5,5)\n",
+    ),
+    (
+        ("classify", "--p", "3", "--t", "4", "--invariants", "--format", "json"),
+        0,
+        "sha256:3b2ce5b97459891a3187e58c5de261701298b7294321f744c6819a4eaab5893d",
+    ),
+    (
+        ("isolated", "--p", "3", "--t-max", "5"),
+        0,
+        "t=3  (2,0)\n"
+        "t=5  (3,0)  (2,0,0)\n",
+    ),
+    (
+        ("isolated", "--p", "3", "--t-max", "5", "--format", "csv"),
+        0,
+        "t,type\n"
+        '3,"2,0"\n'
+        '5,"3,0"\n'
+        '5,"2,0,0"\n',
+    ),
+    (
+        ("isolated", "--p", "3", "--t-max", "5", "--format", "json"),
+        0,
+        '{"p":3,"t_max":5,"isolated":{"3":[[2,0]],"5":[[3,0],[2,0,0]]}}\n',
+    ),
+    (
+        ("isolated", "--p", "3", "--t-max", "2"),
+        0,
+        "none\n",
+    ),
+    (
+        ("tables", "--p", "3", "--t-min", "4", "--t-max", "5"),
+        0,
+        "t=4 s=2  (2,1) -> (6,3)\n"
+        "t=4 s=3  (1,1,0) -> (6,3)\n"
+        "t=5 s=2  (2,2) -> (7,4)\n"
+        "t=5 s=2  (3,0) -> (11,3)\n"
+        "t=5 s=3  (1,1,1) -> (7,4)\n"
+        "t=5 s=3  (2,0,0) -> (13,2)\n"
+        "t=5 s=4  (1,0,1,0) -> (7,4)\n",
+    ),
+    (
+        ("tables", "--p", "3", "--t-min", "4", "--t-max", "5", "--format", "csv"),
+        0,
+        "p,t,s,type,r,k,linear\n"
+        '3,4,2,"2,1",6,3,false\n'
+        '3,4,3,"1,1,0",6,3,false\n'
+        '3,5,2,"2,2",7,4,false\n'
+        '3,5,2,"3,0",11,3,false\n'
+        '3,5,3,"1,1,1",7,4,false\n'
+        '3,5,3,"2,0,0",13,2,false\n'
+        '3,5,4,"1,0,1,0",7,4,false\n',
+    ),
+    (
+        ("tables", "--p", "3", "--t-min", "4", "--t-max", "5", "--format", "json"),
+        0,
+        "sha256:b3bb15d16aec96562b9228483a069d7ceaafb6817e40455f5587a63559728348",
+    ),
+    (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "5", "--with-lower"),
+        0,
+        "  t  types(all s)  classes(all s)*  types(reps)  classes(reps)*  lower(r,k)\n"
+        "  3             2                2            2               2           2\n"
+        "  4             3                3            2               2           2\n"
+        "  5             6                6            4               5           4\n"
+        "* class-count bounds assume distinct representatives at one level are inequivalent\n"
+        "note: t=4 types_all_s: computed 3, previously reported 2\n"
+        "note: t=4 classes_all_s: computed 3, previously reported 2\n",
+    ),
+    (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "5", "--format", "csv"),
+        0,
+        "t,types_all_s,classes_all_s,types_reps,classes_reps,lower_rk\n"
+        "3,2,2,2,2,\n"
+        "4,3,3,2,2,\n"
+        "5,6,6,4,5,\n",
+    ),
+    (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "5", "--with-lower", "--format", "json"),
+        0,
+        "sha256:58b59a25fa1476e3f6f0c569014df5cd0acd9e3f798ef70d6499cf4b698d209d",
+    ),
+    (
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "4", "--t-max", "5"),
+        0,
+        "t=5  (3,0)  (2,0,0)\n",
+    ),
+    (
+        ("verify", "--p", "3", "--type", "1,1", "--min-distance"),
+        0,
+        "gh PASS mode=exhaustive pairs=351\n"
+        "min_distance 6 expected 6\n",
+    ),
+    (
+        ("verify", "--p", "3", "--type", "1,1", "--min-distance", "--format", "json"),
+        0,
+        '{"p":3,"type":[1,1],"gh":{"passed":true,"mode":"exhaustive","pairs_checked":351,"reason":null},"min_distance":{"value":6,"expected":6}}\n',
+    ),
+    (
+        ("verify", "--p", "3", "--type", "2,0", "--mode", "sampled", "--pairs", "500", "--seed", "7"),
+        0,
+        "gh PASS mode=sampled pairs=500\n",
+    ),
+    (
+        ("verify", "--p", "3", "--type", "2,0", "--mode", "sampled", "--pairs", "500", "--seed", "7", "--format", "json"),
+        0,
+        '{"p":3,"type":[2,0],"gh":{"passed":true,"mode":"sampled","pairs_checked":500,"reason":null}}\n',
+    ),
+]
+
+
+def _digest(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, status, expected", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_stdout_bytes_are_golden(capsys, argv, status, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == status
+    assert err == ""
+    assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+def test_output_file_bytes_are_golden(tmp_path, capsys):
+    target = tmp_path / "census.json"
+    argv = ("classify", "--p", "3", "--t", "4", "--invariants", "--format", "json", "--output", str(target))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == ""
+    expected = dict((g[0], g[2]) for g in GOLDEN)[argv[:-2]]
+    assert _digest(target.read_bytes().decode("utf-8")) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gray", "--p", "3", "--s", "3", "--value", "13", "--format", "json"),
+        ("construct", "--p", "3", "--type", "2,1", "--format", "table"),
+        ("invariants", "--p", "3", "--type", "2,1", "--format", "csv"),
+        ("chain", "--p", "3", "--type", "2,1", "--format", "csv"),
+        ("verify", "--p", "3", "--type", "1,1", "--format", "csv"),
+        ("equiv-check", "--p", "3", "--type-a", "2,1", "--type-b", "1,1,0", "--format", "table"),
+        ("equiv-check", "--p", "3", "--type-a", "2,1", "--type-b", "1,1,0", "--format", "csv"),
+        ("gray", "--p", "3", "--s", "3", "--value", "13", "--budget-bytes", "64"),
+        ("chain", "--p", "3", "--type", "2,1", "--budget-bytes", "64"),
+        ("isolated", "--p", "3", "--t-max", "5", "--budget-bytes", "64"),
+        ("classify", "--p", "3", "--t", "4", "--format", "xml"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_options_a_command_does_not_honour_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: ghcodes" in captured.err
+
+
+def test_tables_isolated_equals_isolated_from_t_min(capsys):
+    _, out, _ = run(capsys, "isolated", "--p", "3", "--t-max", "7", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    expected = [rows[0]] + [r for r in rows[1:] if int(r[0]) >= 5]
+    code, out, _ = run(capsys, "tables", "--kind", "isolated", "--p", "3", "--t-min", "5", "--t-max", "7", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == expected
+    assert len(expected) > 2
+
+    _, out, _ = run(capsys, "isolated", "--p", "3", "--t-max", "7", "--format", "json")
+    doc = json.loads(out)
+    doc["isolated"] = {t: hits for t, hits in doc["isolated"].items() if int(t) >= 5}
+    code, out, _ = run(capsys, "tables", "--kind", "isolated", "--p", "3", "--t-min", "5", "--t-max", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == doc
+
+
+def test_successive_calls_are_independent(capsys, monkeypatch):
+    seeds = []
+    real = cli.is_gh_code
+    monkeypatch.setattr(cli, "is_gh_code", lambda gc, **kw: seeds.append(kw["seed"]) or real(gc, **kw))
+    assert build_parser() is build_parser()
+    default_seed = ("verify", "--p", "3", "--type", "2,0", "--mode", "sampled", "--pairs", "500")
+    _, alone, _ = run(capsys, *default_seed)
+    _, seeded, _ = run(capsys, *default_seed, "--seed", "7", "--format", "json")
+    _, after, _ = run(capsys, *default_seed)
+    assert json.loads(seeded)["gh"]["passed"] is True
+    assert after == alone
+    assert seeds == [GH_SAMPLE_SEED, 7, GH_SAMPLE_SEED]

@@ -300,6 +300,22 @@ def test_auto_mode_picks_exhaustive_for_small_codes():
     assert is_gh_code(gc).mode == "exhaustive"
 
 
+@pytest.mark.parametrize(
+    "ts, mode, reported",
+    [((1, 1), "exhaustive", "exhaustive"), ((1, 1), "sampled", "sampled"), ((3, 1), "auto", "sampled")],
+)
+def test_malformed_code_reports_the_mode_it_ran(ts, mode, reported):
+    gc = build_gray_code(sig(3, ts))
+    m, n = gc.words.shape
+    cases = [
+        (gc.words[:-1], f"expected {m} words, found {m - 1}"),
+        (gc.words[:, :-1], f"length {n - 1} not divisible by p"),
+    ]
+    for words, reason in cases:
+        verdict = is_gh_code(GrayCode(gc.sig, words), mode=mode, pairs=100)
+        assert (verdict.passed, verdict.mode, verdict.pairs_checked, verdict.reason) == (False, reported, 0, reason)
+
+
 @pytest.mark.parametrize("p,ts", [(3, (1, 1)), (3, (2, 0)), (2, (2, 1)), (5, (1, 0))])
 def test_min_distance_golden(p, ts):
     gc = build_gray_code(sig(p, ts))
