@@ -13,8 +13,11 @@ stdout or ``--output``.  A subcommand offers only the formats it renders:
     isolated, tables            table (default), csv or json
 
 ``--budget-bytes`` exists only on the commands that materialize codes
-(construct, invariants, equiv-check, classify, tables, verify).  An option
-or format a subcommand does not offer is a usage error (exit code 2).
+(construct, invariants, equiv-check, classify, tables, verify).  Of the
+options of ``tables``, --with-lower belongs to --kind bounds, and --threads
+and --budget-bytes to the kinds types and bounds.  An option or format a
+subcommand (or a kind of ``tables``) does not offer is a usage error (exit
+code 2).
 
 Output is deterministic for fixed inputs and seed: fixed orderings
 everywhere, no timestamps, single-threaded output assembly (workers only
@@ -69,12 +72,37 @@ def _parse_type(text: str) -> tuple[int, ...]:
     return ts
 
 
+# the options of `tables` that each kind honours; the others are usage errors
+_TABLES_KIND_OPTIONS = {
+    "types": ("threads", "budget_bytes"),
+    "bounds": ("with_lower", "threads", "budget_bytes"),
+    "isolated": (),
+}
+
+
+def _check_kind(args: argparse.Namespace) -> None:
+    """Reject the `tables` options that the chosen --kind ignores, and drop them from ``args``."""
+    for dest in ("with_lower", "threads", "budget_bytes"):
+        if dest in _TABLES_KIND_OPTIONS[args.kind]:
+            continue
+        given = getattr(args, dest)
+        if given is not None and given is not False:
+            args.usage_error(f"argument --{dest.replace('_', '-')}: not allowed with --kind {args.kind}")
+        delattr(args, dest)
+
+
 def _check_limits(args: argparse.Namespace) -> None:
-    """Validate --budget-bytes and --threads; GHCODE_THREADS fills in a missing --threads."""
-    budget = getattr(args, "budget_bytes", None)
-    if budget is not None and budget <= 0:
-        raise InputError(f"--budget-bytes must be positive, got {budget}")
-    if getattr(args, "threads", None) is None:
+    """Validate --budget-bytes and --threads where the command has them;
+    a missing --budget-bytes is the default budget, and GHCODE_THREADS
+    fills in a missing --threads."""
+    if hasattr(args, "budget_bytes"):
+        if args.budget_bytes is None:
+            args.budget_bytes = DEFAULT_BUDGET_BYTES
+        elif args.budget_bytes <= 0:
+            raise InputError(f"--budget-bytes must be positive, got {args.budget_bytes}")
+    if not hasattr(args, "threads"):
+        return
+    if args.threads is None:
         env = os.environ.get("GHCODE_THREADS", "") or "1"
         try:
             args.threads = int(env)
@@ -383,7 +411,7 @@ def _command(sub, name: str, func, formats: "tuple[str, ...]" = (), budget: bool
         sp.set_defaults(format="table")
     sp.add_argument("--output", "-o", metavar="PATH", default=None, help="write to a file instead of stdout")
     if budget:
-        sp.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES, metavar="N")
+        sp.add_argument("--budget-bytes", type=int, default=None, metavar="N", help=f"memory budget (default {DEFAULT_BUDGET_BYTES})")
     return sp
 
 
@@ -429,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=int, required=True)
     sp.add_argument("--kind", choices=("types", "bounds", "isolated"), default="types")
     sp.add_argument("--with-lower", action="store_true", help="bounds: include the (r,k) lower bound (materializes codes)")
-    sp.add_argument("--threads", type=int, default=None, metavar="N")
+    sp.add_argument("--threads", type=int, default=None, metavar="N", help="types, bounds: worker threads")
+    sp.set_defaults(usage_error=sp.error)
 
     sp = _command(sub, "verify", cmd_verify, ("table", "json"), budget=True)
     sp.add_argument("--type", required=True, metavar="T1,...,TS")
@@ -443,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "tables":
+        _check_kind(args)
     try:
         _check_limits(args)
         result = args.func(args)

@@ -265,9 +265,11 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
 class GrayCode:
     """A fully materialized Gray image: one uint8 row per word.
 
-    The rows may be any word set (a permuted or corrupted code included).
-    Membership is exact: rows are compared as fixed-width byte keys against
-    one cached argsort of the code's own rows.
+    The rows may be any word set (a permuted or corrupted code included,
+    repeated rows too).  Membership is exact: rows are compared as
+    fixed-width byte keys against one cached argsort of the code's own rows.
+    A row set equals the code when it holds the same words with the same
+    multiplicities (multiset equality).
     """
 
     sig: TypeSignature
@@ -290,14 +292,16 @@ class GrayCode:
             self._order = np.argsort(_row_keys(self.words))
         return self._order
 
-    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Exact membership of each row: binary search on the sorted keys, then a row compare.
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """For each row, the index of an equal word of the code, or -1 if it is none.
 
-        Queries run in chunks of at most 4 MiB, so no temporary grows with the code.
+        A binary search on the sorted keys, then one row compare.  Equal
+        words of the code always give the same index.  Queries run in
+        chunks of at most 4 MiB, so no temporary grows with the code.
         """
         rows = np.asarray(rows)
-        out = np.zeros(rows.shape[0], dtype=bool)
-        if rows.shape[1] != self.length:
+        out = np.full(rows.shape[0], -1, dtype=np.int64)
+        if rows.shape[1] != self.length or not len(self):
             return out
         keys, order = _row_keys(self.words), self.index()
         step = max(1, 2**22 // self.length)
@@ -305,18 +309,36 @@ class GrayCode:
             chunk = np.ascontiguousarray(rows[start : start + step], dtype=np.uint8)
             pos = np.searchsorted(keys, _row_keys(chunk), sorter=order)
             cand = order[np.minimum(pos, len(order) - 1)]
-            out[start : start + step] = (self.words[cand] == chunk).all(axis=1)
+            hit = (self.words[cand] == chunk).all(axis=1)
+            out[start : start + step] = np.where(hit, cand, -1)
         return out
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Exact membership of each row."""
+        return self.locate(rows) >= 0
 
     def contains_row(self, row: np.ndarray) -> bool:
         return bool(self.contains_rows(np.asarray(row, dtype=np.uint8)[None, :])[0])
 
-    def set_equal(self, rows: np.ndarray) -> bool:
-        """Is {rows} the same set of words as this code, with as many rows? Exact."""
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        if rows.shape != self.words.shape:
+    def same_multiset(self, hits: np.ndarray) -> bool:
+        """Are the rows that ``locate`` turned into ``hits`` this code's words,
+        each as often as in the code?
+
+        When every word is hit exactly once the rows are a reordering of the
+        code.  Otherwise they can only be one if the code repeats a word;
+        then the hit counts are compared with those of the code's own rows.
+        """
+        if len(hits) != len(self) or (hits < 0).any():
             return False
-        return bool(self.contains_rows(rows).all() and GrayCode(self.sig, rows).contains_rows(self.words).all())
+        counts = np.bincount(hits, minlength=len(self))
+        if (counts == 1).all():
+            return True
+        return bool(np.array_equal(counts, np.bincount(self.locate(self.words), minlength=len(self))))
+
+    def set_equal(self, rows: np.ndarray) -> bool:
+        """Are the rows these words with the same multiplicities (in any order)? Exact."""
+        rows = np.asarray(rows)
+        return rows.shape == self.words.shape and self.same_multiset(self.locate(rows))
 
 
 def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
@@ -331,6 +353,20 @@ def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTE
 
 def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
     return materialize_gray(AdditiveCode.build(sig), budget_bytes)
+
+
+_STREAM_BYTES = 2**18  # Gray words per chunk of gray_chunks
+
+
+def gray_chunks(sig: TypeSignature, additive: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Gray-expand the rows of an additive matrix about _STREAM_BYTES of words at a time.
+
+    Yields (first row, words), so a caller can work through a code's Gray
+    image while holding only its additive matrix and one chunk.
+    """
+    step = max(1, _STREAM_BYTES // sig.gray_length)
+    for start in range(0, len(additive), step):
+        yield start, gray_matrix(sig.params, additive[start : start + step])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ built from gamma and rho.  Composing those step permutations between two
 positions of one chain yields a monomial-free equivalence witness that
 maps one Gray image exactly onto the other.
 
+That claim is checked in one streamed pass: the lower member's Gray image
+is materialized with its sorted-key index, while the higher member (the
+shorter additive code) is held only as its additive matrix.  Chunk by
+chunk its rows are Gray-expanded, mapped by the witness (a column gather)
+and located in the lower image; the located indices must hit every word of
+the lower image exactly once.  Neither the higher image nor its permuted
+copy is ever allocated whole.
+
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
 Such a representative is kept as pure type algebra — its own position-1
@@ -22,11 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     TypeSignature,
+    gray_chunks,
     materialization_bytes,
+    materialize_additive,
     materialize_gray,
     validate_type,
 )
@@ -151,6 +163,11 @@ def verify_equivalence(
     lower one's (identity when the positions coincide).  With
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
+
+    The check holds the lower image, its index and both additive matrices,
+    and streams the higher member through the witness in chunks of about
+    256 KiB (see the module docstring).  Its cost is still estimated as both
+    ``materialization_bytes`` summed, which overstates what it holds.
     """
     if sig_a.p != sig_b.p:
         raise InputError("types live over different primes")
@@ -183,9 +200,11 @@ def verify_equivalence(
     cost = materialization_bytes(lower_sig) + materialization_bytes(higher_sig)
     if want_sets and witness is not None and cost <= budget_bytes:
         gc_lo = materialize_gray(AdditiveCode.build(lower_sig), budget_bytes)
-        gc_hi = materialize_gray(AdditiveCode.build(higher_sig), budget_bytes)
-        mapped = witness(gc_hi.words)
-        if not gc_lo.set_equal(mapped):
+        additive_hi = materialize_additive(AdditiveCode.build(higher_sig), budget_bytes)
+        hits = np.empty(len(additive_hi), dtype=np.int64)
+        for start, words in gray_chunks(higher_sig, additive_hi):
+            hits[start : start + len(words)] = gc_lo.locate(witness(words))
+        if not gc_lo.same_multiset(hits):
             # the chain theory guarantees equality; reaching here means a bug
             return EquivalenceReport(
                 "FAIL", rep.ts, positions, witness, "set-equality", "composed witness failed set equality"

@@ -30,7 +30,7 @@ the recursive equivalence between codes over Z_{p^(s+1)} and Z_{p^s}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,7 +66,9 @@ class Permutation:
     """A permutation of {0, ..., n-1} stored as its one-line image array.
 
     ``image[k]`` is where coordinate k lands: applying the permutation to
-    a word x yields y with y[image[k]] = x[k].
+    a word x yields y with y[image[k]] = x[k].  It is applied as a gather,
+    y[j] = x[source[j]], through the inverse image ``source``, which is
+    computed on first use and kept.
     """
 
     image: np.ndarray
@@ -84,20 +86,26 @@ class Permutation:
     def size(self) -> int:
         return self.image.size
 
+    @cached_property
+    def source(self) -> np.ndarray:
+        """The inverse image: ``source[j]`` is the coordinate that lands on j."""
+        src = np.empty_like(self.image)
+        src[self.image] = np.arange(self.size)
+        src.flags.writeable = False
+        return src
+
+    def _words(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[-1] != self.size:
+            raise InputError(f"word length {x.shape[-1]} != permutation size {self.size}")
+        return x
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to a word (last axis = coordinates)."""
-        x = np.asarray(x)
-        if x.shape[-1] != self.size:
-            raise InputError(f"word length {x.shape[-1]} != permutation size {self.size}")
-        out = np.empty_like(x)
-        out[..., self.image] = x
-        return out
+        return np.take(self._words(x), self.source, axis=-1)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[-1] != self.size:
-            raise InputError(f"word length {x.shape[-1]} != permutation size {self.size}")
-        return x[..., self.image]
+        return np.take(self._words(x), self.image, axis=-1)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -106,9 +114,7 @@ class Permutation:
         return Permutation(self.image[other.image])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.image)
-        inv[self.image] = np.arange(self.size)
-        return Permutation(inv)
+        return Permutation(self.source)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.image, other.image)
@@ -260,11 +266,23 @@ def gray_vector(v: RingVector) -> GrayWord:
     return GrayWord(v.params.p, table[v.entries].reshape(-1))
 
 
+_EXPAND_BYTES = 2**18  # Gray words written per np.take call of gray_matrix
+
+
 def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
-    """Gray-expand a batch: (M, n) residues -> (M, n * p^(s-1)) uint8."""
+    """Gray-expand a batch: (M, n) residues -> (M, n * p^(s-1)) uint8.
+
+    The output is allocated once and filled in row chunks of about
+    _EXPAND_BYTES, so the index array np.take converts stays that small.
+    """
     table = phi_table(params)
-    m = rows.shape[0]
-    return table[rows].reshape(m, -1)
+    m, n = rows.shape
+    width = table.shape[1]
+    out = np.empty((m, n, width), dtype=np.uint8)
+    step = max(1, _EXPAND_BYTES // max(1, n * width))
+    for start in range(0, m, step):
+        np.take(table, rows[start : start + step], axis=0, out=out[start : start + step])
+    return out.reshape(m, n * width)
 
 
 def gray_inverse(w: GrayWord, params: RingParams) -> RingVector:

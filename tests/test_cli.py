@@ -296,6 +296,37 @@ def test_threads_env_validation(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gray", "--p", "3", "--s", "2", "--value", "1"),
+        ("chain", "--p", "3", "--type", "1,0,2,1"),
+        ("isolated", "--p", "3", "--t-max", "5"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5"),
+        ("equiv-check", "--p", "3", "--type-a", "2,1", "--type-b", "1,1,0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_threads_env_is_read_only_where_threads_are_used(capsys, monkeypatch, argv):
+    monkeypatch.delenv("GHCODE_THREADS", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    for value in ("zero", "0", "-3"):
+        monkeypatch.setenv("GHCODE_THREADS", value)
+        assert run(capsys, *argv) == expected
+
+
+def test_honoured_tables_options_still_work(capsys):
+    code, out, _ = run(capsys, "tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--with-lower", "--threads", "1", "--budget-bytes", str(2**30))
+    assert code == 0
+    assert out.splitlines()[1].split()[-1] != "-"  # the lower (r,k) column is filled
+    code, out, _ = run(capsys, "tables", "--kind", "types", "--p", "3", "--t-min", "4", "--t-max", "4", "--threads", "1", "--budget-bytes", "64")
+    assert code == 0
+    assert "skipped" in out
+    code, _, err = run(capsys, "tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--threads", "0")
+    assert code == 2 and "--threads must be >= 1" in err
+
+
 def test_threads_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("GHCODE_THREADS", "zero")  # flag wins, env never parsed
     code, _, _ = run(capsys, "classify", "--p", "3", "--t", "4", "--threads", "1")
@@ -556,6 +587,15 @@ def test_output_file_bytes_are_golden(tmp_path, capsys):
         ("chain", "--p", "3", "--type", "2,1", "--budget-bytes", "64"),
         ("isolated", "--p", "3", "--t-max", "5", "--budget-bytes", "64"),
         ("classify", "--p", "3", "--t", "4", "--format", "xml"),
+        # options of `tables` that the chosen kind ignores
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5", "--with-lower", "--threads", "4", "--budget-bytes", "1"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5", "--with-lower"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5", "--threads", "4"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5", "--threads", "0"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5", "--budget-bytes", "1"),
+        ("tables", "--p", "3", "--t-min", "3", "--t-max", "5", "--budget-bytes", "64", "--kind", "isolated"),
+        ("tables", "--kind", "types", "--p", "3", "--t-min", "3", "--t-max", "3", "--with-lower"),
+        ("tables", "--p", "3", "--t-min", "3", "--t-max", "3", "--with-lower"),
     ],
     ids=lambda argv: " ".join(argv),
 )

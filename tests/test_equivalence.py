@@ -1,5 +1,8 @@
 """Chain algebra and the explicit permutation witnesses between Gray images."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,11 @@ from ghcodes.equivalence import (
     verify_equivalence,
 )
 from ghcodes.errors import CapacityError, InputError, NoSecondRow
-from ghcodes.gray import tau_tilde
+from ghcodes.gray import Permutation, tau_tilde
 from ghcodes.ring import RingParams, ring_vector
+
+construction = importlib.import_module("ghcodes.construction")
+equivalence = importlib.import_module("ghcodes.equivalence")
 
 
 def sig(p, ts):
@@ -274,3 +280,72 @@ def test_tiny_budget_gives_algebra_only_verdict():
     assert rep.passed
     assert rep.mode == "algebra-only"
     assert rep.witness is None
+
+
+# ---------------------------------------------------------------------------
+# the streamed set-equality check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,rep", [(3, (2, 2)), (2, (2, 3)), (5, (2, 1))])
+def test_streamed_check_passes_across_chunk_seams(monkeypatch, p, rep):
+    members = chain_members(sig(p, rep)).members
+    for chunk_bytes in (1, 3 * members[0].gray_length - 1):  # one row, then two rows per chunk
+        monkeypatch.setattr(construction, "_STREAM_BYTES", chunk_bytes)
+        for hi in members[1:]:
+            report = verify_equivalence(members[0], hi, check_sets=True)
+            assert (report.verdict, report.mode, report.detail) == ("PASS", "set-equality", "")
+
+
+def test_corrupted_witness_fails_set_equality(monkeypatch):
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    swap = np.arange(lo.gray_length)
+    swap[[0, 1]] = [1, 0]
+    transposition = Permutation(swap)
+    honest = verify_equivalence(lo, hi).witness
+    corrupt = honest.compose(transposition)  # the steps compose as acc after step, so it acts first
+    # the brute-force oracle: the corrupted witness does not map one image onto the other
+    words_lo = {row.tobytes() for row in build_gray_code(lo).words}
+    assert {row.tobytes() for row in corrupt(build_gray_code(hi).words)} != words_lo
+    steps = equivalence._chain_steps
+    monkeypatch.setattr(equivalence, "_chain_steps", lambda *a: [*steps(*a), transposition])
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert report.verdict == "FAIL"
+    assert report.mode == "set-equality"
+    assert report.detail == "composed witness failed set equality"
+    assert report.witness == corrupt
+
+
+def test_repeated_word_in_higher_member_fails_set_equality(monkeypatch):
+    # every mapped word is a member of the lower image, but one of them twice
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    real = equivalence.materialize_additive
+
+    def one_row_copied(code, budget_bytes):
+        rows = real(code, budget_bytes)
+        if code.sig == hi:
+            rows = rows.copy()
+            rows[7] = rows[3]
+        return rows
+
+    monkeypatch.setattr(equivalence, "materialize_additive", one_row_copied)
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("FAIL", "set-equality")
+    assert report.detail == "composed witness failed set equality"
+
+
+def test_streamed_check_never_holds_the_higher_image():
+    # t = 6: each Gray image is 2187 x 729 bytes; the parent held the higher
+    # image and its permuted copy beside the lower one
+    lo = sig(3, (3, 1))
+    hi = chain_members(lo).members[-1]
+    verify_equivalence(lo, hi, check_sets=True)  # fill the phi tables first
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(lo, hi, check_sets=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.mode == "set-equality"
+    held = construction.gray_bytes(lo) + construction.additive_bytes(lo) + construction.additive_bytes(hi)
+    assert peak <= held + 2 * 2**20, (peak, held)

@@ -4,6 +4,8 @@ The frozen tables for p=3, s=3 (all 27 Gray rows and tau values) pin the
 conventions; the property tests then cover other p and s.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from ghcodes.ring import RingParams, digits, ring_vector, vec_add, vec_scale
 from goldens import PHI3, TAU3
 
 PS = RingParams(3, 3)
+gray_module = importlib.import_module("ghcodes.gray")  # the package's `gray` name is the function
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +59,44 @@ def test_apply_moves_k_to_image_k():
     x = np.array([10, 20, 30])
     assert pi(x).tolist() == [30, 10, 20]
     assert pi.apply_inverse(pi(x)).tolist() == x.tolist()
+
+
+def scatter(pi, x):
+    """Reference application: result[image[k]] = x[k] along the last axis."""
+    out = np.empty_like(x)
+    out[..., pi.image] = x
+    return out
+
+
+@pytest.mark.parametrize("shape", [(13,), (4, 29), (3, 2, 64), (2, 5, 1)], ids=str)
+def test_gather_equals_scatter_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        pi = Permutation(rng.permutation(shape[-1]))
+        x = rng.integers(0, 256, size=shape).astype(np.uint8)
+        y = pi(x)
+        assert y.shape == x.shape and y.dtype == x.dtype
+        assert np.array_equal(y, scatter(pi, x))
+        assert np.array_equal(pi(pi.apply_inverse(x)), x)
+        assert np.array_equal(pi.apply_inverse(y), x)
+        # a strided view and a wider dtype go through the same gather
+        wide = x[..., ::-1].astype(np.int64)
+        assert np.array_equal(pi(wide), scatter(pi, wide))
+
+
+def test_permutation_arrays_stay_read_only():
+    pi = Permutation(np.random.default_rng(3).permutation(10))
+    pi(np.arange(10))
+    pi.apply_inverse(np.arange(10))
+    assert not pi.image.flags.writeable
+    assert not pi.source.flags.writeable
+    assert pi.source is pi.source  # computed once
+    assert np.array_equal(pi.source[pi.image], np.arange(10))
+    assert pi.inverse().image.tolist() == pi.source.tolist()
+    with pytest.raises(ValueError):
+        pi.image[0] = 1
+    with pytest.raises(ValueError):
+        pi.source[0] = 1
 
 
 def test_compose_is_apply_after():
@@ -161,6 +202,25 @@ def test_gray_matrix_batches():
     assert out.shape == (2, 27)
     assert tuple(out[0]) == PHI3[0] + PHI3[13] + PHI3[26]
     assert tuple(out[1]) == PHI3[9] + PHI3[4] + PHI3[1]
+
+
+@pytest.mark.parametrize("p,s", [(2, 4), (3, 3), (5, 2), (2, 9), (3, 6)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+def test_gray_matrix_chunks_agree_with_table_lookup(monkeypatch, p, s, dtype):
+    params = RingParams(p, s)
+    table = phi_table(params)
+    rng = np.random.default_rng(p * s)
+    if params.modulus > np.iinfo(dtype).max:
+        pytest.skip("residues do not fit the dtype")
+    for m, n in [(37, 5), (1, 3), (0, 4), (6, 1)]:
+        rows = rng.integers(0, params.modulus, size=(m, n)).astype(dtype)
+        expected = table[rows].reshape(m, n * table.shape[1])
+        # chunks of 5 rows (the last one short when m = 37), of 1 row, and one chunk for all
+        for chunk_bytes in (5 * n * table.shape[1] + 1, 1, 2**30):
+            monkeypatch.setattr(gray_module, "_EXPAND_BYTES", chunk_bytes)
+            got = gray_matrix(params, rows)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,13 @@
 """Exact membership of Gray images, checked against a brute-force oracle.
 
-The oracle is a Python set of ``row.tobytes()``.  The code under test is a
-random subset of a small Gray image, optionally column-permuted, so the
-smallest and largest keys vary and queries can fall outside the key range.
+The oracle is a Python set (or, for set equality, a multiset) of
+``row.tobytes()``.  The code under test is a random subset of a small Gray
+image, optionally column-permuted and optionally with one word repeated,
+so the smallest and largest keys vary and queries can fall outside the key
+range.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcodes.construction import GrayCode, build_gray_code, validate_type
+
+from goldens import PHI3
 
 TYPES = [(2, (1, 1)), (2, (2, 1)), (2, (1, 1, 0)), (3, (1, 1)), (3, (2, 0)), (3, (1, 0, 1)), (5, (1, 0)), (5, (1, 1))]
 
@@ -27,12 +32,14 @@ def oracle_contains(words, queries):
 
 
 def oracle_set_equal(words, rows):
-    return rows.shape == words.shape and {r.tobytes() for r in rows} == {r.tobytes() for r in words}
+    """Multiset equality: the same words, each as often."""
+    return rows.shape == words.shape and Counter(r.tobytes() for r in rows) == Counter(r.tobytes() for r in words)
 
 
 @st.composite
 def codes(draw):
-    """A GrayCode over a non-empty subset of a small Gray image, plus that image."""
+    """A GrayCode over a non-empty subset of a small Gray image (one of its
+    words possibly repeated), plus that image."""
     p, ts = draw(st.sampled_from(TYPES))
     full = full_code(p, ts)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -41,6 +48,8 @@ def codes(draw):
     if draw(st.booleans()):
         perm = rng.permutation(full.length)
         words, everything = words[:, perm], everything[:, perm]
+    if draw(st.booleans()):
+        words = np.insert(words, rng.integers(0, len(words) + 1), words[rng.integers(0, len(words))], axis=0)
     return GrayCode(full.sig, words), everything, rng
 
 
@@ -74,6 +83,28 @@ def test_contains_rows_matches_oracle(case):
 
 @settings(max_examples=80, deadline=None)
 @given(codes())
+def test_locate_matches_oracle(case):
+    gc, everything, rng = case
+    members = gc.words[rng.permutation(len(gc))]
+    outsiders = everything[rng.integers(0, len(everything), size=20)]
+    queries = np.vstack([members, outsiders, corrupt_one_symbol(members, gc.sig.p, rng)])
+    got = gc.locate(queries)
+    assert got.dtype == np.int64 and got.shape == (len(queries),)
+    for query, index, member in zip(queries, got, oracle_contains(gc.words, queries)):
+        if member:
+            assert 0 <= index < len(gc)
+            assert np.array_equal(gc.words[index], query)
+        else:
+            assert index == -1
+    # equal words are located at one index, so counting hits counts multiplicities
+    keys = [q.tobytes() for q in queries]
+    assert len({(k, int(i)) for k, i in zip(keys, got)}) == len(set(keys))
+    assert np.array_equal(gc.contains_rows(queries), got >= 0)
+    assert (gc.locate(queries[:, :-1]) == -1).all()  # wrong length: nothing is a member
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes())
 def test_set_equal_matches_oracle(case):
     gc, _, rng = case
     words = gc.words
@@ -83,5 +114,25 @@ def test_set_equal_matches_oracle(case):
     duplicated = shuffled.copy()
     duplicated[0] = duplicated[-1]
     repeated = np.repeat(words[:1], len(words), axis=0)
-    for rows in (shuffled, changed, duplicated, repeated, words[:-1]):
+    swapped = shuffled.copy()  # one copy of a repeated word traded for another word
+    counts = Counter(r.tobytes() for r in words)
+    twice = [i for i, r in enumerate(swapped) if counts[r.tobytes()] > 1]
+    if twice and len(counts) > 1:
+        other = next(i for i, r in enumerate(swapped) if not np.array_equal(r, swapped[twice[0]]))
+        swapped[twice[0]] = swapped[other]
+    for rows in (shuffled, changed, duplicated, repeated, swapped, words[:-1]):
         assert gc.set_equal(rows) == oracle_set_equal(words, rows)
+        assert gc.same_multiset(gc.locate(rows)) == oracle_set_equal(words, rows)
+
+
+def test_set_equal_counts_repeated_words():
+    """set_equal is multiset equality: a repeated word must be repeated as often."""
+    sig = full_code(3, (1, 1)).sig
+    a, b, c = (np.array(PHI3[u], dtype=np.uint8) for u in (0, 13, 26))
+    gc = GrayCode(sig, np.stack([a, a, b]))
+    assert gc.set_equal(np.stack([b, a, a]))
+    assert gc.set_equal(gc.words)
+    assert not gc.set_equal(np.stack([a, b, b]))  # same set, other multiplicities
+    assert not gc.set_equal(np.stack([a, b, c]))
+    assert not gc.set_equal(np.stack([a, b]))
+    assert not GrayCode(sig, np.stack([a, b, c])).set_equal(np.stack([a, a, b]))
