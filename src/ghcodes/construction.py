@@ -9,6 +9,13 @@ appends the coordinate run (0, p^(i-1), 2 p^(i-1), ...).  The code is the
 Z_{p^s}-span of the rows; its Gray image is a (generally nonlinear)
 p-ary code of length p^t with p^(t+1) words and minimum distance
 p^(t-1) (p-1).
+
+Every producer of codewords reads one stream: the words in odometer
+order over the p-basis (the first basis vector's coefficient varies
+fastest), in blocks of at most 256 KiB.  ``materialize_additive`` copies
+the blocks into one matrix, ``materialize_gray`` Gray-expands each block
+straight into its image and ``gray_chunks`` hands out the Gray words of
+one block at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .gray import gray_matrix
+from .gray import gray_matrix, phi_table
 from .ring import RingParams, RingVector
 
 DEFAULT_BUDGET_BYTES = 4 * 2**30
@@ -122,45 +129,6 @@ def p_basis(sig: TypeSignature) -> list[RingVector]:
     return out
 
 
-def module_size(rows: np.ndarray, params: RingParams) -> int:
-    """Cardinality of the Z_{p^s}-span of the given rows.
-
-    Plain echelonization over the chain ring: repeatedly pick the entry of
-    minimal p-valuation, normalize its row by a unit, clear its column.
-    """
-    p, s = params.p, params.s
-    modulus = params.modulus
-    work = [row.astype(np.int64) % modulus for row in rows]
-    pivot_vals: list[int] = []
-    cols_done: set[int] = set()
-    while True:
-        best = None
-        for ri, row in enumerate(work):
-            for ci in np.flatnonzero(row):
-                if ci in cols_done:
-                    continue
-                v = 0
-                e = int(row[ci])
-                while e % p == 0:
-                    e //= p
-                    v += 1
-                if best is None or v < best[0]:
-                    best = (v, ri, int(ci))
-        if best is None:
-            break
-        v, ri, ci = best
-        row = work.pop(ri)
-        unit = int(row[ci]) // p**v
-        row = row * pow(unit, -1, modulus) % modulus  # pivot becomes p^v
-        for rj, other in enumerate(work):
-            if other[ci]:
-                factor = int(other[ci]) // p**v
-                work[rj] = (other - factor * row) % modulus
-        pivot_vals.append(v)
-        cols_done.add(ci)
-    return p ** sum(s - v for v in pivot_vals)
-
-
 @dataclass(frozen=True)
 class AdditiveCode:
     """A type together with its generator matrix and p-basis matrix."""
@@ -173,8 +141,6 @@ class AdditiveCode:
     def build(cls, sig: TypeSignature) -> "AdditiveCode":
         gen = generator_matrix(sig)
         basis = np.stack([v.entries for v in p_basis(sig)])
-        if module_size(gen, sig.params) != sig.size:
-            raise InputError(f"generators of type {sig.ts} do not span p^(t+1) words")
         gen.flags.writeable = False
         basis.flags.writeable = False
         return cls(sig, gen, basis)
@@ -208,26 +174,58 @@ def _check_budget(sig: TypeSignature, budget_bytes: int) -> None:
         )
 
 
-def enumerate_codewords(code: AdditiveCode, chunk_rows: int = 4096) -> Iterator[np.ndarray]:
-    """Stream the p^(t+1) codewords in odometer order over basis coefficients.
+_CHUNK_BYTES = 2**18  # largest array made per block of _odometer_blocks and its consumers
 
-    Word m is sum_j ((m // p^j) mod p) * basis[j]; the first basis vector's
-    coefficient varies fastest.  Yields (<=chunk_rows, n) blocks.
+
+def _add_mod(x: np.ndarray, y: np.ndarray, modulus: int, out: np.ndarray) -> None:
+    """out = (x + y) mod modulus for residues in an unsigned dtype that holds x + y.
+
+    Branch-free: x + y - modulus wraps above x + y exactly when x + y < modulus.
+    """
+    np.add(x, y, out=out)
+    np.minimum(out, out - out.dtype.type(modulus), out=out)
+
+
+def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
+    """All p^(t+1) codewords in odometer order, as consecutive blocks (first row, block).
+
+    Word m is sum_j ((m // p^j) mod p) * basis[j] mod p^s; the first basis
+    vector's coefficient varies fastest.  Every block holds p^a words: a
+    table of the words spanned by basis[:a], built once, plus one offset
+    vector, the word of the high digits over basis[a:].  p^a is the largest
+    power of p whose Gray words, or the np.take index of its residues
+    (8 bytes each), fit _CHUNK_BYTES.  Blocks are in the code's dtype, or
+    twice as wide where the sum of two residues overflows it (243 in
+    uint8).  The yielded block is overwritten by the next one.
     """
     sig = code.sig
-    p, modulus = sig.p, sig.params.modulus
-    basis = code.basis.astype(np.int64)
-    total = sig.size
+    p, modulus, n = sig.p, sig.params.modulus, sig.n
     dtype = sig.params.dtype()
-    for start in range(0, total, chunk_rows):
-        ms = np.arange(start, min(start + chunk_rows, total))
-        acc = np.zeros((ms.size, sig.n), dtype=np.int64)
-        rest = ms.copy()
-        for j in range(basis.shape[0]):
-            coef = rest % p
-            rest //= p
-            acc += coef[:, None] * basis[j][None, :]
-        yield (acc % modulus).astype(dtype)
+    if 2 * (modulus - 1) > np.iinfo(dtype).max:
+        dtype = np.dtype(f"uint{16 * dtype.itemsize}")
+    rows = max(1, _CHUNK_BYTES // (n * max(8, sig.gray_length // n)))
+    a = 0
+    while a <= sig.t and p ** (a + 1) <= rows:
+        a += 1
+    low = np.zeros((p**a, n), dtype=dtype)
+    filled = 1
+    for row in code.basis[:a].astype(dtype):
+        for k in range(1, p):
+            _add_mod(low[(k - 1) * filled : k * filled], row, modulus, out=low[k * filled : (k + 1) * filled])
+        filled *= p
+    high = code.basis[a:].astype(np.int64)
+    # the step to the next block adds high[j] and takes the p - 1 of each lower high digit off
+    steps = ((high - (p - 1) * (np.cumsum(high, axis=0) - high)) % modulus).astype(dtype)
+    offset = np.zeros(n, dtype=dtype)
+    block = np.empty_like(low)
+    for h in range(p ** len(high)):
+        if h:
+            j = 0  # the lowest nonzero digit of h is the one that moved
+            while h % p ** (j + 1) == 0:
+                j += 1
+            _add_mod(offset, steps[j], modulus, out=offset)
+        _add_mod(low, offset, modulus, out=block)
+        yield h * p**a, block
 
 
 def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
@@ -240,20 +238,10 @@ def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_
             required_bytes=need,
             budget_bytes=budget_bytes,
         )
-    p, modulus = sig.p, sig.params.modulus
-    # single allocation; sums stay below 2*modulus and are folded back in place
-    work_dtype = np.uint16 if 2 * modulus <= np.iinfo(np.uint16).max else np.uint32
-    out = np.empty((sig.size, sig.n), dtype=work_dtype)
-    out[0] = 0
-    filled = 1
-    for row in code.basis:
-        for k in range(1, p):
-            shift = (k * row.astype(np.int64) % modulus).astype(work_dtype)
-            seg = out[k * filled : (k + 1) * filled]
-            np.add(out[:filled], shift[None, :], out=seg)
-            seg[seg >= modulus] -= work_dtype(modulus)
-        filled *= p
-    return out.astype(sig.params.dtype())
+    out = np.empty((sig.size, sig.n), dtype=sig.params.dtype())
+    for start, block in _odometer_blocks(code):
+        out[start : start + len(block)] = block
+    return out
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -342,11 +330,18 @@ class GrayCode:
 
 
 def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
-    """Gray-expand every codeword into a (p^(t+1), p^t) uint8 matrix."""
+    """Gray-expand every codeword into a (p^(t+1), p^t) uint8 matrix.
+
+    Each block of codewords is expanded straight into the one image; no
+    additive matrix is held.
+    """
     sig = code.sig
     _check_budget(sig, budget_bytes)
-    additive = materialize_additive(code, budget_bytes)
-    words = gray_matrix(sig.params, additive)
+    table = phi_table(sig.params)
+    words = np.empty((sig.size, sig.gray_length), dtype=np.uint8)
+    for start, block in _odometer_blocks(code):
+        dest = words[start : start + len(block)].reshape(*block.shape, table.shape[1])
+        np.take(table, block, axis=0, out=dest, mode="clip")  # "raise" would buffer dest
     words.flags.writeable = False
     return GrayCode(sig, words)
 
@@ -355,18 +350,14 @@ def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES
     return materialize_gray(AdditiveCode.build(sig), budget_bytes)
 
 
-_STREAM_BYTES = 2**18  # Gray words per chunk of gray_chunks
-
-
-def gray_chunks(sig: TypeSignature, additive: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Gray-expand the rows of an additive matrix about _STREAM_BYTES of words at a time.
+def gray_chunks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
+    """The code's Gray words in odometer order, one fresh block at a time.
 
     Yields (first row, words), so a caller can work through a code's Gray
-    image while holding only its additive matrix and one chunk.
+    image while holding only one block of it.
     """
-    step = max(1, _STREAM_BYTES // sig.gray_length)
-    for start in range(0, len(additive), step):
-        yield start, gray_matrix(sig.params, additive[start : start + step])
+    for start, block in _odometer_blocks(code):
+        yield start, gray_matrix(code.sig.params, block)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ positions of one chain yields a monomial-free equivalence witness that
 maps one Gray image exactly onto the other.
 
 That claim is checked in one streamed pass: the lower member's Gray image
-is materialized with its sorted-key index, while the higher member (the
-shorter additive code) is held only as its additive matrix.  Chunk by
-chunk its rows are Gray-expanded, mapped by the witness (a column gather)
-and located in the lower image; the located indices must hit every word of
-the lower image exactly once.  Neither the higher image nor its permuted
-copy is ever allocated whole.
+is materialized with its sorted-key index, while the higher member is
+generated from its basis coefficients.  Block by block its words are
+Gray-expanded, mapped by the witness (a column gather) and located in the
+lower image; the located indices must hit every word of the lower image
+exactly once.  Neither the higher image, nor its permuted copy, nor an
+additive matrix of either member is ever allocated whole.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -38,7 +38,6 @@ from .construction import (
     TypeSignature,
     gray_chunks,
     materialization_bytes,
-    materialize_additive,
     materialize_gray,
     validate_type,
 )
@@ -164,9 +163,9 @@ def verify_equivalence(
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
 
-    The check holds the lower image, its index and both additive matrices,
-    and streams the higher member through the witness in chunks of about
-    256 KiB (see the module docstring).  Its cost is still estimated as both
+    The check holds the lower image and its index, and streams the higher
+    member's words through the witness in blocks of at most 256 KiB (see
+    the module docstring).  Its cost is still estimated as both
     ``materialization_bytes`` summed, which overstates what it holds.
     """
     if sig_a.p != sig_b.p:
@@ -200,9 +199,8 @@ def verify_equivalence(
     cost = materialization_bytes(lower_sig) + materialization_bytes(higher_sig)
     if want_sets and witness is not None and cost <= budget_bytes:
         gc_lo = materialize_gray(AdditiveCode.build(lower_sig), budget_bytes)
-        additive_hi = materialize_additive(AdditiveCode.build(higher_sig), budget_bytes)
-        hits = np.empty(len(additive_hi), dtype=np.int64)
-        for start, words in gray_chunks(higher_sig, additive_hi):
+        hits = np.empty(higher_sig.size, dtype=np.int64)
+        for start, words in gray_chunks(AdditiveCode.build(higher_sig)):
             hits[start : start + len(words)] = gc_lo.locate(witness(words))
         if not gc_lo.same_multiset(hits):
             # the chain theory guarantees equality; reaching here means a bug

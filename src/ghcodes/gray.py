@@ -266,23 +266,15 @@ def gray_vector(v: RingVector) -> GrayWord:
     return GrayWord(v.params.p, table[v.entries].reshape(-1))
 
 
-_EXPAND_BYTES = 2**18  # Gray words written per np.take call of gray_matrix
-
-
 def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
     """Gray-expand a batch: (M, n) residues -> (M, n * p^(s-1)) uint8.
 
-    The output is allocated once and filled in row chunks of about
-    _EXPAND_BYTES, so the index array np.take converts stays that small.
+    np.take converts the residues to an index array of M * n entries, so
+    callers pass blocks of a code (see ``construction.gray_chunks``).
     """
     table = phi_table(params)
     m, n = rows.shape
-    width = table.shape[1]
-    out = np.empty((m, n, width), dtype=np.uint8)
-    step = max(1, _EXPAND_BYTES // max(1, n * width))
-    for start in range(0, m, step):
-        np.take(table, rows[start : start + step], axis=0, out=out[start : start + step])
-    return out.reshape(m, n * width)
+    return np.take(table, rows, axis=0).reshape(m, n * table.shape[1])
 
 
 def gray_inverse(w: GrayWord, params: RingParams) -> RingVector:

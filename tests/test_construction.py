@@ -15,20 +15,21 @@ from ghcodes.construction import (
     AdditiveCode,
     GrayCode,
     build_gray_code,
-    enumerate_codewords,
     generator_matrix,
     gray_bytes,
+    gray_chunks,
     is_gh_code,
     materialize_additive,
     materialize_gray,
     min_distance,
-    module_size,
     p_basis,
     row_orders,
     validate_type,
 )
-from ghcodes.construction import _mod_p_diff, _pair_counts
+from ghcodes.construction import _mod_p_diff, _odometer_blocks, _pair_counts
 from ghcodes.errors import CapacityError, InputError
+from ghcodes.gray import phi_table
+from ghcodes.ring import RingParams
 
 
 def sig(p, ts):
@@ -119,22 +120,117 @@ def rows_as_set(arr):
     return {tuple(int(v) for v in row) for row in arr}
 
 
-@pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (1, 1, 0)), (2, (2, 1)), (5, (1, 0))])
+def module_size(rows: np.ndarray, params: RingParams) -> int:
+    """Cardinality of the Z_{p^s}-span of the given rows (the oracle of the span).
+
+    Plain echelonization over the chain ring: repeatedly pick the entry of
+    minimal p-valuation, normalize its row by a unit, clear its column.
+    """
+    p, s = params.p, params.s
+    modulus = params.modulus
+    work = [row.astype(np.int64) % modulus for row in rows]
+    pivot_vals: list[int] = []
+    cols_done: set[int] = set()
+    while True:
+        best = None
+        for ri, row in enumerate(work):
+            for ci in np.flatnonzero(row):
+                if ci in cols_done:
+                    continue
+                v = 0
+                e = int(row[ci])
+                while e % p == 0:
+                    e //= p
+                    v += 1
+                if best is None or v < best[0]:
+                    best = (v, ri, int(ci))
+        if best is None:
+            break
+        v, ri, ci = best
+        row = work.pop(ri)
+        unit = int(row[ci]) // p**v
+        row = row * pow(unit, -1, modulus) % modulus  # pivot becomes p^v
+        for rj, other in enumerate(work):
+            if other[ci]:
+                factor = int(other[ci]) // p**v
+                work[rj] = (other - factor * row) % modulus
+        pivot_vals.append(v)
+        cols_done.add(ci)
+    return p ** sum(s - v for v in pivot_vals)
+
+
+def small_types(max_words):
+    """(p, ts) of every type of at most max_words words for p = 2, 3, 5."""
+    out = []
+    for p in (2, 3, 5):
+        t = 0
+        while p ** (t + 1) <= max_words:
+            for s in range(1, t + 2):
+                out.extend((p, ts) for ts in enumerate_types(t, s))
+            t += 1
+    return out
+
+
+# the first four keep their ids; the rest are every other type of at most 3^7 words
+SPAN_CASES = [(3, (2, 1)), (3, (1, 1, 0)), (2, (2, 1)), (5, (1, 0))]
+SPAN_CASES += [case for case in small_types(3**7) if case not in SPAN_CASES]
+
+
+@pytest.mark.parametrize("p,ts", SPAN_CASES)
 def test_module_size_is_p_to_t_plus_one(p, ts):
     a = sig(p, ts)
     gen = generator_matrix(a).astype(np.int64)
     assert module_size(gen, a.params) == a.size
 
 
-@pytest.mark.parametrize("p,ts", [(3, (1, 1)), (3, (2, 0)), (2, (2, 1)), (2, (1, 1, 0))])
-def test_enumerate_matches_materialize(p, ts):
+def odometer_oracle(code):
+    """Word m = sum_j ((m // p^j) mod p) * basis[j] mod p^s, one Python loop per word."""
+    p, modulus = code.sig.p, code.sig.params.modulus
+    basis = code.basis.astype(np.int64)
+    words = np.zeros((code.sig.size, code.sig.n), dtype=np.int64)
+    for m in range(code.sig.size):
+        rest = m
+        for row in basis:
+            words[m] += rest % p * row
+            rest //= p
+    return words % modulus
+
+
+@pytest.mark.parametrize(
+    "p,ts",
+    [
+        (2, (2, 1)),
+        (2, (1, 1, 0)),
+        (3, (1, 1)),
+        (3, (2, 0)),
+        (3, (3, 1)),
+        (5, (1, 1)),
+        (2, (1, 0, 0, 0, 0, 0, 0, 1)),  # modulus 256 in uint8
+        (2, (1, 0, 0, 0, 0, 0, 0, 0, 1)),  # modulus 512 in uint16
+        (3, (1, 0, 0, 0, 2)),  # modulus 243: a sum overflows uint8
+    ],
+)
+@pytest.mark.parametrize("chunk_bytes", [1, 1000, 2**40], ids=["one-row", "not-a-power", "one-chunk"])
+def test_odometer_blocks_match_oracle(monkeypatch, p, ts, chunk_bytes):
     code = AdditiveCode.build(sig(p, ts))
-    chunks = list(enumerate_codewords(code, chunk_rows=7))
-    streamed = np.vstack(chunks)
+    a = code.sig
+    want = odometer_oracle(code)
+    monkeypatch.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
+    blocks = [(start, block.copy()) for start, block in _odometer_blocks(code)]
+    assert [start for start, _ in blocks] == np.cumsum([0] + [len(b) for _, b in blocks[:-1]]).tolist()
+    assert np.array_equal(np.vstack([block for _, block in blocks]), want)
+    if chunk_bytes == 1:
+        assert len(blocks) == a.size
+    if chunk_bytes == 2**40:
+        assert len(blocks) == 1
+
     dense = materialize_additive(code)
-    assert streamed.shape == dense.shape == (code.sig.size, code.sig.n)
-    assert rows_as_set(streamed) == rows_as_set(dense)
-    assert len(rows_as_set(dense)) == code.sig.size  # all codewords distinct
+    assert dense.dtype == a.params.dtype() and np.array_equal(dense, want)
+    gray_want = phi_table(a.params)[want].reshape(a.size, a.gray_length)
+    assert np.array_equal(materialize_gray(code).words, gray_want)
+    chunks = list(gray_chunks(code))
+    assert [start for start, _ in chunks] == [start for start, _ in blocks]
+    assert np.array_equal(np.vstack([words for _, words in chunks]), gray_want)
 
 
 def test_gray_code_shape_and_distinctness():
@@ -456,6 +552,21 @@ def test_exhaustive_check_memory_stays_near_the_gray_image():
     assert verdict.passed and verdict.pairs_checked == len(gc) * (len(gc) - 1) // 2
     assert distance == 3**5 * 2
     assert max(gh_peak, distance_peak) <= gray_bytes(a) + 16 * 2**20
+
+
+@pytest.mark.parametrize("ts", [(7,), (3, 1), (1, 0, 4), (1, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0, 0)])
+def test_materialize_gray_holds_only_the_image(ts):
+    # t = 6: each image is 2187 x 729 bytes; no additive matrix is held beside it
+    code = AdditiveCode.build(sig(3, ts))
+    materialize_gray(code)  # fill the phi table first
+    tracemalloc.start()
+    try:
+        gc = materialize_gray(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gc.words.shape == (3**7, 3**6)
+    assert peak <= gray_bytes(code.sig) + 2**20, peak
 
 
 # ---------------------------------------------------------------------------

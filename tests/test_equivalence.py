@@ -290,8 +290,8 @@ def test_tiny_budget_gives_algebra_only_verdict():
 @pytest.mark.parametrize("p,rep", [(3, (2, 2)), (2, (2, 3)), (5, (2, 1))])
 def test_streamed_check_passes_across_chunk_seams(monkeypatch, p, rep):
     members = chain_members(sig(p, rep)).members
-    for chunk_bytes in (1, 3 * members[0].gray_length - 1):  # one row, then two rows per chunk
-        monkeypatch.setattr(construction, "_STREAM_BYTES", chunk_bytes)
+    for chunk_bytes in (1, 2**12):  # one word per block, then a few
+        monkeypatch.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
         for hi in members[1:]:
             report = verify_equivalence(members[0], hi, check_sets=True)
             assert (report.verdict, report.mode, report.detail) == ("PASS", "set-equality", "")
@@ -319,33 +319,32 @@ def test_corrupted_witness_fails_set_equality(monkeypatch):
 def test_repeated_word_in_higher_member_fails_set_equality(monkeypatch):
     # every mapped word is a member of the lower image, but one of them twice
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
-    real = equivalence.materialize_additive
+    real = equivalence.gray_chunks
 
-    def one_row_copied(code, budget_bytes):
-        rows = real(code, budget_bytes)
-        if code.sig == hi:
-            rows = rows.copy()
-            rows[7] = rows[3]
-        return rows
+    def one_row_copied(code):
+        assert code.sig == hi  # only the higher member is streamed
+        words = np.vstack([words for _, words in real(code)])
+        words[7] = words[3]
+        yield 0, words
 
-    monkeypatch.setattr(equivalence, "materialize_additive", one_row_copied)
+    monkeypatch.setattr(equivalence, "gray_chunks", one_row_copied)
     report = verify_equivalence(lo, hi, check_sets=True)
     assert (report.verdict, report.mode) == ("FAIL", "set-equality")
     assert report.detail == "composed witness failed set equality"
 
 
 def test_streamed_check_never_holds_the_higher_image():
-    # t = 6: each Gray image is 2187 x 729 bytes; the parent held the higher
-    # image and its permuted copy beside the lower one
-    lo = sig(3, (3, 1))
-    hi = chain_members(lo).members[-1]
-    verify_equivalence(lo, hi, check_sets=True)  # fill the phi tables first
-    tracemalloc.start()
-    try:
-        report = verify_equivalence(lo, hi, check_sets=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.passed and report.mode == "set-equality"
-    held = construction.gray_bytes(lo) + construction.additive_bytes(lo) + construction.additive_bytes(hi)
-    assert peak <= held + 2 * 2**20, (peak, held)
+    # only the lower Gray image is held, no additive matrix of either member:
+    # at t = 6 each image is 2187 x 729 bytes, at t = 7 6561 x 2187 bytes
+    for lo in (sig(3, (3, 1)), sig(3, (3, 2))):
+        hi = chain_members(lo).members[-1]
+        verify_equivalence(lo, hi, check_sets=True)  # fill the phi tables first
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(lo, hi, check_sets=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.mode == "set-equality"
+        held = construction.gray_bytes(lo)
+        assert peak <= held + 2 * 2**20, (lo.ts, peak, held)
