@@ -385,7 +385,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         },
     }
     if args.min_distance:
-        md = min_distance(gc)
+        md = min_distance(gc) if verdict._distance is None else verdict._distance
         expected = sig.p ** (sig.t - 1) * (sig.p - 1)
         ok = ok and md == expected
         lines.append(f"min_distance {md} expected {expected}")

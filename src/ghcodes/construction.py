@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .gray import gray_matrix, phi_table
+from .gray import _block_residues, gray_matrix, phi_table
 from .ring import RingParams, RingVector
 
 DEFAULT_BUDGET_BYTES = 4 * 2**30
@@ -244,25 +244,25 @@ def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_
     return out
 
 
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """Each row of a C-contiguous uint8 matrix as one fixed-width byte key (a view)."""
-    return words.view(np.dtype((np.void, words.shape[1]))).reshape(-1)
+_LOOKUP_BYTES = 2**22  # rows gathered per step by GrayCode.locate and the kernel's translate checks
 
 
 @dataclass
 class GrayCode:
-    """A fully materialized Gray image: one uint8 row per word.
+    """The Gray image of a type's code: one uint8 row per word, in odometer order.
 
-    The rows may be any word set (a permuted or corrupted code included,
-    repeated rows too).  Membership is exact: rows are compared as
-    fixed-width byte keys against one cached argsort of the code's own rows.
-    A row set equals the code when it holds the same words with the same
-    multiplicities (multiset equality).
+    Membership is algebraic.  Additive coordinate 0 is e_1, and a generator
+    row of order p^sigma appended at width w is the only row besides the
+    all-ones row that is nonzero at coordinate w, where it is p^(s - sigma).
+    The residues there give a word's odometer row, and the word is a member
+    when it equals the row held there.  The rows may be a prefix of the
+    image or altered copies (as in tests of the GH check); a row held out of
+    its odometer place is never found.
     """
 
     sig: TypeSignature
     words: np.ndarray
-    _order: "np.ndarray | None" = field(default=None, repr=False)
+    _plan: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         self.words = np.ascontiguousarray(self.words, dtype=np.uint8)
@@ -274,30 +274,39 @@ class GrayCode:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def index(self) -> np.ndarray:
-        """Row order that sorts the byte keys, built on first use."""
-        if self._order is None:
-            self._order = np.argsort(_row_keys(self.words))
-        return self._order
+    def index(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The decode plan, built on first use: (pinned coordinates, divisors, weights).
+
+        Row r of order p^sigma reads ((c_w - c_0) mod p^s) // p^(s - sigma)
+        at its coordinate w, weighted by p^s w; row 0 reads c_0, weight 1.
+        """
+        if self._plan is None:
+            orders = np.array(row_orders(self.sig), dtype=np.int64)
+            widths = np.cumprod(orders[1:]) // orders[1:]  # w_r: the product of the orders before row r
+            modulus = self.sig.params.modulus
+            self._plan = (np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths])
+        return self._plan
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """For each row, the index of an equal word of the code, or -1 if it is none.
+        """For each row, the index of the equal word of the code, or -1 if it is none.
 
-        A binary search on the sorted keys, then one row compare.  Equal
-        words of the code always give the same index.  Queries run in
-        chunks of at most 4 MiB, so no temporary grows with the code.
+        Each query is decoded to its odometer row, then compared with the
+        held row there.  Queries run in steps of at most 4 MiB, so no
+        temporary grows with the code.
         """
         rows = np.asarray(rows)
         out = np.full(rows.shape[0], -1, dtype=np.int64)
         if rows.shape[1] != self.length or not len(self):
             return out
-        keys, order = _row_keys(self.words), self.index()
-        step = max(1, 2**22 // self.length)
+        coords, divisors, weights = self.index()
+        step = max(1, _LOOKUP_BYTES // self.length)
         for start in range(0, rows.shape[0], step):
-            chunk = np.ascontiguousarray(rows[start : start + step], dtype=np.uint8)
-            pos = np.searchsorted(keys, _row_keys(chunk), sorter=order)
-            cand = order[np.minimum(pos, len(order) - 1)]
-            hit = (self.words[cand] == chunk).all(axis=1)
+            chunk = np.asarray(rows[start : start + step], dtype=np.uint8)
+            res = _block_residues(self.sig.params, chunk, coords)
+            res[:, 1:] -= res[:, :1]
+            cand = (res % self.sig.params.modulus // divisors) @ weights
+            held = cand < len(self)
+            hit = held & (self.words[np.where(held, cand, 0)] == chunk).all(axis=1)
             out[start : start + step] = np.where(hit, cand, -1)
         return out
 
@@ -309,22 +318,11 @@ class GrayCode:
         return bool(self.contains_rows(np.asarray(row, dtype=np.uint8)[None, :])[0])
 
     def same_multiset(self, hits: np.ndarray) -> bool:
-        """Are the rows that ``locate`` turned into ``hits`` this code's words,
-        each as often as in the code?
-
-        When every word is hit exactly once the rows are a reordering of the
-        code.  Otherwise they can only be one if the code repeats a word;
-        then the hit counts are compared with those of the code's own rows.
-        """
-        if len(hits) != len(self) or (hits < 0).any():
-            return False
-        counts = np.bincount(hits, minlength=len(self))
-        if (counts == 1).all():
-            return True
-        return bool(np.array_equal(counts, np.bincount(self.locate(self.words), minlength=len(self))))
+        """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
+        return len(hits) == len(self) and bool((hits >= 0).all() and (np.bincount(hits, minlength=len(self)) == 1).all())
 
     def set_equal(self, rows: np.ndarray) -> bool:
-        """Are the rows these words with the same multiplicities (in any order)? Exact."""
+        """Are the rows these words in some order? Exact."""
         rows = np.asarray(rows)
         return rows.shape == self.words.shape and self.same_multiset(self.locate(rows))
 
@@ -371,6 +369,7 @@ class GHVerdict:
     mode: str  # "exhaustive" | "sampled"
     pairs_checked: int
     reason: str = ""
+    _distance: "int | None" = field(default=None, repr=False)  # minimum distance, from a completed exhaustive pass
 
     def __bool__(self) -> bool:
         return self.passed
@@ -490,7 +489,8 @@ def is_gh_code(
     number of pairs up to and including row u.  The sampled mode draws
     ``pairs`` pairs u != v from ``seed``, 8192 per draw, and stops at the
     first draw with a failing pair, reporting the first such pair drawn;
-    ``pairs_checked`` then counts the whole draw.
+    ``pairs_checked`` then counts the whole draw.  An exhaustive pass with no
+    failing pair keeps the minimum distance, n less the largest N_0 counted.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -505,13 +505,15 @@ def is_gh_code(
 
     words = gc.words
     if mode == "exhaustive":
+        same = 0
         for u0, counts in _pair_counts(words, p, p - 1):
             bad = np.flatnonzero(~_gh_pairs_ok(counts, n, p))
             if bad.size:
                 i, j = divmod(int(bad[0]), counts.shape[2])
                 u = u0 + i
                 return _failed(words, mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, u0 + j)
-        return GHVerdict(True, mode, m * (m - 1) // 2)
+            same = max(same, int(counts[0].max()))
+        return GHVerdict(True, mode, m * (m - 1) // 2, _distance=n - same)
 
     rng = np.random.default_rng(seed)
     checked = 0

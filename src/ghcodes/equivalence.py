@@ -10,11 +10,11 @@ positions of one chain yields a monomial-free equivalence witness that
 maps one Gray image exactly onto the other.
 
 That claim is checked in one streamed pass: the lower member's Gray image
-is materialized with its sorted-key index, while the higher member is
-generated from its basis coefficients.  Block by block its words are
-Gray-expanded, mapped by the witness (a column gather) and located in the
-lower image; the located indices must hit every word of the lower image
-exactly once.  Neither the higher image, nor its permuted copy, nor an
+is materialized, while the higher member is generated from its basis
+coefficients.  Block by block its words are Gray-expanded, mapped by the
+witness (a column gather) and located in the lower image by decoding their
+pinned coordinates; the located indices must hit every word of the lower
+image exactly once.  Neither the higher image, nor its permuted copy, nor an
 additive matrix of either member is ever allocated whole.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
@@ -163,9 +163,9 @@ def verify_equivalence(
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
 
-    The check holds the lower image and its index, and streams the higher
-    member's words through the witness in blocks of at most 256 KiB (see
-    the module docstring).  Its cost is still estimated as both
+    The check holds the lower image and streams the higher member's
+    words through the witness in blocks of at most 256 KiB (see the
+    module docstring).  Its cost is still estimated as both
     ``materialization_bytes`` summed, which overstates what it holds.
     """
     if sig_a.p != sig_b.p:

@@ -202,16 +202,9 @@ def _phi_table_cached(p: int, s: int) -> np.ndarray:
     if s == 1:
         table = np.arange(p, dtype=np.uint8)[:, None]
     else:
-        params = RingParams(p, s)
-        u = np.arange(params.modulus, dtype=np.int64)
-        dig = np.empty((params.modulus, s), dtype=np.int64)
-        rest = u
-        for i in range(s):
-            dig[:, i] = rest % p
-            rest = rest // p
+        dig = np.arange(p**s, dtype=np.int64)[:, None] // p ** np.arange(s) % p  # base-p digits
         y = build_y_matrix(p, s - 1)
-        table = (dig[:, s - 1 : s] + dig[:, : s - 1] @ y) % p
-        table = table.astype(np.uint8)
+        table = ((dig[:, s - 1 : s] + dig[:, : s - 1] @ y) % p).astype(np.uint8)
     table.flags.writeable = False
     return table
 
@@ -277,24 +270,32 @@ def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
     return np.take(table, rows, axis=0).reshape(m, n * table.shape[1])
 
 
+def _block_residues(params: RingParams, words: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The residue read off each listed p^(s-1)-block of each word: (len(words), len(blocks)) int64.
+
+    Column 0 of Y is zero and column p^i is e_i, so block[0] = u_{s-1} and
+    block[p^i] - block[0] = u_i (mod p).  A block with no phi-preimage still reads as some residue.
+    """
+    p, s = params.p, params.s
+    cols = np.asarray(blocks)[:, None] * p ** (s - 1) + np.array([0, *(p**i for i in range(s - 1))])
+    read = words[:, cols].astype(np.int64)
+    lead = read[..., 0]
+    return lead * p ** (s - 1) + (read[..., 1:] - lead[..., None]) % p @ p ** np.arange(s - 1)
+
+
 def gray_inverse(w: GrayWord, params: RingParams) -> RingVector:
     """Phi^(-1): read the digits of each p^(s-1)-block off its columns.
 
-    Column 0 of Y is zero and column p^i is e_i, so block[0] = u_{s-1} and
-    block[p^i] - block[0] = u_i (mod p).  The result is re-encoded and
+    The residues are read by ``_block_residues``, then re-encoded and
     compared; NotAGrayImage names the first block that is not a phi-image.
     """
     if w.p != params.p:
         raise InputError("alphabet mismatch")
-    p, s = params.p, params.s
-    width = p ** (s - 1)
+    width = params.p ** (params.s - 1)
     if len(w) % width:
         raise InputError(f"word length {len(w)} is not a multiple of {width}")
     blocks = w.entries.reshape(-1, width)
-    lead = blocks[:, 0].astype(np.int64)
-    out = lead * width
-    for i in range(s - 1):
-        out += (blocks[:, p**i] - lead) % p * p**i
+    out = _block_residues(params, w.entries[None, :], np.arange(len(blocks)))[0]
     bad = np.flatnonzero((phi_table(params)[out] != blocks).any(axis=1))
     if bad.size:
         i = int(bad[0])

@@ -14,10 +14,11 @@ each pivot row is just its value at the pivot column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .construction import GrayCode, _mod_p_diff
+from .construction import _LOOKUP_BYTES, GrayCode, _mod_p_diff
 from .errors import InputError
 
 
@@ -112,9 +113,7 @@ def kernel(gc: GrayCode, probes: int = 24) -> tuple[int, ReducedBasis]:
     a subspace), the rest are verified against every codeword.  The result
     is exact; probing only prunes.
     """
-    words = gc.words
-    m = len(gc)
-    p = gc.sig.p
+    words, m, p = gc.words, len(gc), gc.sig.p
     if not gc.contains_row(np.zeros(gc.length, dtype=np.uint8)):
         raise InputError("kernel needs 0 in the code")
 
@@ -122,29 +121,26 @@ def kernel(gc: GrayCode, probes: int = 24) -> tuple[int, ReducedBasis]:
     for pi in _probe_indices(m, probes):
         if surv.size <= 1:
             break
-        # words[surv] + words[pi]; the gather words[surv] is fresh, so it can hold the result
-        shifted = _mod_p_diff(words[surv], (p - words[pi]) % p, p, overwrite_a=True)
-        surv = surv[gc.contains_rows(shifted)]
+        surv = surv[np.concatenate(list(_translates_inside(gc, surv, words[pi])))]
 
     accepted = ReducedBasis(p, gc.length)
     for idx in surv:
         x = words[idx]
         if accepted.contains(x):  # skips 0 and anything already spanned
             continue
-        if _translate_stays_inside(gc, x):
+        if all(inside.all() for inside in _translates_inside(gc, np.arange(m), x)):
             accepted.absorb(x.astype(np.int64)[None, :])
     return accepted.rank, accepted
 
 
-def _translate_stays_inside(gc: GrayCode, x: np.ndarray, chunk_rows: int = 4096) -> bool:
+def _translates_inside(gc: GrayCode, idx: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Is words[i] + x in the code, for the rows i of idx? One array per step of at most 4 MiB of rows."""
     p = gc.sig.p
     neg = ((p - x.astype(np.int64)) % p).astype(np.uint8)
-    for start in range(0, len(gc), chunk_rows):
-        block = gc.words[start : start + chunk_rows]
-        shifted = _mod_p_diff(block, neg[None, :], p)
-        if not gc.contains_rows(shifted).all():
-            return False
-    return True
+    step = max(1, _LOOKUP_BYTES // gc.length)
+    for start in range(0, len(idx), step):
+        # the gather is fresh, so it can hold the sum
+        yield gc.contains_rows(_mod_p_diff(gc.words[idx[start : start + step]], neg, p, overwrite_a=True))
 
 
 def invariant_pair(gc: GrayCode) -> tuple[int, int]:

@@ -103,6 +103,28 @@ def test_verify_with_min_distance(capsys):
     assert lines[1] == "min_distance 6 expected 6"
 
 
+@pytest.mark.parametrize(
+    "mode,words,passes",
+    [("exhaustive", None, 1), ("sampled", None, 1), ("exhaustive", "repeated", 2), ("sampled", "repeated", 1)],
+)
+def test_verify_counts_pairs_once_when_the_exhaustive_pass_completes(capsys, monkeypatch, mode, words, passes):
+    """An exhaustive GH pass that ends without a failing pair already counted every N_0;
+    a sampled pass, or one stopped at a failing pair, leaves the distance to min_distance."""
+    from ghcodes import construction
+
+    calls = []
+    real = construction._pair_counts
+    monkeypatch.setattr(construction, "_pair_counts", lambda *a: calls.append(a) or real(*a))
+    if words == "repeated":  # a repeated word: the GH pass fails and the distance is 0
+        gc = build_gray_code(validate_type(3, (1, 1)))
+        broken = np.vstack([gc.words[:-1], gc.words[:1]])
+        monkeypatch.setattr(cli, "materialize_gray", lambda *a: construction.GrayCode(gc.sig, broken))
+    code, out, _ = run(capsys, "verify", "--p", "3", "--type", "1,1", "--mode", mode, "--pairs", "500", "--min-distance")
+    assert out.splitlines()[1] == ("min_distance 6 expected 6" if words is None else "min_distance 0 expected 6")
+    assert code == (0 if words is None else 1)
+    assert len(calls) == passes
+
+
 def test_verify_sampled_mode(capsys):
     code, out, _ = run(
         capsys, "verify", "--p", "3", "--type", "2,0", "--mode", "sampled",

@@ -468,8 +468,10 @@ def test_exhaustive_check_and_distance_match_oracle(case, block_bytes):
     assert verdict.pairs_checked == checked
     if first_bad is None:
         assert checked == m * (m - 1) // 2 and not verdict.reason
+        assert verdict._distance == distance  # the completed pass counted every N_0
     else:
         assert verdict.reason.startswith("pair ({}, {}) is ".format(*first_bad))
+        assert verdict._distance is None
     assert distance == naive_min_distance(gc.words)
     if how in ("genuine", "permuted"):
         assert verdict.passed

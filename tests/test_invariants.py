@@ -1,10 +1,12 @@
 """Rank and kernel of Gray images, against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ghcodes.classification import is_linear_type
-from ghcodes.construction import GrayCode, build_gray_code, validate_type
+from ghcodes.construction import build_gray_code, validate_type
 from ghcodes.gray import Permutation
 from ghcodes.invariants import (
     ReducedBasis,
@@ -14,6 +16,8 @@ from ghcodes.invariants import (
     rank,
     reduced_basis,
 )
+
+from sorted_key_code import SortedKeyCode
 
 
 def gc_for(p, ts):
@@ -116,7 +120,7 @@ def test_invariants_stable_under_column_permutation():
     gc = gc_for(3, (2, 1))
     rng = np.random.default_rng(11)
     pi = Permutation(rng.permutation(gc.length))
-    permuted = GrayCode(gc.sig, pi(gc.words))
+    permuted = SortedKeyCode(gc.sig, pi(gc.words))  # a permuted image needs a general word-set index
     assert invariant_pair(permuted) == invariant_pair(gc)
 
 
@@ -161,3 +165,17 @@ def test_reduced_basis_incremental():
 def test_reduced_basis_matches_streaming():
     gc = gc_for(3, (2, 1))
     assert reduced_basis(gc, chunk_rows=17).rank == rank(gc)
+
+
+def test_kernel_gathers_rows_in_bounded_steps():
+    # the probes and translate checks gather at most 4 MiB of rows per step, never the
+    # whole image: here 6561 x 2187 bytes (13.7 MiB), against a 16 MiB bound
+    gc = gc_for(3, (2, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        dim, _ = kernel(gc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 2
+    assert peak <= 16 * 2**20

@@ -1,22 +1,35 @@
-"""Exact membership of Gray images, checked against a brute-force oracle.
+"""Exact membership of Gray images, checked against two oracles.
 
-The oracle is a Python set (or, for set equality, a multiset) of
-``row.tobytes()``.  The code under test is a random subset of a small Gray
-image, optionally column-permuted and optionally with one word repeated,
-so the smallest and largest keys vary and queries can fall outside the key
-range.
+``GrayCode`` decodes a word's odometer row from its pinned coordinates.
+It is tested against ``SortedKeyCode``, the sorted byte-key index kept in
+``tests/`` as the oracle, on full codes and on short prefixes of them,
+with members, corruptions, words of other types, constant words, blocks
+with no Gray preimage and words of the wrong length as queries.
+
+``SortedKeyCode`` itself is checked against a Python set (or, for set
+equality, a multiset) of ``row.tobytes()``, on a random subset of a small
+Gray image, optionally column-permuted and optionally with one word
+repeated, so the smallest and largest keys vary and queries can fall
+outside the key range.
 """
 
+import itertools
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghcodes.classification import enumerate_types
 from ghcodes.construction import GrayCode, build_gray_code, validate_type
+from ghcodes.gray import phi_table
+from ghcodes.ring import RingParams
 
 from goldens import PHI3
+from sorted_key_code import SortedKeyCode
+from test_construction import small_types
 
 TYPES = [(2, (1, 1)), (2, (2, 1)), (2, (1, 1, 0)), (3, (1, 1)), (3, (2, 0)), (3, (1, 0, 1)), (5, (1, 0)), (5, (1, 1))]
 
@@ -38,8 +51,8 @@ def oracle_set_equal(words, rows):
 
 @st.composite
 def codes(draw):
-    """A GrayCode over a non-empty subset of a small Gray image (one of its
-    words possibly repeated), plus that image."""
+    """A SortedKeyCode over a non-empty subset of a small Gray image (one of
+    its words possibly repeated), plus that image."""
     p, ts = draw(st.sampled_from(TYPES))
     full = full_code(p, ts)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -50,7 +63,7 @@ def codes(draw):
         words, everything = words[:, perm], everything[:, perm]
     if draw(st.booleans()):
         words = np.insert(words, rng.integers(0, len(words) + 1), words[rng.integers(0, len(words))], axis=0)
-    return GrayCode(full.sig, words), everything, rng
+    return SortedKeyCode(full.sig, words), everything, rng
 
 
 def corrupt_one_symbol(rows, p, rng):
@@ -129,10 +142,85 @@ def test_set_equal_counts_repeated_words():
     """set_equal is multiset equality: a repeated word must be repeated as often."""
     sig = full_code(3, (1, 1)).sig
     a, b, c = (np.array(PHI3[u], dtype=np.uint8) for u in (0, 13, 26))
-    gc = GrayCode(sig, np.stack([a, a, b]))
+    gc = SortedKeyCode(sig, np.stack([a, a, b]))
     assert gc.set_equal(np.stack([b, a, a]))
     assert gc.set_equal(gc.words)
     assert not gc.set_equal(np.stack([a, b, b]))  # same set, other multiplicities
     assert not gc.set_equal(np.stack([a, b, c]))
     assert not gc.set_equal(np.stack([a, b]))
-    assert not GrayCode(sig, np.stack([a, b, c])).set_equal(np.stack([a, a, b]))
+    assert not SortedKeyCode(sig, np.stack([a, b, c])).set_equal(np.stack([a, a, b]))
+
+
+# ---------------------------------------------------------------------------
+# the algebraic decode against the sorted-key oracle
+# ---------------------------------------------------------------------------
+
+# (p, t) with every type of at most 3^5 words; each has at least two types
+LENGTHS = [(2, t) for t in range(1, 7)] + [(3, t) for t in range(1, 5)] + [(5, t) for t in range(1, 3)]
+
+
+def types_of(p, t):
+    return [ts for s in range(1, t + 2) for ts in enumerate_types(t, s)]
+
+
+def no_preimage_block(p, s):
+    """A block of p^(s-1) symbols that is no phi-image, or None when phi is onto."""
+    images = {row.tobytes() for row in phi_table(RingParams(p, s))}
+    blocks = (np.array(b, dtype=np.uint8) for b in itertools.product(range(p), repeat=p ** (s - 1)))
+    return next((b for b in blocks if b.tobytes() not in images), None)
+
+
+@st.composite
+def decode_cases(draw):
+    """A full Gray image in odometer order, possibly cut short, with a mixed batch of queries."""
+    p, t = draw(st.sampled_from(LENGTHS))
+    ts, other = draw(st.permutations(types_of(p, t)))[:2]
+    full, foreign = full_code(p, ts), full_code(p, other)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = full.words.shape
+    members = full.words[rng.permutation(m)]
+    corrupted = corrupt_one_symbol(members[:20], p, rng)
+    constants = np.repeat(np.arange(p, dtype=np.uint8)[:, None], n, axis=1)
+    queries = [members, corrupted, foreign.words[rng.integers(0, m, size=20)], constants]
+    block = no_preimage_block(p, full.sig.s)
+    if block is not None:
+        unmapped = members[:10].copy()
+        starts = rng.integers(0, n // block.size, size=len(unmapped)) * block.size
+        for row, start in zip(unmapped, starts):
+            row[start : start + block.size] = block
+        queries.append(unmapped)
+    held = draw(st.integers(1, m))
+    return GrayCode(full.sig, full.words[:held]), SortedKeyCode(full.sig, full.words[:held]), np.vstack(queries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(decode_cases())
+def test_locate_agrees_with_sorted_key_oracle(case):
+    gc, oracle, queries = case
+    got = gc.locate(queries)
+    assert np.array_equal(got, oracle.locate(queries))
+    hit = got >= 0
+    assert np.array_equal(gc.words[got[hit]], queries[hit])  # a hit is the held row at its index
+    assert np.array_equal(gc.contains_rows(queries), hit)
+    for wrong in (queries[:, :-1], np.hstack([queries, queries[:, :1]])):
+        assert (gc.locate(wrong) == -1).all()
+    assert gc.set_equal(gc.words[::-1])
+
+
+def test_row_out_of_its_odometer_place_is_not_found():
+    full = full_code(3, (2, 1))
+    words = full.words.copy()
+    words[[4, 9]] = words[[9, 4]]
+    gc = GrayCode(full.sig, words)
+    got = gc.locate(full.words)
+    assert got[4] == got[9] == -1
+    assert np.array_equal(np.delete(got, [4, 9]), np.delete(np.arange(len(gc)), [4, 9]))
+    assert not gc.set_equal(full.words) and not gc.set_equal(words)
+    assert (GrayCode(full.sig, full.words[:0]).locate(full.words) == -1).all()
+    assert (GrayCode(full.sig, full.words[-1:]).locate(full.words[-1:]) == -1).all()  # its odometer row is not held
+
+
+@pytest.mark.parametrize("p,ts", small_types(3**7))
+def test_locate_finds_every_word_at_its_odometer_index(p, ts):
+    gc = full_code(p, ts)
+    assert np.array_equal(gc.locate(gc.words), np.arange(len(gc)))
