@@ -9,10 +9,9 @@ classification of these codes.  See the ``ghcodes`` command for the
 command-line surface.
 """
 
+from .classification import BoundsReport, Census, bounds_report, census, enumerate_types, isolated_types
 from .construction import (
     DEFAULT_BUDGET_BYTES,
-    GH_SAMPLE_PAIRS,
-    GH_SAMPLE_SEED,
     AdditiveCode,
     GHVerdict,
     GrayCode,
@@ -20,133 +19,56 @@ from .construction import (
     build_gray_code,
     generator_matrix,
     is_gh_code,
-    materialization_bytes,
-    materialize_additive,
     materialize_gray,
     min_distance,
-    p_basis,
-    row_orders,
     validate_type,
 )
-from .classification import (
-    BoundsReport,
-    BoundsRow,
-    Census,
-    CensusRow,
-    bound_classes_all_s,
-    bound_classes_reps,
-    bound_types_all_s,
-    bound_types_reps,
-    bounds_report,
-    census,
-    count_representatives,
-    count_types,
-    enumerate_types,
-    is_linear_type,
-    isolated_types,
-)
-from .equivalence import (
-    ChainPosition,
-    EquivalenceChain,
-    EquivalenceReport,
-    chain_members,
-    chain_of,
-    sigma,
-    step_permutation,
-    verify_equivalence,
-)
-from .errors import CapacityError, GHCodeError, InputError, NoSecondRow, NotAGrayImage
-from .gray import (
-    GrayWord,
-    Permutation,
-    block_lift,
-    build_y_matrix,
-    gamma,
-    gamma_extended,
-    gray,
-    gray_inverse,
-    gray_matrix,
-    gray_vector,
-    identity_permutation,
-    phi_table,
-    rho,
-    tau,
-    tau_tilde,
-)
-from .invariants import invariant_pair, is_linear, kernel, rank, reduced_basis
-from .ring import RingParams, RingVector, digits, ring_vector, undigits, vector_order
+from .equivalence import EquivalenceReport, chain_members, chain_of, verify_equivalence
+from .errors import CapacityError, GHCodeError, InputError, NotAGrayImage
+from .gray import Permutation, gamma, gray, gray_inverse, gray_matrix, phi_table, rho, tau, tau_tilde
+from .invariants import invariant_pair, is_linear, kernel, rank
+from .ring import RingParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveCode",
     "BoundsReport",
-    "BoundsRow",
     "CapacityError",
     "Census",
-    "CensusRow",
-    "ChainPosition",
     "DEFAULT_BUDGET_BYTES",
-    "EquivalenceChain",
     "EquivalenceReport",
     "GHCodeError",
     "GHVerdict",
-    "GH_SAMPLE_PAIRS",
-    "GH_SAMPLE_SEED",
     "GrayCode",
-    "GrayWord",
     "InputError",
-    "NoSecondRow",
     "NotAGrayImage",
     "Permutation",
     "RingParams",
-    "RingVector",
     "TypeSignature",
-    "block_lift",
-    "bound_classes_all_s",
-    "bound_classes_reps",
-    "bound_types_all_s",
-    "bound_types_reps",
     "bounds_report",
     "build_gray_code",
-    "build_y_matrix",
     "census",
     "chain_members",
     "chain_of",
-    "count_representatives",
-    "count_types",
-    "digits",
     "enumerate_types",
     "gamma",
-    "gamma_extended",
     "generator_matrix",
     "gray",
     "gray_inverse",
     "gray_matrix",
-    "gray_vector",
-    "identity_permutation",
     "invariant_pair",
     "is_gh_code",
     "is_linear",
-    "is_linear_type",
     "isolated_types",
     "kernel",
-    "materialization_bytes",
-    "materialize_additive",
     "materialize_gray",
     "min_distance",
-    "p_basis",
     "phi_table",
     "rank",
-    "reduced_basis",
     "rho",
-    "ring_vector",
-    "row_orders",
-    "sigma",
-    "step_permutation",
     "tau",
     "tau_tilde",
-    "undigits",
     "validate_type",
-    "vector_order",
+    "verify_equivalence",
 ]

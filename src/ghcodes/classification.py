@@ -34,14 +34,13 @@ from .construction import (
 from .errors import InputError, NoSecondRow
 from .equivalence import chain_of
 from .invariants import invariant_pair
-from .ring import is_prime
+from .ring import RingParams
 
 
 def _check_tp(t: int, p: int) -> None:
     if t < 1:
         raise InputError(f"t must be >= 1, got {t}")
-    if not is_prime(p):
-        raise InputError(f"p must be prime, got {p}")
+    RingParams(p, 1)  # p must be prime
 
 
 # ---------------------------------------------------------------------------

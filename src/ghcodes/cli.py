@@ -191,7 +191,7 @@ def cmd_gray(args: argparse.Namespace) -> Result:
     params = RingParams(args.p, args.s)
     if not 0 <= args.value < params.modulus:
         raise InputError(f"value {args.value} outside [0, {params.modulus})")
-    return Result(_words([gray(args.value, params).entries]))
+    return Result(_words([gray(args.value, params)]))
 
 
 def cmd_invariants(args: argparse.Namespace) -> Result:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .gray import _block_residues, gray_matrix, phi_table
-from .ring import RingParams, RingVector
+from .ring import RingParams
 
 DEFAULT_BUDGET_BYTES = 4 * 2**30
 GH_SAMPLE_SEED = 0xC0DE
@@ -116,17 +116,17 @@ def row_orders(sig: TypeSignature) -> tuple[int, ...]:
     return (p**s, *out)
 
 
-def p_basis(sig: TypeSignature) -> list[RingVector]:
-    """The t+1 vectors p^q * w_i (0 <= q < sigma_i) spanning the code over Z_p."""
+def p_basis(sig: TypeSignature) -> np.ndarray:
+    """The t+1 vectors p^q * w_i (0 <= q < sigma_i) spanning the code over Z_p, as int64 rows."""
     gen = generator_matrix(sig).astype(np.int64)
     modulus = sig.params.modulus
     out = []
     for row, order in zip(gen, row_orders(sig)):
         q = 1
         while q < order:  # powers p^0 .. p^(sigma_i - 1)
-            out.append(RingVector(sig.params, row * q % modulus))
+            out.append(row * q % modulus)
             q *= sig.p
-    return out
+    return np.stack(out)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class AdditiveCode:
     @classmethod
     def build(cls, sig: TypeSignature) -> "AdditiveCode":
         gen = generator_matrix(sig)
-        basis = np.stack([v.entries for v in p_basis(sig)])
+        basis = p_basis(sig)
         gen.flags.writeable = False
         basis.flags.writeable = False
         return cls(sig, gen, basis)

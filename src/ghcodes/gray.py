@@ -11,6 +11,12 @@ significant digit in the top row).  phi is injective, and the
 coordinate-wise extension Phi maps vectors over Z_{p^s} to p-ary words
 block by block.  For s = 1 phi is the identity on Z_p.
 
+Residues and Gray words are plain numpy arrays (int64 residues, uint8
+symbols), with the ring passed as a ``RingParams``.  ``phi_table`` holds
+phi(u) for every u, and ``gray`` returns one of its rows; ``gray_matrix``
+expands a batch of residue vectors and ``gray_inverse`` decodes one word.
+The rows ``gray`` and ``tau`` return are read-only views of cached tables.
+
 Two families of coordinate permutations make Gray images of codes over
 neighbouring rings comparable:
 
@@ -29,16 +35,16 @@ the recursive equivalence between codes over Z_{p^(s+1)} and Z_{p^s}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InputError, NotAGrayImage
-from .ring import RingParams, RingVector
+from .ring import RingParams
 
 __all__ = [
-    "GrayWord",
     "Permutation",
     "block_lift",
     "build_y_matrix",
@@ -47,7 +53,6 @@ __all__ = [
     "gray",
     "gray_inverse",
     "gray_matrix",
-    "gray_vector",
     "identity_permutation",
     "phi_table",
     "rho",
@@ -216,47 +221,20 @@ def phi_table(params: RingParams) -> np.ndarray:
     return _phi_table_cached(params.p, params.s)
 
 
-@dataclass(frozen=True)
-class GrayWord:
-    """A p-ary word produced by the Gray map."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.uint8)
-        if arr.size and arr.max() >= self.p:
-            raise InputError(f"symbols must lie in [0, {self.p})")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GrayWord)
-            and self.p == other.p
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def tolist(self) -> list[int]:
-        return self.entries.tolist()
-
-
-def gray(u: int, params: RingParams) -> GrayWord:
-    """phi(u): the length-p^(s-1) Gray image of a single residue."""
-    u = int(u)
+def _residue(u: int, params: RingParams) -> int:
+    """u as an int, or InputError unless it is one integer residue mod p^s."""
+    try:
+        u = operator.index(u)
+    except TypeError:
+        raise InputError(f"expected one integer residue, got {u!r}") from None
     if not 0 <= u < params.modulus:
         raise InputError(f"{u} is not a residue mod {params.modulus}")
-    return GrayWord(params.p, phi_table(params)[u])
+    return u
 
 
-def gray_vector(v: RingVector) -> GrayWord:
-    """Phi(v): blockwise Gray image, length = len(v) * p^(s-1)."""
-    table = phi_table(v.params)
-    return GrayWord(v.params.p, table[v.entries].reshape(-1))
+def gray(u: int, params: RingParams) -> np.ndarray:
+    """phi(u): the length-p^(s-1) Gray image of one residue, a read-only row of ``phi_table``."""
+    return phi_table(params)[_residue(u, params)]
 
 
 def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
@@ -283,24 +261,34 @@ def _block_residues(params: RingParams, words: np.ndarray, blocks: np.ndarray) -
     return lead * p ** (s - 1) + (read[..., 1:] - lead[..., None]) % p @ p ** np.arange(s - 1)
 
 
-def gray_inverse(w: GrayWord, params: RingParams) -> RingVector:
-    """Phi^(-1): read the digits of each p^(s-1)-block off its columns.
+def _decode(words: np.ndarray, params: RingParams) -> np.ndarray:
+    """Phi^(-1) of each uint8 row: (len(words), blocks) int64 residues.
 
     The residues are read by ``_block_residues``, then re-encoded and
-    compared; NotAGrayImage names the first block that is not a phi-image.
+    compared; NotAGrayImage names the first block (counted across the rows)
+    that is not a phi-image.
     """
-    if w.p != params.p:
-        raise InputError("alphabet mismatch")
     width = params.p ** (params.s - 1)
-    if len(w) % width:
-        raise InputError(f"word length {len(w)} is not a multiple of {width}")
-    blocks = w.entries.reshape(-1, width)
-    out = _block_residues(params, w.entries[None, :], np.arange(len(blocks)))[0]
-    bad = np.flatnonzero((phi_table(params)[out] != blocks).any(axis=1))
+    blocks = words.reshape(-1, width)
+    out = _block_residues(params, words, np.arange(words.shape[1] // width))
+    bad = np.flatnonzero((phi_table(params)[out.reshape(-1)] != blocks).any(axis=1))
     if bad.size:
         i = int(bad[0])
         raise NotAGrayImage(f"block {i} = {blocks[i].tolist()} has no Gray preimage")
-    return RingVector(params, out)
+    return out
+
+
+def gray_inverse(w: np.ndarray, params: RingParams) -> np.ndarray:
+    """Phi^(-1) of one p-ary word: its int64 residues, one per p^(s-1)-block."""
+    w = np.asarray(w)
+    width = params.p ** (params.s - 1)
+    if w.ndim != 1 or w.dtype.kind not in "iu":
+        raise InputError(f"expected one integer word, got {w.dtype} of shape {w.shape}")
+    if w.size % width:
+        raise InputError(f"word length {w.size} is not a multiple of {width}")
+    if w.size and (w.min() < 0 or w.max() >= params.p):
+        raise InputError(f"symbols must lie in [0, {params.p})")
+    return _decode(w.astype(np.uint8)[None, :], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +338,35 @@ def rho(p: int, n: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-def tau(u: int, params: RingParams) -> RingVector:
-    """The vector over Z_{p^(s-1)} of length p with Gray image gamma^(-1)(phi(u))."""
+@lru_cache(maxsize=None)
+def _tau_table(params: RingParams) -> np.ndarray:
+    """Rows = tau(u) for u = 0..p^s-1; shape (p^s, p), int64."""
+    unshuffled = gamma(params.p, params.s).apply_inverse(phi_table(params))
+    table = _decode(np.ascontiguousarray(unshuffled), RingParams(params.p, params.s - 1))
+    table.flags.writeable = False
+    return table
+
+
+def tau(u: int, params: RingParams) -> np.ndarray:
+    """The vector over Z_{p^(s-1)} of length p with Gray image gamma^(-1)(phi(u)), read-only."""
     if params.s < 2:
         raise InputError("tau is defined for s >= 2 only")
-    w = gray(u, params)
-    unshuffled = gamma(params.p, params.s).apply_inverse(w.entries)
-    down = RingParams(params.p, params.s - 1)
-    return gray_inverse(GrayWord(params.p, unshuffled), down)
+    return _tau_table(params)[_residue(u, params)]
 
 
-def tau_tilde(v: RingVector) -> RingVector:
+def tau_tilde(v: np.ndarray, params: RingParams) -> np.ndarray:
     """Coordinate-wise tau followed by rho^(-1); length p * len(v).
 
     For v over Z_{p^s} the result lies over Z_{p^(s-1)} and satisfies
     Phi_s(v) == gamma_ext(Phi_{s-1}(rho(tau_tilde(v)))), with gamma
     extended over len(v) blocks and rho = rho(p, len(v)).
     """
-    params = v.params
     if params.s < 2:
         raise InputError("tau_tilde is defined for s >= 2 only")
-    pieces = [tau(int(u), params).entries for u in v.entries]
-    flat = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    v = np.asarray(v)
+    if v.ndim != 1 or v.dtype.kind not in "iu":
+        raise InputError(f"expected one integer residue vector, got {v.dtype} of shape {v.shape}")
     r = rho(params.p, len(v))
-    down = RingParams(params.p, params.s - 1)
-    return RingVector(down, r.apply_inverse(flat))
+    if v.min() < 0 or v.max() >= params.modulus:
+        raise InputError(f"entries out of range mod {params.modulus}")
+    return r.apply_inverse(_tau_table(params)[v].reshape(-1))

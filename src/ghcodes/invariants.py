@@ -21,6 +21,8 @@ import numpy as np
 from .construction import _LOOKUP_BYTES, GrayCode, _mod_p_diff
 from .errors import InputError
 
+_PROBES = 24  # probe words spread over the code that filter the kernel candidates
+
 
 @dataclass
 class ReducedBasis:
@@ -99,12 +101,12 @@ def is_linear(gc: GrayCode) -> bool:
     return gc.sig.p ** rank(gc) == len(gc)
 
 
-def _probe_indices(m: int, count: int) -> np.ndarray:
-    idx = np.unique(np.linspace(0, m - 1, num=min(count, m), dtype=np.int64))
+def _probe_indices(m: int) -> np.ndarray:
+    idx = np.unique(np.linspace(0, m - 1, num=min(_PROBES, m), dtype=np.int64))
     return idx[idx > 0]
 
 
-def kernel(gc: GrayCode, probes: int = 24) -> tuple[int, ReducedBasis]:
+def kernel(gc: GrayCode) -> tuple[int, ReducedBasis]:
     """Kernel dimension and a reduced basis of ker = {x : x + C = C}.
 
     Candidates (all codewords) are first filtered against a few probe
@@ -118,7 +120,7 @@ def kernel(gc: GrayCode, probes: int = 24) -> tuple[int, ReducedBasis]:
         raise InputError("kernel needs 0 in the code")
 
     surv = np.arange(m)
-    for pi in _probe_indices(m, probes):
+    for pi in _probe_indices(m):
         if surv.size <= 1:
             break
         surv = surv[np.concatenate(list(_translates_inside(gc, surv, words[pi])))]

@@ -1,14 +1,13 @@
-"""Arithmetic over Z_{p^s} and vectors thereof.
+"""The chain ring Z_{p^s}.
 
-Vectors are kept in canonical residue form (entries in [0, p^s)) inside
-numpy arrays; the wrapper types carry the ring parameters so mixed-ring
-operations fail loudly instead of silently wrapping at the wrong modulus.
+Residues are plain numpy arrays with entries in [0, p^s); the functions
+that take them from a caller receive the ring as a ``RingParams``
+argument and check the range there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,104 +56,3 @@ class RingParams:
             if m <= np.iinfo(dt).max:
                 return np.dtype(dt)
         return np.dtype(np.uint64)
-
-
-def digits(u: int, params: RingParams) -> tuple[int, ...]:
-    """Base-p expansion of a residue, least significant digit first.
-
-    Returns (d_0, ..., d_{s-1}) with u = sum d_i p^i.
-    """
-    u = int(u)
-    if not 0 <= u < params.modulus:
-        raise InputError(f"{u} is not a residue mod {params.modulus}")
-    out = []
-    for _ in range(params.s):
-        u, d = divmod(u, params.p)
-        out.append(d)
-    return tuple(out)
-
-
-def undigits(ds: Sequence[int], params: RingParams) -> int:
-    """Inverse of :func:`digits`."""
-    if len(ds) != params.s:
-        raise InputError(f"expected {params.s} digits, got {len(ds)}")
-    u = 0
-    for d in reversed(ds):
-        if not 0 <= d < params.p:
-            raise InputError(f"digit {d} out of range for p = {params.p}")
-        u = u * params.p + d
-    return u
-
-
-def digit_planes(entries: np.ndarray, params: RingParams) -> np.ndarray:
-    """Base-p digits of every entry; output shape = entries.shape + (s,)."""
-    e = np.asarray(entries, dtype=np.int64)
-    planes = np.empty(e.shape + (params.s,), dtype=np.int64)
-    for i in range(params.s):
-        planes[..., i] = e % params.p
-        e = e // params.p
-    return planes
-
-
-@dataclass(frozen=True)
-class RingVector:
-    """A vector over Z_{p^s}, entries canonical in [0, p^s)."""
-
-    params: RingParams
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.int64)
-        if arr.ndim != 1:
-            raise InputError("ring vectors are one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.params.modulus):
-            raise InputError(f"entries out of range mod {self.params.modulus}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingVector)
-            and self.params == other.params
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def tolist(self) -> list[int]:
-        return self.entries.tolist()
-
-
-def ring_vector(params: RingParams, entries: Iterable[int]) -> RingVector:
-    if not isinstance(entries, np.ndarray):
-        entries = np.asarray(list(entries), dtype=np.int64)
-    return RingVector(params, entries)
-
-
-def vec_add(a: RingVector, b: RingVector) -> RingVector:
-    if a.params != b.params:
-        raise InputError("cannot add vectors over different rings")
-    if len(a) != len(b):
-        raise InputError(f"length mismatch: {len(a)} vs {len(b)}")
-    return RingVector(a.params, (a.entries + b.entries) % a.params.modulus)
-
-
-def vec_scale(c: int, a: RingVector) -> RingVector:
-    return RingVector(a.params, (int(c) % a.params.modulus) * a.entries % a.params.modulus)
-
-
-def vector_order(a: RingVector) -> int:
-    """Additive order of a vector: the smallest m >= 1 with m*a = 0.
-
-    Over Z_{p^s} this is p^(s-j) where p^j is the largest power of p
-    dividing every entry (j = s for the zero vector).
-    """
-    p, s = a.params.p, a.params.s
-    j = 0
-    e = a.entries
-    while j < s and not np.any(e % p):
-        e = e // p
-        j += 1
-    return p ** (s - j)

@@ -13,33 +13,29 @@ import numpy as np
 import pytest
 
 from ghcodes import (
-    GH_SAMPLE_PAIRS,
     AdditiveCode,
     RingParams,
-    bound_types_reps,
     bounds_report,
     build_gray_code,
     census,
-    digits,
     enumerate_types,
     gamma,
-    gamma_extended,
     generator_matrix,
     gray,
-    gray_vector,
+    gray_matrix,
     invariant_pair,
     is_gh_code,
     isolated_types,
-    materialize_additive,
     min_distance,
     rho,
-    ring_vector,
-    row_orders,
     tau,
     tau_tilde,
     validate_type,
     verify_equivalence,
 )
+from ghcodes.classification import bound_types_reps
+from ghcodes.construction import GH_SAMPLE_PAIRS, materialize_additive, row_orders
+from ghcodes.gray import gamma_extended
 
 from goldens import (
     GAMMA3_CYCLES,
@@ -78,7 +74,7 @@ def test_criterion_01_gray_and_tau_tables():
     start = time.perf_counter()
     params = RingParams(3, 3)
     for u in range(27):
-        assert tuple(int(v) for v in gray(u, params).entries) == PHI3[u]
+        assert tuple(int(v) for v in gray(u, params)) == PHI3[u]
         assert tau(u, params).tolist() == list(TAU3[u])
     assert time.perf_counter() - start < 1.0
 
@@ -218,20 +214,20 @@ def test_criterion_10_identity_battery():
             g = gamma(p, s)
             n1 = p ** (s - 1)
             for u in range(params.modulus):
-                lams = digits(u, params)
+                lams = [u // p**i % p for i in range(s)]
                 # digitwise additivity of the symbol map
                 acc = np.zeros(n1, dtype=np.int64)
                 for i, lam in enumerate(lams):
-                    acc += lam * gray(p**i, params).entries.astype(np.int64)
-                assert np.array_equal(acc % p, gray(u, params).entries)
+                    acc += lam * gray(p**i, params).astype(np.int64)
+                assert np.array_equal(acc % p, gray(u, params))
                 # tau is additive over the same decomposition
                 inner_sum = np.zeros(p, dtype=np.int64)
                 for i, lam in enumerate(lams):
-                    inner_sum += tau(lam * p**i % params.modulus, params).entries
-                inner_vec = ring_vector(inner, inner_sum % inner.modulus)
-                assert tau(u, params) == inner_vec
+                    inner_sum += tau(lam * p**i % params.modulus, params)
+                inner_vec = inner_sum % inner.modulus
+                assert np.array_equal(tau(u, params), inner_vec)
                 # and the symbol map factors through it
-                assert np.array_equal(g(gray_vector(inner_vec).entries), gray(u, params).entries)
+                assert np.array_equal(g(gray_matrix(inner, inner_vec[None])[0]), gray(u, params))
             # top-order residues map to constant words
             for lam in range(p):
                 assert set(gray(lam * p ** (s - 1), params).tolist()) == {lam}
@@ -255,11 +251,11 @@ def test_criterion_10_identity_battery():
             params = RingParams(p, s)
             for n in (1, 2, 4):
                 for _ in range(4):
-                    u = ring_vector(params, rng.integers(0, params.modulus, size=n))
-                    lhs = gray_vector(u).entries
-                    tt = tau_tilde(u)
-                    reordered = ring_vector(tt.params, rho(p, n)(tt.entries))
-                    rhs = gamma_extended(p, s, n)(gray_vector(reordered).entries)
+                    u = rng.integers(0, params.modulus, size=n)
+                    lhs = gray_matrix(params, u[None])[0]
+                    tt = tau_tilde(u, params)
+                    reordered = rho(p, n)(tt)
+                    rhs = gamma_extended(p, s, n)(gray_matrix(RingParams(p, s - 1), reordered[None])[0])
                     assert np.array_equal(lhs, rhs)
 
     # spot checks past the exhaustive range, fixed seed
@@ -269,10 +265,10 @@ def test_criterion_10_identity_battery():
         for u in rng.integers(0, params.modulus, size=40):
             u = int(u)
             inner_sum = np.zeros(p, dtype=np.int64)
-            for i, lam in enumerate(digits(u, params)):
-                inner_sum += tau(lam * p**i % params.modulus, params).entries
-            inner_vec = ring_vector(RingParams(p, s - 1), inner_sum % p ** (s - 1))
-            assert np.array_equal(g(gray_vector(inner_vec).entries), gray(u, params).entries)
+            for i, lam in enumerate(u // p**i % p for i in range(s)):
+                inner_sum += tau(lam * p**i % params.modulus, params)
+            inner_vec = inner_sum % p ** (s - 1)
+            assert np.array_equal(g(gray_matrix(RingParams(p, s - 1), inner_vec[None])[0]), gray(u, params))
 
     # one chain step down: middle generator rows tile, tau_tilde carries the
     # whole generating set, and the additive codes map onto each other
@@ -291,18 +287,18 @@ def test_criterion_10_identity_battery():
             assert row_orders(b)[i] == orders[i]
             q = 1
             while q < orders[i]:
-                got = tau_tilde(ring_vector(hi_params, hi[i] * q % hi_params.modulus))
+                got = tau_tilde(hi[i] * q % hi_params.modulus, hi_params)
                 assert got.tolist() == (lo[i] * q % mod_lo).tolist()
                 q *= p
         for j in range(a.s):
-            got = tau_tilde(ring_vector(hi_params, hi[0] * p ** (j + 1) % hi_params.modulus))
+            got = tau_tilde(hi[0] * p ** (j + 1) % hi_params.modulus, hi_params)
             assert got.tolist() == (lo[0] * p**j % mod_lo).tolist()
-        assert tau_tilde(ring_vector(hi_params, hi[0])).tolist() == lo[k - 1].tolist()
+        assert tau_tilde(hi[0], hi_params).tolist() == lo[k - 1].tolist()
         if a.size <= 3**6:
             words_a = materialize_additive(AdditiveCode.build(a))
             words_b = materialize_additive(AdditiveCode.build(b))
             mapped = {
-                tuple(tau_tilde(ring_vector(hi_params, row)).tolist())
+                tuple(tau_tilde(row, hi_params).tolist())
                 for row in words_b.astype(np.int64)
             }
             assert mapped == {tuple(int(v) for v in row) for row in words_a}

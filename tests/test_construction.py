@@ -96,7 +96,7 @@ def test_row_orders():
 
 
 def test_p_basis_1_1_0():
-    basis = [v.tolist() for v in p_basis(sig(3, (1, 1, 0)))]
+    basis = p_basis(sig(3, (1, 1, 0))).tolist()
     assert basis == [
         [1] * 9,
         [3] * 9,
@@ -108,7 +108,7 @@ def test_p_basis_1_1_0():
 
 def test_p_basis_counts_match_t_plus_one():
     for a in [sig(3, (2, 1)), sig(3, (1, 1, 0)), sig(2, (3, 2)), sig(5, (1, 1))]:
-        assert len(p_basis(a)) == a.t + 1
+        assert p_basis(a).shape == (a.t + 1, a.n)
 
 
 # ---------------------------------------------------------------------------

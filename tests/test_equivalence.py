@@ -24,7 +24,7 @@ from ghcodes.equivalence import (
 )
 from ghcodes.errors import CapacityError, InputError, NoSecondRow
 from ghcodes.gray import Permutation, tau_tilde
-from ghcodes.ring import RingParams, ring_vector
+from ghcodes.ring import RingParams
 
 construction = importlib.import_module("ghcodes.construction")
 equivalence = importlib.import_module("ghcodes.equivalence")
@@ -161,17 +161,17 @@ def test_tau_tilde_carries_basis_down(p, ts):
     for i in range(1, k - 1):
         q = 1
         while q < orders[i]:
-            got = tau_tilde(ring_vector(hi_params, hi[i] * q % hi_params.modulus))
+            got = tau_tilde(hi[i] * q % hi_params.modulus, hi_params)
             assert got.tolist() == (lo[i] * q % mod_lo).tolist()
             q *= p
 
     # first row drops one power of p
     for j in range(a.s):
-        got = tau_tilde(ring_vector(hi_params, hi[0] * p ** (j + 1) % hi_params.modulus))
+        got = tau_tilde(hi[0] * p ** (j + 1) % hi_params.modulus, hi_params)
         assert got.tolist() == (lo[0] * p**j % mod_lo).tolist()
 
     # and its bare image is the last row of the lower matrix
-    got = tau_tilde(ring_vector(hi_params, hi[0]))
+    got = tau_tilde(hi[0], hi_params)
     assert got.tolist() == lo[k - 1].tolist()
 
 
@@ -183,7 +183,7 @@ def test_tau_tilde_maps_codes_onto_each_other(p, ts):
     words_b = materialize_additive(AdditiveCode.build(b))
     hi_params = RingParams(p, a.s + 1)
     mapped = {
-        tuple(tau_tilde(ring_vector(hi_params, row)).tolist()) for row in words_b.astype(np.int64)
+        tuple(tau_tilde(row, hi_params).tolist()) for row in words_b.astype(np.int64)
     }
     assert mapped == {tuple(int(v) for v in row) for row in words_a}
 

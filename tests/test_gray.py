@@ -19,14 +19,13 @@ from ghcodes.gray import (
     gray,
     gray_inverse,
     gray_matrix,
-    gray_vector,
     identity_permutation,
     phi_table,
     rho,
     tau,
     tau_tilde,
 )
-from ghcodes.ring import RingParams, digits, ring_vector, vec_add, vec_scale
+from ghcodes.ring import RingParams
 
 from goldens import PHI3, TAU3
 
@@ -172,12 +171,12 @@ def test_y_matrix_columns_are_base_p_digits(p, s):
     assert y.shape == (s, p**s)
     for c in range(p**s):
         col = tuple(int(v) for v in y[:, c])
-        assert col == digits(c, RingParams(p, s))
+        assert col == tuple(c // p**i % p for i in range(s))
 
 
 def test_phi3_golden_all_rows():
     for u, row in PHI3.items():
-        assert tuple(int(v) for v in gray(u, PS).entries) == row
+        assert tuple(int(v) for v in gray(u, PS)) == row
 
 
 def test_phi_table_matches_gray():
@@ -229,18 +228,44 @@ def test_gray_inverse_roundtrip(ps, data):
 
 
 def test_gray_inverse_rejects_non_image():
-    from ghcodes.gray import GrayWord
-
     # (residues, coordinate to corrupt): coordinate 0 is read by the decode,
     # coordinate 4 of a 9-wide block is not (only the re-encode catches it),
     # and coordinate 22 lies in block 2 of a three-block word
     for us, coord in [((5,), 0), ((5,), 4), ((13, 0, 26), 22)]:
-        w = gray_vector(ring_vector(PS, us))
+        w = gray_matrix(PS, np.array([us]))[0]
         assert gray_inverse(w, PS).tolist() == list(us)
-        bad = np.array(w.entries, copy=True)
+        bad = w.copy()
         bad[coord] = (bad[coord] + 1) % 3
         with pytest.raises(NotAGrayImage, match=f"block {coord // 9} "):
-            gray_inverse(GrayWord(3, bad), PS)
+            gray_inverse(bad, PS)
+
+
+# residues and words from a caller are range-checked where they come in: no
+# IndexError, and no negative index read from the far end of a cached table
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: gray(-1, PS), id="gray-negative"),
+        pytest.param(lambda: gray(27, PS), id="gray-modulus"),
+        pytest.param(lambda: gray(np.array([[1]]), PS), id="gray-2d"),
+        pytest.param(lambda: gray(1.5, PS), id="gray-float"),
+        pytest.param(lambda: tau(-1, PS), id="tau-negative"),
+        pytest.param(lambda: tau(27, PS), id="tau-modulus"),
+        pytest.param(lambda: tau(np.array([[1]]), PS), id="tau-2d"),
+        pytest.param(lambda: tau_tilde(np.array([0, -1]), PS), id="tau_tilde-negative"),
+        pytest.param(lambda: tau_tilde(np.array([0, 27]), PS), id="tau_tilde-modulus"),
+        pytest.param(lambda: tau_tilde(np.array([[5]]), PS), id="tau_tilde-2d"),
+        pytest.param(lambda: tau_tilde(np.array([5.0]), PS), id="tau_tilde-float"),
+        pytest.param(lambda: gray_inverse(np.full(9, -1), PS), id="gray_inverse-negative"),
+        pytest.param(lambda: gray_inverse(np.full(9, 3, dtype=np.uint8), PS), id="gray_inverse-symbol"),
+        pytest.param(lambda: gray_inverse(np.zeros((1, 9), dtype=np.uint8), PS), id="gray_inverse-2d"),
+        pytest.param(lambda: gray_inverse(np.full(9, 1.5), PS), id="gray_inverse-float"),
+        pytest.param(lambda: gray_inverse(np.zeros(8, dtype=np.uint8), PS), id="gray_inverse-length"),
+    ],
+)
+def test_public_maps_reject_bad_input(call):
+    with pytest.raises(InputError):  # NotAGrayImage is an InputError
+        call()
 
 
 # lemma: phi_s(lambda * p^(s-1)) is the constant word
@@ -277,8 +302,8 @@ def test_gray_additive_on_digit_decomposition(p_s, data):
     u = sum(lam * p**i for i, lam in enumerate(lams))
     acc = np.zeros(p ** (s - 1), dtype=np.int64)
     for i, lam in enumerate(lams):
-        acc = (acc + lam * gray(p**i, params).entries.astype(np.int64)) % p
-    assert np.array_equal(acc.astype(np.uint8), gray(u, params).entries)
+        acc = (acc + lam * gray(p**i, params).astype(np.int64)) % p
+    assert np.array_equal(acc.astype(np.uint8), gray(u, params))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +320,8 @@ def test_phi_factors_through_tau():
     # phi_s(u) = gamma_s(Phi_{s-1}(tau_s(u))) for every residue
     g = gamma(3, 3)
     for u in range(27):
-        inner = gray_vector(tau(u, PS))
-        assert tuple(int(v) for v in g(inner.entries)) == PHI3[u]
+        inner = gray_matrix(RingParams(3, 2), tau(u, PS)[None])[0]
+        assert tuple(int(v) for v in g(inner)) == PHI3[u]
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2)])
@@ -321,21 +346,21 @@ def test_tau_additive_on_digit_decomposition(p_s, data):
     inner = RingParams(p, s - 1)
     lams = [data.draw(st.integers(0, p - 1)) for _ in range(s)]
     u = sum(lam * p**i for i, lam in enumerate(lams)) % params.modulus
-    acc = ring_vector(inner, [0] * p)
+    acc = np.zeros(p, dtype=np.int64)
     for i, lam in enumerate(lams):
-        acc = vec_add(acc, vec_scale(lam, tau(p**i % params.modulus, params)))
-    assert tau(u, params) == acc
+        acc = (acc + lam * tau(p**i % params.modulus, params)) % inner.modulus
+    assert np.array_equal(tau(u, params), acc)
 
 
 def test_tau_tilde_basis_examples():
     z27 = RingParams(3, 3)
-    ones = ring_vector(z27, [1] * 9)
-    assert tau_tilde(ones).tolist() == [0] * 9 + [3] * 9 + [6] * 9
-    assert tau_tilde(vec_scale(3, ones)).tolist() == [1] * 27
-    assert tau_tilde(vec_scale(9, ones)).tolist() == [3] * 27
-    w2 = ring_vector(z27, [0, 3, 6, 9, 12, 15, 18, 21, 24])
-    assert tau_tilde(w2).tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8] * 3
-    assert tau_tilde(vec_scale(3, w2)).tolist() == [0, 3, 6] * 9
+    ones = np.ones(9, dtype=np.int64)
+    assert tau_tilde(ones, z27).tolist() == [0] * 9 + [3] * 9 + [6] * 9
+    assert tau_tilde(3 * ones, z27).tolist() == [1] * 27
+    assert tau_tilde(9 * ones, z27).tolist() == [3] * 27
+    w2 = np.arange(0, 27, 3)
+    assert tau_tilde(w2, z27).tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8] * 3
+    assert tau_tilde(3 * w2 % 27, z27).tolist() == [0, 3, 6] * 9
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,11 +371,8 @@ def test_gray_factors_through_tau_tilde(p_s, data):
     params = RingParams(p, s)
     n = data.draw(st.integers(1, 6))
     entries = [data.draw(st.integers(0, params.modulus - 1)) for _ in range(n)]
-    u = ring_vector(params, entries)
-    lhs = gray_vector(u).entries
+    lhs = gray_matrix(params, np.array([entries]))[0]
 
-    tt = tau_tilde(u)
-    r = rho(p, n)
-    reordered = ring_vector(tt.params, r(tt.entries))
-    rhs = gamma_extended(p, s, n)(gray_vector(reordered).entries)
+    reordered = rho(p, n)(tau_tilde(np.array(entries), params))
+    rhs = gamma_extended(p, s, n)(gray_matrix(RingParams(p, s - 1), reordered[None])[0])
     assert np.array_equal(lhs, rhs)
