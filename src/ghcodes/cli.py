@@ -188,10 +188,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
 
 def cmd_gray(args: argparse.Namespace) -> Result:
     """Gray image of one residue"""
-    params = RingParams(args.p, args.s)
-    if not 0 <= args.value < params.modulus:
-        raise InputError(f"value {args.value} outside [0, {params.modulus})")
-    return Result(_words([gray(args.value, params)]))
+    return Result(_words([gray(args.value, RingParams(args.p, args.s))]))
 
 
 def cmd_invariants(args: argparse.Namespace) -> Result:

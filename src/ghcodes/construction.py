@@ -157,8 +157,11 @@ def gray_bytes(sig: TypeSignature) -> int:
 def materialization_bytes(sig: TypeSignature) -> int:
     """Peak-memory estimate for building and analysing the Gray image.
 
-    The Gray matrix is held once, with roughly three more transient copies
-    of its size in play during rank/kernel scans, plus the additive matrix.
+    Four Gray matrices plus the additive matrix.  Only one Gray matrix is
+    held: rank reduces about 2 MiB of float rows at a time and the kernel
+    gathers at most 4 MiB of rows per step.  The rest is the margin that
+    every ``CapacityError`` decision has been made with, kept until
+    per-stage estimates replace this one.
     """
     return additive_bytes(sig) + 4 * gray_bytes(sig)
 

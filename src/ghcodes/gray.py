@@ -196,9 +196,7 @@ def build_y_matrix(p: int, s: int) -> np.ndarray:
     Column c holds the base-p digits of c, least significant in row 0, so
     row i is the i-th digit sequence of 0..p^s-1.
     """
-    if s < 1:
-        raise InputError(f"s must be >= 1, got {s}")
-    RingParams(p, s)  # validates p prime and size
+    RingParams(p, s)  # validates p prime, s >= 1 and size
     return _y_matrix_cached(p, s)
 
 

@@ -8,7 +8,12 @@ separates inequivalent codes.
 Both computations stream over the word matrix in chunks.  Reduction
 against the running row-reduced basis is a single matrix product because
 the basis is kept in reduced echelon form: the coefficient of a word on
-each pivot row is just its value at the pivot column.
+each pivot row is just its value at the pivot column.  The basis and the
+chunks are floats, float32 unless a code is too long for its products to
+stay exact (see ``_float_dtype``), so the product is one BLAS GEMM and the
+reduction mod p one floor division.  New pivots are found by Gauss-Jordan
+on a window of at most ``_WINDOW`` nonzero residues at a time; the rest of
+the chunk is then reduced against them by one more GEMM.
 """
 
 from __future__ import annotations
@@ -22,69 +27,115 @@ from .construction import _LOOKUP_BYTES, GrayCode, _mod_p_diff
 from .errors import InputError
 
 _PROBES = 24  # probe words spread over the code that filter the kernel candidates
+_WINDOW = 64  # nonzero residues echelonized at a time by ReducedBasis.absorb
+_CHUNK_BYTES = 2**21  # float rows per chunk of reduced_basis
+_FLOAT32_EXACT = 2**24  # integers of magnitude up to 2^24 are exact in float32
+
+
+def _float_dtype(p: int, length: int) -> np.dtype:
+    """float32 when every value of the elimination is exact in it, else float64.
+
+    Words, rows and coefficients hold residues in [0, p), so a product row
+    ``coeffs @ rows`` sums at most ``length`` terms of at most (p-1)^2 each,
+    and every value x it leaves before reduction has |x| <= length*(p-1)^2 + p.
+    Below 2^24 such integers, and every partial sum, are exact in float32.
+    The floor modulo x - p*floor(x/p) is exact as well when |x| < 2^24/p:
+    then |x/p| < 2^24/p^2, so rounding moves x/p by less than 1/p^2, which
+    never carries it past the next integer (at least 1/p away unless p | x,
+    when x/p is exact), and p*floor(x/p) is exact.  float64 gives the same
+    guarantee below 2^53/p, far beyond any code that fits in memory.
+    """
+    if length * (p - 1) ** 2 + p < _FLOAT32_EXACT / p:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float integers x (exact under _float_dtype's bound)."""
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
 @dataclass
 class ReducedBasis:
-    """A GF(p) row space in reduced echelon form, growable one row at a time."""
+    """A GF(p) row space in reduced echelon form, growable a batch at a time."""
 
     p: int
     length: int
-    rows: np.ndarray = field(default=None)  # (r, length) int64
+    rows: np.ndarray = field(default=None)  # (r, length) floats holding residues
     pivots: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.rows is None:
-            self.rows = np.empty((0, self.length), dtype=np.int64)
+            self.rows = np.empty((0, self.length), dtype=_float_dtype(self.p, self.length))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, batch: np.ndarray) -> np.ndarray:
-        """Residues of the batch modulo the row space, shape preserved."""
-        batch = np.asarray(batch, dtype=np.int64)
-        if self.rank == 0:
-            return batch % self.p
-        coeffs = batch[:, self.pivots]
-        # exact: entries stay far below 2^53, so BLAS on float64 is safe
-        prod = (coeffs.astype(np.float64) @ self.rows.astype(np.float64)).astype(np.int64)
-        return (batch - prod) % self.p
+    def _eliminate(self, x: np.ndarray, pivots: list, rows: np.ndarray) -> np.ndarray:
+        """Subtract from each row of x its coefficients on rows (reduced, pivots given), in place."""
+        if pivots:
+            # exact: |entries| stay below 2^24/p in float32 (2^53/p in float64), see _float_dtype
+            x -= x[:, pivots] @ rows
+        return _mod_p(x, self.p)
 
-    def _insert(self, residue: np.ndarray) -> None:
-        lead = int(np.flatnonzero(residue)[0])
-        inv = pow(int(residue[lead]), -1, self.p)
-        row = residue * inv % self.p
-        if self.rank:
-            self.rows = (self.rows - np.outer(self.rows[:, lead], row)) % self.p
-        self.rows = np.vstack([self.rows, row])
-        self.pivots.append(lead)
+    def reduce(self, batch: np.ndarray) -> np.ndarray:
+        """Residues of a batch of words with entries in [0, p) modulo the row space.
+
+        Shape preserved; the residues are floats of the basis's dtype."""
+        x = np.array(batch, dtype=self.rows.dtype)
+        return self._eliminate(x, self.pivots, self.rows)
+
+    def _echelonize(self, win: np.ndarray) -> tuple[np.ndarray, list]:
+        """Gauss-Jordan on a few residue rows, in place; their nonzero rows and pivots."""
+        p = self.p
+        pivots, keep = [], []
+        for i in range(len(win)):
+            nz = np.flatnonzero(win[i])
+            if not nz.size:
+                continue
+            lead = int(nz[0])
+            row = win[i]
+            row *= pow(int(row[lead]), -1, p)
+            _mod_p(row, p)
+            coeffs = win[:, lead].copy()
+            coeffs[i] = 0
+            win -= np.outer(coeffs, row)
+            _mod_p(win, p)
+            pivots.append(lead)
+            keep.append(i)
+        return win[keep], pivots
 
     def absorb(self, batch: np.ndarray) -> int:
-        """Fold a batch of words into the basis; returns rows added."""
+        """Fold a batch of words with entries in [0, p) into the basis; returns rows added."""
+        before = self.rank
         residue = self.reduce(batch)
-        added = 0
         nz = np.flatnonzero(residue.any(axis=1))
         while nz.size:
-            first = residue[nz[0]]
-            self._insert(first)
-            added += 1
-            rest = residue[nz[1:]]
-            lead = self.pivots[-1]
-            rest = (rest - np.outer(rest[:, lead], self.rows[-1])) % self.p
-            residue = rest
+            new_rows, new_pivots = self._echelonize(residue[nz[:_WINDOW]])
+            # new rows vanish at the old pivots: clearing their pivots from the old rows keeps both reduced
+            self._eliminate(self.rows, new_pivots, new_rows)
+            self.rows = np.vstack([self.rows, new_rows])
+            self.pivots += new_pivots
+            residue = self._eliminate(residue[nz[_WINDOW:]], new_pivots, new_rows)
             nz = np.flatnonzero(residue.any(axis=1))
-        return added
+        return self.rank - before
 
     def contains(self, word: np.ndarray) -> bool:
-        return not self.reduce(np.asarray(word, dtype=np.int64)[None, :]).any()
+        """Is a word with entries in [0, p) in the row space?"""
+        return not self.reduce(np.asarray(word)[None, :]).any()
 
 
-def reduced_basis(gc: GrayCode, chunk_rows: int = 1024) -> ReducedBasis:
-    """Row-reduce the whole word matrix, streaming in chunks."""
+def reduced_basis(gc: GrayCode, chunk_rows: int | None = None) -> ReducedBasis:
+    """Row-reduce the whole word matrix, streaming in chunks of about _CHUNK_BYTES of float rows."""
     basis = ReducedBasis(gc.sig.p, gc.length)
-    m = len(gc)
-    for start in range(0, m, chunk_rows):
+    if chunk_rows is None:
+        chunk_rows = max(1, _CHUNK_BYTES // (gc.length * basis.rows.itemsize))
+    for start in range(0, len(gc), chunk_rows):
         basis.absorb(gc.words[start : start + chunk_rows])
         if basis.rank == gc.length:
             break
@@ -131,7 +182,7 @@ def kernel(gc: GrayCode) -> tuple[int, ReducedBasis]:
         if accepted.contains(x):  # skips 0 and anything already spanned
             continue
         if all(inside.all() for inside in _translates_inside(gc, np.arange(m), x)):
-            accepted.absorb(x.astype(np.int64)[None, :])
+            accepted.absorb(x[None, :])
     return accepted.rank, accepted
 
 

@@ -38,6 +38,13 @@ def test_gray_rejects_out_of_range(capsys):
     assert err.startswith("error:")
 
 
+def test_gray_range_error_comes_from_the_library(capsys):
+    code, out, err = run(capsys, "gray", "--p", "3", "--s", "3", "--value", "27")
+    assert code == 2
+    assert out == ""
+    assert "27 is not a residue mod 27" in err
+
+
 def test_construct_descriptor_and_generator(capsys):
     code, out, _ = run(capsys, "construct", "--p", "3", "--type", "2,1")
     assert code == 0

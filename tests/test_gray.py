@@ -174,6 +174,11 @@ def test_y_matrix_columns_are_base_p_digits(p, s):
         assert col == tuple(c // p**i % p for i in range(s))
 
 
+def test_y_matrix_rejects_s_below_one():
+    with pytest.raises(InputError, match="s must be >= 1"):
+        build_y_matrix(3, 0)
+
+
 def test_phi3_golden_all_rows():
     for u, row in PHI3.items():
         assert tuple(int(v) for v in gray(u, PS)) == row

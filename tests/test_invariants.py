@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ghcodes import invariants
 from ghcodes.classification import is_linear_type
 from ghcodes.construction import build_gray_code, validate_type
 from ghcodes.gray import Permutation
 from ghcodes.invariants import (
     ReducedBasis,
+    _float_dtype,
+    _mod_p,
     invariant_pair,
     is_linear,
     kernel,
@@ -179,3 +182,101 @@ def test_kernel_gathers_rows_in_bounded_steps():
         tracemalloc.stop()
     assert dim == 2
     assert peak <= 16 * 2**20
+
+
+def test_rank_holds_one_chunk_of_float_rows():
+    # rank reduces about 2 MiB of float32 rows at a time, never a copy of the whole
+    # image (6561 x 2187 bytes, 13.7 MiB, as uint8) nor int64 chunks of it
+    gc = gc_for(3, (2, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        r = rank(gc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == 34
+    assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# blocked float elimination against Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def random_gf_matrices(p, rng):
+    """Matrices over GF(p) of every kind the elimination must handle."""
+    n = int(rng.integers(5, 13))
+    low = (rng.integers(0, p, (int(rng.integers(20, 60)), 3)) @ rng.integers(0, p, (3, n))) % p
+    low[rng.integers(0, len(low), 5)] = 0  # zero rows
+    low[::7] = low[1]  # repeated rows
+    unit = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    full = np.vstack([unit, rng.integers(0, p, (n, n))])[rng.permutation(2 * n)]  # full rank
+    wide = rng.integers(0, p, (int(rng.integers(1, n)), n))  # fewer rows than columns
+    return [low, full, wide, np.zeros((9, n), dtype=np.int64)]
+
+
+def assert_reduced_span_of(basis, words, p):
+    piv = basis.pivots
+    assert len(set(piv)) == len(piv)
+    assert np.array_equal(basis.rows[:, piv], np.eye(len(piv)))
+    assert np.array_equal(basis.rows, np.floor(basis.rows)) and basis.rows.min(initial=0) >= 0
+    assert basis.rows.max(initial=0) < p
+    assert all(basis.contains(w) for w in words)
+    assert basis.rank == naive_rank(words, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("window,chunk", [(1, 1), (64, 1000), (3, 7), (5, 13)])
+def test_absorb_matches_gauss_jordan(p, window, chunk, monkeypatch):
+    monkeypatch.setattr(invariants, "_WINDOW", window)
+    rng = np.random.default_rng([p, window, chunk])
+    for words in random_gf_matrices(p, rng):
+        basis = ReducedBasis(p, words.shape[1])
+        added = sum(basis.absorb(words[i : i + chunk].astype(np.uint8)) for i in range(0, len(words), chunk))
+        assert added == basis.rank
+        assert basis.rows.dtype == np.float32
+        assert_reduced_span_of(basis, words, p)
+
+
+@pytest.mark.parametrize("p,ts", [(2, (2, 1)), (3, (2, 1)), (3, (1, 1, 0)), (5, (1, 0)), (7, (1, 0))])
+@pytest.mark.parametrize("window,chunk_rows", [(1, 1), (3, 10), (64, 100)])
+def test_rank_matches_gauss_jordan_across_seams(p, ts, window, chunk_rows, monkeypatch):
+    gc = gc_for(p, ts)
+    monkeypatch.setattr(invariants, "_WINDOW", window)
+    # chunks of chunk_rows float32 rows, which leave a short last chunk here
+    monkeypatch.setattr(invariants, "_CHUNK_BYTES", chunk_rows * gc.length * 4)
+    assert len(gc) % chunk_rows or chunk_rows == 1
+    assert rank(gc) == naive_rank(gc.words, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_float64_elimination_when_float32_is_not_exact(p, monkeypatch):
+    monkeypatch.setattr(invariants, "_FLOAT32_EXACT", 1)
+    monkeypatch.setattr(invariants, "_WINDOW", 4)
+    rng = np.random.default_rng(p)
+    for words in random_gf_matrices(p, rng):
+        basis = ReducedBasis(p, words.shape[1])
+        basis.absorb(words)
+        assert basis.rows.dtype == np.float64
+        assert_reduced_span_of(basis, words, p)
+    gc = gc_for(p, (2, 1) if p < 7 else (1, 0))
+    assert reduced_basis(gc, chunk_rows=11).rows.dtype == np.float64
+    assert rank(gc) == naive_rank(gc.words, p)
+
+
+def test_float_dtype_bound():
+    # length*(p-1)^2 + p < 2^24/p picks float32
+    assert _float_dtype(3, 3**10) == np.float32
+    assert _float_dtype(3, (2**24 // 3 - 3) // 4) == np.float32
+    assert _float_dtype(3, (2**24 // 3 - 3) // 4 + 1) == np.float64
+    assert _float_dtype(7, 70_000) == np.float64
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_floor_modulo_exact_up_to_the_bound(p):
+    top = -(-(2**24) // p) - 1  # largest |x| with |x| < 2^24/p
+    rng = np.random.default_rng(p)
+    x = np.concatenate(
+        [np.arange(top - 5000, top + 1), np.arange(-top, -top + 5000), np.arange(-500, 500), rng.integers(-top, top + 1, 20000)]
+    )
+    assert np.array_equal(_mod_p(x.astype(np.float32), p), x % p)
