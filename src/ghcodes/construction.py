@@ -15,7 +15,8 @@ order over the p-basis (the first basis vector's coefficient varies
 fastest), in blocks of at most 256 KiB.  ``materialize_additive`` copies
 the blocks into one matrix, ``materialize_gray`` Gray-expands each block
 straight into its image and ``gray_chunks`` hands out the Gray words of
-one block at a time.
+one block at a time.  ``RegeneratedGray`` holds no words: it rebuilds the
+word at any odometer row from two span tables of the same basis.
 """
 
 from __future__ import annotations
@@ -189,37 +190,61 @@ def _add_mod(x: np.ndarray, y: np.ndarray, modulus: int, out: np.ndarray) -> Non
     np.minimum(out, out - out.dtype.type(modulus), out=out)
 
 
+def _sum_dtype(sig: TypeSignature) -> np.dtype:
+    """The code's dtype, or twice as wide where the sum of two residues overflows it (243 in uint8)."""
+    dtype = sig.params.dtype()
+    if 2 * (sig.params.modulus - 1) > np.iinfo(dtype).max:
+        dtype = np.dtype(f"uint{16 * dtype.itemsize}")
+    return dtype
+
+
+def _chunk_rows(sig: TypeSignature) -> int:
+    """Words per chunk: as many as fit _CHUNK_BYTES as Gray words or as the np.take index of their residues."""
+    return max(1, _CHUNK_BYTES // (sig.n * max(8, sig.gray_length // sig.n)))
+
+
+def _block_exponent(sig: TypeSignature) -> int:
+    """The a of ``_odometer_blocks``' blocks of p^a words: p^a is the largest power of p up to ``_chunk_rows``."""
+    rows, t = _chunk_rows(sig), sig.t
+    a = 0
+    while a <= t and sig.p ** (a + 1) <= rows:
+        a += 1
+    return a
+
+
+def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
+    """All p^len(rows) words sum_j c_j rows[j] mod p^s, c_j in [0, p), in odometer order.
+
+    The coefficient of rows[0] varies fastest.  Entries are in ``_sum_dtype``.
+    """
+    p, modulus = sig.p, sig.params.modulus
+    table = np.zeros((p ** len(rows), sig.n), dtype=_sum_dtype(sig))
+    filled = 1
+    for row in rows.astype(table.dtype):
+        for k in range(1, p):
+            _add_mod(table[(k - 1) * filled : k * filled], row, modulus, out=table[k * filled : (k + 1) * filled])
+        filled *= p
+    return table
+
+
 def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     """All p^(t+1) codewords in odometer order, as consecutive blocks (first row, block).
 
     Word m is sum_j ((m // p^j) mod p) * basis[j] mod p^s; the first basis
-    vector's coefficient varies fastest.  Every block holds p^a words: a
-    table of the words spanned by basis[:a], built once, plus one offset
-    vector, the word of the high digits over basis[a:].  p^a is the largest
-    power of p whose Gray words, or the np.take index of its residues
-    (8 bytes each), fit _CHUNK_BYTES.  Blocks are in the code's dtype, or
-    twice as wide where the sum of two residues overflows it (243 in
-    uint8).  The yielded block is overwritten by the next one.
+    vector's coefficient varies fastest.  Every block holds p^a words: the
+    span table of basis[:a], built once, plus one offset vector, the word
+    of the high digits over basis[a:], with a from ``_block_exponent``.
+    Blocks are in ``_sum_dtype``.  The yielded block is overwritten by the
+    next one.
     """
     sig = code.sig
-    p, modulus, n = sig.p, sig.params.modulus, sig.n
-    dtype = sig.params.dtype()
-    if 2 * (modulus - 1) > np.iinfo(dtype).max:
-        dtype = np.dtype(f"uint{16 * dtype.itemsize}")
-    rows = max(1, _CHUNK_BYTES // (n * max(8, sig.gray_length // n)))
-    a = 0
-    while a <= sig.t and p ** (a + 1) <= rows:
-        a += 1
-    low = np.zeros((p**a, n), dtype=dtype)
-    filled = 1
-    for row in code.basis[:a].astype(dtype):
-        for k in range(1, p):
-            _add_mod(low[(k - 1) * filled : k * filled], row, modulus, out=low[k * filled : (k + 1) * filled])
-        filled *= p
+    p, modulus = sig.p, sig.params.modulus
+    a = _block_exponent(sig)
+    low = _span_table(sig, code.basis[:a])
     high = code.basis[a:].astype(np.int64)
     # the step to the next block adds high[j] and takes the p - 1 of each lower high digit off
-    steps = ((high - (p - 1) * (np.cumsum(high, axis=0) - high)) % modulus).astype(dtype)
-    offset = np.zeros(n, dtype=dtype)
+    steps = ((high - (p - 1) * (np.cumsum(high, axis=0) - high)) % modulus).astype(low.dtype)
+    offset = np.zeros(sig.n, dtype=low.dtype)
     block = np.empty_like(low)
     for h in range(p ** len(high)):
         if h:
@@ -250,14 +275,55 @@ def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_
 _LOOKUP_BYTES = 2**22  # rows gathered per step by GrayCode.locate and the kernel's translate checks
 
 
+def _decode_plan(sig: TypeSignature) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(pinned coordinates, divisors, weights) that read a Gray word's odometer row.
+
+    Additive coordinate 0 is e_1, and a generator row of order p^sigma
+    appended at width w is the only row besides the all-ones row that is
+    nonzero at coordinate w, where it is p^(s - sigma).  So row r of order
+    p^sigma reads ((c_w - c_0) mod p^s) // p^(s - sigma) at its coordinate
+    w, weighted by p^s w; row 0 reads c_0, weight 1.
+    """
+    orders = np.array(row_orders(sig), dtype=np.int64)
+    widths = np.cumprod(orders[1:]) // orders[1:]  # w_r: the product of the orders before row r
+    modulus = sig.params.modulus
+    return np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths]
+
+
+def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step: int) -> np.ndarray:
+    """For each row, the odometer index of the equal word of the code, or -1 if it is none.
+
+    Each query is decoded to its odometer row m by ``plan`` (see
+    ``_decode_plan``); it is a hit when m < ``held`` and the query equals
+    ``held_at(m)``, the word there.  Queries run ``step`` rows at a time.
+    """
+    rows = np.asarray(rows)
+    out = np.full(rows.shape[0], -1, dtype=np.int64)
+    if rows.shape[1] != sig.gray_length or not held:
+        return out
+    coords, divisors, weights = plan
+    for start in range(0, rows.shape[0], step):
+        chunk = np.asarray(rows[start : start + step], dtype=np.uint8)
+        res = _block_residues(sig.params, chunk, coords)
+        res[:, 1:] -= res[:, :1]
+        cand = (res % sig.params.modulus // divisors) @ weights
+        inside = cand < held
+        hit = inside & (held_at(np.where(inside, cand, 0)) == chunk).all(axis=1)
+        out[start : start + step] = np.where(hit, cand, -1)
+    return out
+
+
+def _each_once(hits: np.ndarray, size: int) -> bool:
+    """Do the located indices ``hits`` hit every one of ``size`` words exactly once?"""
+    return len(hits) == size and bool((hits >= 0).all() and (np.bincount(hits, minlength=size) == 1).all())
+
+
 @dataclass
 class GrayCode:
     """The Gray image of a type's code: one uint8 row per word, in odometer order.
 
-    Membership is algebraic.  Additive coordinate 0 is e_1, and a generator
-    row of order p^sigma appended at width w is the only row besides the
-    all-ones row that is nonzero at coordinate w, where it is p^(s - sigma).
-    The residues there give a word's odometer row, and the word is a member
+    Membership is algebraic: the residues at the pinned coordinates of
+    ``_decode_plan`` give a word's odometer row, and the word is a member
     when it equals the row held there.  The rows may be a prefix of the
     image or altered copies (as in tests of the GH check); a row held out of
     its odometer place is never found.
@@ -278,16 +344,9 @@ class GrayCode:
         return self.words.shape[0]
 
     def index(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The decode plan, built on first use: (pinned coordinates, divisors, weights).
-
-        Row r of order p^sigma reads ((c_w - c_0) mod p^s) // p^(s - sigma)
-        at its coordinate w, weighted by p^s w; row 0 reads c_0, weight 1.
-        """
+        """The decode plan of ``_decode_plan``, built on first use."""
         if self._plan is None:
-            orders = np.array(row_orders(self.sig), dtype=np.int64)
-            widths = np.cumprod(orders[1:]) // orders[1:]  # w_r: the product of the orders before row r
-            modulus = self.sig.params.modulus
-            self._plan = (np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths])
+            self._plan = _decode_plan(self.sig)
         return self._plan
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
@@ -297,21 +356,8 @@ class GrayCode:
         held row there.  Queries run in steps of at most 4 MiB, so no
         temporary grows with the code.
         """
-        rows = np.asarray(rows)
-        out = np.full(rows.shape[0], -1, dtype=np.int64)
-        if rows.shape[1] != self.length or not len(self):
-            return out
-        coords, divisors, weights = self.index()
-        step = max(1, _LOOKUP_BYTES // self.length)
-        for start in range(0, rows.shape[0], step):
-            chunk = np.asarray(rows[start : start + step], dtype=np.uint8)
-            res = _block_residues(self.sig.params, chunk, coords)
-            res[:, 1:] -= res[:, :1]
-            cand = (res % self.sig.params.modulus // divisors) @ weights
-            held = cand < len(self)
-            hit = held & (self.words[np.where(held, cand, 0)] == chunk).all(axis=1)
-            out[start : start + step] = np.where(hit, cand, -1)
-        return out
+        step = max(1, _LOOKUP_BYTES // self.sig.gray_length)
+        return _locate(self.sig, self.index(), rows, len(self), self.words.__getitem__, step)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact membership of each row."""
@@ -322,7 +368,7 @@ class GrayCode:
 
     def same_multiset(self, hits: np.ndarray) -> bool:
         """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
-        return len(hits) == len(self) and bool((hits >= 0).all() and (np.bincount(hits, minlength=len(self)) == 1).all())
+        return _each_once(hits, len(self))
 
     def set_equal(self, rows: np.ndarray) -> bool:
         """Are the rows these words in some order? Exact."""
@@ -359,6 +405,58 @@ def gray_chunks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     """
     for start, block in _odometer_blocks(code):
         yield start, gray_matrix(code.sig.params, block)
+
+
+class RegeneratedGray:
+    """A code's Gray image that holds no words: it rebuilds the word at any odometer row.
+
+    The t+1 p-basis rows split into a low part of a = ceil((t+1)/2) rows and
+    a high part of the rest, whose span tables ``low`` (p^a words) and
+    ``high`` (p^(t+1-a) words) are all that is held.  Word m is
+    Phi((low[m mod p^a] + high[m div p^a]) mod p^s).  ``locate`` decodes
+    each query's odometer row as ``GrayCode.locate`` does and compares the
+    query with the word rebuilt there.
+    """
+
+    def __init__(self, code: AdditiveCode):
+        sig = code.sig
+        a = self._low_rows(sig)
+        self.sig = sig
+        self.plan = _decode_plan(sig)
+        self.split = sig.p**a
+        self.low = _span_table(sig, code.basis[:a])
+        self.high = _span_table(sig, code.basis[a:])
+
+    @staticmethod
+    def _low_rows(sig: TypeSignature) -> int:
+        return (sig.t + 2) // 2  # ceil((t+1)/2)
+
+    @classmethod
+    def table_bytes(cls, sig: TypeSignature) -> int:
+        """Bytes of the two span tables held for the type."""
+        a = cls._low_rows(sig)
+        return (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * _sum_dtype(sig).itemsize
+
+    def __len__(self) -> int:
+        return self.sig.size
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The Gray words at odometer rows ``idx`` (each in [0, p^(t+1)))."""
+        words = self.low[idx % self.split]
+        _add_mod(words, self.high[idx // self.split], self.sig.params.modulus, out=words)
+        return gray_matrix(self.sig.params, words)
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """For each row, the index of the equal word of the code, or -1 if it is none.
+
+        Queries run ``_chunk_rows`` at a time, so a rebuilt batch is never
+        larger than a block of the code's odometer stream may be.
+        """
+        return _locate(self.sig, self.plan, rows, len(self), self.rows, _chunk_rows(self.sig))
+
+    def same_multiset(self, hits: np.ndarray) -> bool:
+        """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
+        return _each_once(hits, len(self))
 
 
 # ---------------------------------------------------------------------------

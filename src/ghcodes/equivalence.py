@@ -9,13 +9,16 @@ built from gamma and rho.  Composing those step permutations between two
 positions of one chain yields a monomial-free equivalence witness that
 maps one Gray image exactly onto the other.
 
-That claim is checked in one streamed pass: the lower member's Gray image
-is materialized, while the higher member is generated from its basis
-coefficients.  Block by block its words are Gray-expanded, mapped by the
-witness (a column gather) and located in the lower image by decoding their
-pinned coordinates; the located indices must hit every word of the lower
-image exactly once.  Neither the higher image, nor its permuted copy, nor an
-additive matrix of either member is ever allocated whole.
+That claim is checked in one streamed pass that holds neither Gray image.
+The higher member is generated from its basis coefficients; block by block
+its words are Gray-expanded and mapped by the witness (a column gather).
+Each mapped word is decoded to a row of the lower member's odometer order
+through its pinned coordinates, and the lower member's word at that row is
+rebuilt from two span tables of its basis (``RegeneratedGray``) and
+compared with it.  The located rows must hit every word of the lower
+member exactly once.  No image, permuted copy or additive matrix of either
+member is ever allocated whole; ``set_check_bytes`` counts what the pass
+allocates.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -35,10 +38,12 @@ import numpy as np
 from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
+    RegeneratedGray,
     TypeSignature,
+    _block_exponent,
+    _chunk_rows,
+    _sum_dtype,
     gray_chunks,
-    materialization_bytes,
-    materialize_gray,
     validate_type,
 )
 from .errors import CapacityError, InputError, NoSecondRow
@@ -135,6 +140,31 @@ def _chain_steps(rep: TypeSignature, lo: int, hi: int, t: int) -> list[Permutati
     return out
 
 
+def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
+    """Bytes the streamed set-equality check of ``verify_equivalence`` allocates.
+
+    It counts, all as held at once: the witness while it is composed (its
+    step permutations, the running product, the next product with its
+    validated copy and bincount, 8 bytes a coordinate each) and its inverse
+    image; the two span tables of the lower member; one block of the
+    higher member's odometer stream (its low table, the block, the np.take
+    index and Gray words of the block, and the witness's mapped copy); one
+    ``locate`` step on the lower member (the residues read at its pinned
+    coordinates, the two gathered table rows, the np.take index, the
+    rebuilt Gray words and their comparison); and the located indices of
+    every word.  The phi tables of both rings are cached per process and
+    taken as built.
+    """
+    length = lower.gray_length
+    steps = chain_of(higher).position - chain_of(lower).position
+    witness = 8 * length * (steps + 5)
+    rows = higher.p ** _block_exponent(higher)
+    block = rows * (higher.n * (2 * _sum_dtype(higher).itemsize + 8) + 2 * length + 8)
+    step = min(rows, _chunk_rows(lower))
+    lookup = step * (3 * 8 * lower.num_rows * lower.s + lower.n * (2 * _sum_dtype(lower).itemsize + 8) + 2 * length)
+    return witness + RegeneratedGray.table_bytes(lower) + block + lookup + 8 * lower.size
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     verdict: str  # "PASS" | "FAIL"
@@ -163,10 +193,11 @@ def verify_equivalence(
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
 
-    The check holds the lower image and streams the higher member's
-    words through the witness in blocks of at most 256 KiB (see the
-    module docstring).  Its cost is still estimated as both
-    ``materialization_bytes`` summed, which overstates what it holds.
+    The check streams the higher member's words through the witness in
+    blocks of at most 256 KiB and rebuilds each lower word it is compared
+    with, so it holds neither Gray image (see the module docstring).  Its
+    cost is ``set_check_bytes``: the witness, the lower member's two span
+    tables, one block's buffers and the located indices.
     """
     if sig_a.p != sig_b.p:
         raise InputError("types live over different primes")
@@ -192,17 +223,16 @@ def verify_equivalence(
     witness: Permutation | None = None
     length = sig_a.gray_length
     if 8 * length <= budget_bytes:
-        steps = _chain_steps(rep, lo, hi, t)
-        witness = reduce(Permutation.compose, steps, identity_permutation(length))
+        witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
 
     want_sets = check_sets is not False
-    cost = materialization_bytes(lower_sig) + materialization_bytes(higher_sig)
+    cost = set_check_bytes(lower_sig, higher_sig)
     if want_sets and witness is not None and cost <= budget_bytes:
-        gc_lo = materialize_gray(AdditiveCode.build(lower_sig), budget_bytes)
+        lower = RegeneratedGray(AdditiveCode.build(lower_sig))
         hits = np.empty(higher_sig.size, dtype=np.int64)
         for start, words in gray_chunks(AdditiveCode.build(higher_sig)):
-            hits[start : start + len(words)] = gc_lo.locate(witness(words))
-        if not gc_lo.same_multiset(hits):
+            hits[start : start + len(words)] = lower.locate(witness(words))
+        if not lower.same_multiset(hits):
             # the chain theory guarantees equality; reaching here means a bug
             return EquivalenceReport(
                 "FAIL", rep.ts, positions, witness, "set-equality", "composed witness failed set equality"

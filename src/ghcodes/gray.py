@@ -126,7 +126,7 @@ class Permutation:
 
     def one_based(self) -> tuple[int, ...]:
         """One-line image with 1-based coordinates, for display and JSON."""
-        return tuple(int(v) + 1 for v in self.image)
+        return tuple((self.image + 1).tolist())
 
     @classmethod
     def from_one_based(cls, image: "list[int] | tuple[int, ...]") -> "Permutation":

@@ -1,6 +1,7 @@
 """Chain algebra and the explicit permutation witnesses between Gray images."""
 
 import importlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from ghcodes.construction import (
 from ghcodes.equivalence import (
     chain_members,
     chain_of,
+    set_check_bytes,
     sigma,
     step_permutation,
     verify_equivalence,
@@ -333,18 +335,47 @@ def test_repeated_word_in_higher_member_fails_set_equality(monkeypatch):
     assert report.detail == "composed witness failed set equality"
 
 
-def test_streamed_check_never_holds_the_higher_image():
-    # only the lower Gray image is held, no additive matrix of either member:
-    # at t = 6 each image is 2187 x 729 bytes, at t = 7 6561 x 2187 bytes
+def _check_peak(lo, hi):
+    """The verdict and tracemalloc peak of a warm set-equality check."""
+    verify_equivalence(lo, hi, check_sets=True)  # fill the phi tables first
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(lo, hi, check_sets=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_streamed_check_holds_neither_image():
+    # no Gray image and no additive matrix of either member: at t = 6 each
+    # image is 2187 x 729 bytes (1.5 MiB), at t = 7 6561 x 2187 bytes (13.7 MiB)
     for lo in (sig(3, (3, 1)), sig(3, (3, 2))):
         hi = chain_members(lo).members[-1]
-        verify_equivalence(lo, hi, check_sets=True)  # fill the phi tables first
-        tracemalloc.start()
-        try:
-            report = verify_equivalence(lo, hi, check_sets=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = _check_peak(lo, hi)
         assert report.passed and report.mode == "set-equality"
-        held = construction.gray_bytes(lo)
-        assert peak <= held + 2 * 2**20, (lo.ts, peak, held)
+        assert peak <= 4 * 2**20, (lo.ts, peak)
+
+
+@pytest.mark.parametrize("rep", [(3, 1), (2, 3), (2, 0, 1), (3, 2), (2, 4), (2, 0, 2)])
+def test_set_check_estimate_bounds_its_peak(rep):
+    # every pair of the chain at p = 3, t = 6 and 7: the estimate holds the
+    # peak and is within 4x of it
+    members = chain_members(sig(3, rep)).members
+    assert members[0].t in (6, 7) and len(members) > 1
+    for i, lo in enumerate(members):
+        for hi in members[i + 1 :]:
+            report, peak = _check_peak(lo, hi)
+            assert report.mode == "set-equality"
+            estimate = set_check_bytes(lo, hi)
+            assert peak <= estimate <= 4 * peak, (lo.ts, hi.ts, peak, estimate)
+
+
+@pytest.mark.slow
+def test_t9_chain_pair_passes_set_equality_under_the_default_budget(capsys):
+    from ghcodes import cli
+
+    status = cli.main(["equiv-check", "--p", "3", "--type-a", "3,4", "--type-b", "1,0,0,0,2,0", "--sets", "always"])
+    doc = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert (doc["verdict"], doc["mode"], doc["positions"]) == ("PASS", "set-equality", [1, 5])

@@ -6,6 +6,12 @@ It is tested against ``SortedKeyCode``, the sorted byte-key index kept in
 with members, corruptions, words of other types, constant words, blocks
 with no Gray preimage and words of the wrong length as queries.
 
+``RegeneratedGray``, which holds no words and rebuilds the word at each
+decoded row from two span tables, is checked against ``GrayCode.locate``
+on the full image, with the same kinds of queries, over moduli whose sums
+widen the dtype (243) or fill it (256, 512), and with chunks of one word
+and of a few.
+
 ``SortedKeyCode`` itself is checked against a Python set (or, for set
 equality, a multiset) of ``row.tobytes()``, on a random subset of a small
 Gray image, optionally column-permuted and optionally with one word
@@ -13,6 +19,7 @@ repeated, so the smallest and largest keys vary and queries can fall
 outside the key range.
 """
 
+import importlib
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -23,13 +30,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcodes.classification import enumerate_types
-from ghcodes.construction import GrayCode, build_gray_code, validate_type
+from ghcodes.construction import (
+    AdditiveCode,
+    GrayCode,
+    RegeneratedGray,
+    build_gray_code,
+    materialize_gray,
+    validate_type,
+)
 from ghcodes.gray import phi_table
 from ghcodes.ring import RingParams
 
 from goldens import PHI3
 from sorted_key_code import SortedKeyCode
 from test_construction import small_types
+
+construction = importlib.import_module("ghcodes.construction")
 
 TYPES = [(2, (1, 1)), (2, (2, 1)), (2, (1, 1, 0)), (3, (1, 1)), (3, (2, 0)), (3, (1, 0, 1)), (5, (1, 0)), (5, (1, 1))]
 
@@ -170,18 +186,14 @@ def no_preimage_block(p, s):
     return next((b for b in blocks if b.tobytes() not in images), None)
 
 
-@st.composite
-def decode_cases(draw):
-    """A full Gray image in odometer order, possibly cut short, with a mixed batch of queries."""
-    p, t = draw(st.sampled_from(LENGTHS))
-    ts, other = draw(st.permutations(types_of(p, t)))[:2]
-    full, foreign = full_code(p, ts), full_code(p, other)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, n = full.words.shape
+def mixed_queries(full, other, rng):
+    """Members in random order, their one-symbol corruptions, words of another
+    type, constant words and members with a block that has no phi-preimage."""
+    p, (m, n) = full.sig.p, full.words.shape
     members = full.words[rng.permutation(m)]
-    corrupted = corrupt_one_symbol(members[:20], p, rng)
     constants = np.repeat(np.arange(p, dtype=np.uint8)[:, None], n, axis=1)
-    queries = [members, corrupted, foreign.words[rng.integers(0, m, size=20)], constants]
+    foreign = other.words[rng.integers(0, len(other), size=20)]
+    queries = [members, corrupt_one_symbol(members[:20], p, rng), foreign, constants]
     block = no_preimage_block(p, full.sig.s)
     if block is not None:
         unmapped = members[:10].copy()
@@ -189,8 +201,18 @@ def decode_cases(draw):
         for row, start in zip(unmapped, starts):
             row[start : start + block.size] = block
         queries.append(unmapped)
-    held = draw(st.integers(1, m))
-    return GrayCode(full.sig, full.words[:held]), SortedKeyCode(full.sig, full.words[:held]), np.vstack(queries)
+    return np.vstack(queries)
+
+
+@st.composite
+def decode_cases(draw):
+    """A full Gray image in odometer order, possibly cut short, with a mixed batch of queries."""
+    p, t = draw(st.sampled_from(LENGTHS))
+    ts, other = draw(st.permutations(types_of(p, t)))[:2]
+    full = full_code(p, ts)
+    queries = mixed_queries(full, full_code(p, other), np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    held = draw(st.integers(1, len(full)))
+    return GrayCode(full.sig, full.words[:held]), SortedKeyCode(full.sig, full.words[:held]), queries
 
 
 @settings(max_examples=120, deadline=None)
@@ -224,3 +246,54 @@ def test_row_out_of_its_odometer_place_is_not_found():
 def test_locate_finds_every_word_at_its_odometer_index(p, ts):
     gc = full_code(p, ts)
     assert np.array_equal(gc.locate(gc.words), np.arange(len(gc)))
+
+
+# ---------------------------------------------------------------------------
+# the regenerating lookup against the held image
+# ---------------------------------------------------------------------------
+
+# beside the (p, t) of the decode cases, one type per modulus 243 (its sums
+# widen uint8 to uint16), 256 (fills uint8) and 512 (uint16)
+WIDE = [(3, (1, 0, 0, 0, 1)), (2, (1, 0, 0, 0, 0, 0, 0, 1)), (2, (1, 0, 0, 0, 0, 0, 0, 0, 0))]
+
+
+@st.composite
+def regenerated_cases(draw):
+    """A full Gray image, a mixed batch of queries and a chunk size in bytes."""
+    if draw(st.booleans()):
+        p, ts = draw(st.sampled_from(WIDE))
+        t = validate_type(p, ts).t
+        other = draw(st.sampled_from([o for o in types_of(p, t) if o != ts]))
+    else:
+        p, t = draw(st.sampled_from(LENGTHS))
+        ts, other = draw(st.permutations(types_of(p, t)))[:2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = full_code(p, ts)
+    return full, mixed_queries(full, full_code(p, other), rng), draw(st.sampled_from([1, 2**12]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(regenerated_cases())
+def test_regenerated_locate_agrees_with_held_image(case):
+    full, queries, chunk_bytes = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
+        regen = RegeneratedGray(AdditiveCode.build(full.sig))
+        got = regen.locate(queries)
+        assert np.array_equal(got, full.locate(queries))
+        assert regen.same_multiset(regen.locate(full.words[::-1]))
+        repeated = full.words.copy()
+        repeated[0] = repeated[-1]
+        assert not regen.same_multiset(regen.locate(repeated))
+        for wrong in (queries[:, :-1], np.hstack([queries, queries[:, :1]])):
+            assert (regen.locate(wrong) == -1).all()
+
+
+@pytest.mark.parametrize("p,ts", [(2, (2, 3)), (3, (2, 2)), (3, (1, 0, 1, 0)), (5, (1, 1)), *WIDE])
+def test_regenerated_rows_equal_the_held_image(p, ts):
+    code = AdditiveCode.build(validate_type(p, ts))
+    words = materialize_gray(code).words
+    idx = np.random.default_rng(sum(ts) * p).integers(0, len(words), size=300)
+    regen = RegeneratedGray(code)
+    assert np.array_equal(regen.rows(idx), words[idx])
+    assert np.array_equal(regen.rows(np.arange(len(words))), words)
