@@ -3,9 +3,10 @@
 
 Prints `ghcodes classify --format table` (with (r,k) per class) for each t
 in the range, each followed by its wall time, so a long run shows
-progress; then `ghcodes isolated` up to t_max.  t = 8 for p = 3 takes a few
-minutes; t >= 9 representatives that exceed the byte budget are marked
-skipped rather than attempted.
+progress; then `ghcodes isolated` up to t_max.  For p = 3, t = 8 takes about
+a minute and t = 9 about two, holding one 1.08 GiB image at a time under the
+default budget; t >= 10 representatives exceed it and are marked skipped
+rather than attempted.
 
     python3 scripts/reproduce_tables.py --p 3 --t-min 4 --t-max 7
     python3 scripts/reproduce_tables.py --p 3 --t-min 8 --t-max 8 --threads 2

@@ -12,8 +12,9 @@ silently adopting either side.
 
 The census walks every type of one length, locates it in its chain,
 marks the linear ones (a single equivalence class per length) and can
-attach (rank, kernel) pairs computed from materialized codes when they
-fit the memory budget.
+attach (rank, kernel) pairs computed from the Gray image of each class's
+representative.  A representative whose image is over the memory budget
+(``CapacityError``) is marked skipped; worker threads share the budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .construction import (
     materialize_gray,
     validate_type,
 )
-from .errors import InputError, NoSecondRow
+from .errors import CapacityError, InputError, NoSecondRow
 from .equivalence import chain_of
 from .invariants import invariant_pair
 from .ring import RingParams
@@ -164,11 +165,12 @@ def _locate(p: int, ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, 
     return rep.ts, cp.position, rep.ts[-1] + 1
 
 
-def _invariants_for_rep(p: int, rep: tuple[int, ...], t: int, budget_bytes: int):
-    sig = validate_type(p, rep)
-    if materialization_bytes(sig) > budget_bytes:
+def _invariants_for_rep(p: int, rep: tuple[int, ...], budget_bytes: int) -> "tuple[int, int] | None":
+    """(rank, kernel dimension) of the representative, or None where its image is over the budget."""
+    try:
+        gc = materialize_gray(AdditiveCode.build(validate_type(p, rep)), budget_bytes)
+    except CapacityError:
         return None
-    gc = materialize_gray(AdditiveCode.build(sig), budget_bytes)
     return invariant_pair(gc)
 
 
@@ -201,35 +203,23 @@ def census(
     nonlinear_reps = sorted({rep for _, _, rep, _, _, lin in located if not lin})
 
     results: dict[tuple[int, ...], "tuple[int, int] | None"] = {}
-    if with_invariants:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for rep, pair in zip(
-                    nonlinear_reps,
-                    pool.map(lambda r: _invariants_for_rep(p, r, t, budget_bytes), nonlinear_reps),
-                ):
-                    results[rep] = pair
+    if with_invariants and nonlinear_reps:
+        # each worker holds one image at a time, so budget // need of them fit the budget together
+        need = max(materialization_bytes(validate_type(p, rep)) for rep in nonlinear_reps)
+        workers = max(1, min(threads, budget_bytes // need))
+        run = lambda rep: _invariants_for_rep(p, rep, budget_bytes)
+        if workers == 1:  # in this thread: a worker thread's own malloc arena adds about 8 MB of RSS
+            results = dict(zip(nonlinear_reps, map(run, nonlinear_reps)))
         else:
-            for rep in nonlinear_reps:
-                results[rep] = _invariants_for_rep(p, rep, t, budget_bytes)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = dict(zip(nonlinear_reps, pool.map(run, nonlinear_reps)))
 
     rows = []
-    skipped_reps = []
     for ts, lvl, rep, pos, clen, lin in located:
-        r = k = None
-        skipped = False
-        if with_invariants:
-            if lin:
-                r = k = t + 1
-            else:
-                pair = results.get(rep)
-                if pair is None:
-                    skipped = True
-                else:
-                    r, k = pair
-        rows.append(CensusRow(p, t, lvl, ts, rep, pos, clen, lin, r, k, skipped))
-    if with_invariants:
-        skipped_reps = [rep for rep in nonlinear_reps if results.get(rep) is None]
+        pair = (t + 1, t + 1) if lin else results.get(rep)
+        r, k = pair if with_invariants and pair else (None, None)
+        rows.append(CensusRow(p, t, lvl, ts, rep, pos, clen, lin, r, k, with_invariants and pair is None))
+    skipped_reps = [rep for rep in nonlinear_reps if with_invariants and results.get(rep) is None]
 
     rows.sort(key=lambda row: (row.s, row.ts))
     return Census(p, t, tuple(rows), len(class_ids), tuple(skipped_reps))
@@ -375,6 +365,8 @@ def bounds_report(
                 ("types_all_s", row.types_all_s, _REPORTED_P3["all_s"].get(t)),
                 ("classes_all_s", row.classes_all_s, _REPORTED_P3["all_s"].get(t)),
             ]
+            if lower is not None and not partial:
+                checks.append(("lower_rk", lower, _REPORTED_P3["lower_rk"].get(t)))
             for name, got, want in checks:
                 if want is not None and got != want:
                     discrepancies.append(

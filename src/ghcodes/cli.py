@@ -45,7 +45,10 @@ from .construction import (
     GH_SAMPLE_SEED,
     AdditiveCode,
     TypeSignature,
+    _check_budget,
+    additive_bytes,
     is_gh_code,
+    materialization_bytes,
     materialize_additive,
     materialize_gray,
     min_distance,
@@ -178,10 +181,15 @@ def cmd_construct(args: argparse.Namespace) -> Result:
     code = AdditiveCode.build(sig)
     if args.codewords is None:
         rows = code.generator
-    elif args.codewords == "additive":
-        rows = materialize_additive(code, args.budget_bytes)
-    else:  # gray
-        rows = materialize_gray(code, args.budget_bytes).words
+    else:
+        additive = args.codewords == "additive"
+        width, top = (sig.n, sig.params.modulus - 1) if additive else (sig.gray_length, sig.p - 1)
+        # a line is its symbols, each with a space or newline, plus 64 bytes of str header and list slot; the
+        # text is held three times over: as lines, joined, and joined with its last newline (or encoded)
+        text = sig.size * (width * (len(str(top)) + 1) + 64)
+        held = additive_bytes(sig) if additive else materialization_bytes(sig)
+        _check_budget(f"codeword dump of type {sig.ts}", held + 3 * text, args.budget_bytes)
+        rows = materialize_additive(code, args.budget_bytes) if additive else materialize_gray(code, args.budget_bytes).words
     descriptor = {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
     return Result([_json(descriptor), *_words(rows)])
 

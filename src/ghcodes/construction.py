@@ -148,34 +148,46 @@ class AdditiveCode:
 
 
 def additive_bytes(sig: TypeSignature) -> int:
-    return sig.size * sig.n * sig.params.dtype().itemsize
+    """Bytes ``materialize_additive`` holds: the matrix, and the low table and block of its stream."""
+    block = sig.p ** _block_exponent(sig) * sig.n * _sum_dtype(sig).itemsize
+    return sig.size * sig.n * sig.params.dtype().itemsize + 2 * block
 
 
 def gray_bytes(sig: TypeSignature) -> int:
     return sig.size * sig.gray_length
 
 
-def materialization_bytes(sig: TypeSignature) -> int:
-    """Peak-memory estimate for building and analysing the Gray image.
-
-    Four Gray matrices plus the additive matrix.  Only one Gray matrix is
-    held: rank reduces about 2 MiB of float rows at a time and the kernel
-    gathers at most 4 MiB of rows per step.  The rest is the margin that
-    every ``CapacityError`` decision has been made with, kept until
-    per-stage estimates replace this one.
-    """
-    return additive_bytes(sig) + 4 * gray_bytes(sig)
+def phi_bytes(params: RingParams) -> int:
+    """Bytes of the ring's phi table: p^s rows of p^(s-1) symbols."""
+    return params.modulus * params.modulus // params.p
 
 
-def _check_budget(sig: TypeSignature, budget_bytes: int) -> None:
-    need = materialization_bytes(sig)
+def _check_budget(what: str, need: int, budget_bytes: int) -> None:
+    """The one budget check: ``need`` is what ``what`` holds at once above the interpreter's baseline."""
     if need > budget_bytes:
-        raise CapacityError(
-            f"type {sig.ts} over Z_{sig.p}^{sig.s} needs ~{need} bytes "
-            f"(budget {budget_bytes})",
-            required_bytes=need,
-            budget_bytes=budget_bytes,
-        )
+        raise CapacityError(f"{what} needs ~{need} bytes (budget {budget_bytes})", need, budget_bytes)
+
+
+_RANK_CHUNK_BYTES = 2**21  # float rows per chunk of invariants.reduced_basis
+_BASIS_BYTES = 2**23  # reduced basis budgeted for: rank 96 at length 3^9 (p = 3, t = 9) is 7.2 MiB of float32
+
+
+def materialization_bytes(sig: TypeSignature) -> int:
+    """Bytes held to build and analyse the Gray image: the image, its ring's
+    phi table and the working set of the largest stage that reads the image.
+
+    Rank holds the basis (up to ``_BASIS_BYTES``) and its grown copy, and
+    five float chunks (the chunk, its pivot coefficients, their product,
+    the floor quotient, the echelonized window).  The kernel holds four
+    lookup steps (the translates, the words located for them, their
+    comparison, the decode arrays) and three 8-byte indices of every word.
+    The pair scans of ``is_gh_code`` and ``min_distance`` hold four
+    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  Each is above
+    the three ``_CHUNK_BYTES`` of the stream that builds the image.
+    """
+    rank = 2 * _BASIS_BYTES + 5 * _RANK_CHUNK_BYTES
+    kernel = 4 * _LOOKUP_BYTES + 3 * 8 * sig.size
+    return gray_bytes(sig) + phi_bytes(sig.params) + max(rank, kernel, 5 * _PAIR_BLOCK_BYTES)
 
 
 _CHUNK_BYTES = 2**18  # largest array made per block of _odometer_blocks and its consumers
@@ -259,13 +271,7 @@ def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
 def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
     """All codewords as one (p^(t+1), n) matrix, odometer row order."""
     sig = code.sig
-    need = additive_bytes(sig)
-    if need > budget_bytes:
-        raise CapacityError(
-            f"additive matrix for type {sig.ts} needs {need} bytes (budget {budget_bytes})",
-            required_bytes=need,
-            budget_bytes=budget_bytes,
-        )
+    _check_budget(f"additive matrix for type {sig.ts}", additive_bytes(sig), budget_bytes)
     out = np.empty((sig.size, sig.n), dtype=sig.params.dtype())
     for start, block in _odometer_blocks(code):
         out[start : start + len(block)] = block
@@ -311,11 +317,6 @@ def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step
         hit = inside & (held_at(np.where(inside, cand, 0)) == chunk).all(axis=1)
         out[start : start + step] = np.where(hit, cand, -1)
     return out
-
-
-def _each_once(hits: np.ndarray, size: int) -> bool:
-    """Do the located indices ``hits`` hit every one of ``size`` words exactly once?"""
-    return len(hits) == size and bool((hits >= 0).all() and (np.bincount(hits, minlength=size) == 1).all())
 
 
 @dataclass
@@ -366,15 +367,6 @@ class GrayCode:
     def contains_row(self, row: np.ndarray) -> bool:
         return bool(self.contains_rows(np.asarray(row, dtype=np.uint8)[None, :])[0])
 
-    def same_multiset(self, hits: np.ndarray) -> bool:
-        """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
-        return _each_once(hits, len(self))
-
-    def set_equal(self, rows: np.ndarray) -> bool:
-        """Are the rows these words in some order? Exact."""
-        rows = np.asarray(rows)
-        return rows.shape == self.words.shape and self.same_multiset(self.locate(rows))
-
 
 def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
     """Gray-expand every codeword into a (p^(t+1), p^t) uint8 matrix.
@@ -383,7 +375,7 @@ def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTE
     additive matrix is held.
     """
     sig = code.sig
-    _check_budget(sig, budget_bytes)
+    _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", materialization_bytes(sig), budget_bytes)
     table = phi_table(sig.params)
     words = np.empty((sig.size, sig.gray_length), dtype=np.uint8)
     for start, block in _odometer_blocks(code):
@@ -456,7 +448,8 @@ class RegeneratedGray:
 
     def same_multiset(self, hits: np.ndarray) -> bool:
         """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
-        return _each_once(hits, len(self))
+        size = len(self)
+        return len(hits) == size and bool((hits >= 0).all() and (np.bincount(hits, minlength=size) == 1).all())
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,14 @@ from .construction import (
     RegeneratedGray,
     TypeSignature,
     _block_exponent,
+    _check_budget,
     _chunk_rows,
     _sum_dtype,
     gray_chunks,
+    phi_bytes,
     validate_type,
 )
-from .errors import CapacityError, InputError, NoSecondRow
+from .errors import InputError, NoSecondRow
 from .gray import Permutation, block_lift, gamma_extended, identity_permutation, rho
 
 
@@ -151,9 +153,8 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     index and Gray words of the block, and the witness's mapped copy); one
     ``locate`` step on the lower member (the residues read at its pinned
     coordinates, the two gathered table rows, the np.take index, the
-    rebuilt Gray words and their comparison); and the located indices of
-    every word.  The phi tables of both rings are cached per process and
-    taken as built.
+    rebuilt Gray words and their comparison); the located indices of
+    every word; and the phi tables of both rings.
     """
     length = lower.gray_length
     steps = chain_of(higher).position - chain_of(lower).position
@@ -162,7 +163,8 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     block = rows * (higher.n * (2 * _sum_dtype(higher).itemsize + 8) + 2 * length + 8)
     step = min(rows, _chunk_rows(lower))
     lookup = step * (3 * 8 * lower.num_rows * lower.s + lower.n * (2 * _sum_dtype(lower).itemsize + 8) + 2 * length)
-    return witness + RegeneratedGray.table_bytes(lower) + block + lookup + 8 * lower.size
+    phi = phi_bytes(lower.params) + phi_bytes(higher.params)
+    return witness + RegeneratedGray.table_bytes(lower) + block + lookup + 8 * lower.size + phi
 
 
 @dataclass(frozen=True)
@@ -220,14 +222,15 @@ def verify_equivalence(
     lo, hi = min(positions), max(positions)
     lower_sig, higher_sig = (sig_a, sig_b) if ca.position <= cb.position else (sig_b, sig_a)
 
+    cost = set_check_bytes(lower_sig, higher_sig)
+    if check_sets is True:
+        _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
     length = sig_a.gray_length
     if 8 * length <= budget_bytes:
         witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
 
-    want_sets = check_sets is not False
-    cost = set_check_bytes(lower_sig, higher_sig)
-    if want_sets and witness is not None and cost <= budget_bytes:
+    if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there
         lower = RegeneratedGray(AdditiveCode.build(lower_sig))
         hits = np.empty(higher_sig.size, dtype=np.int64)
         for start, words in gray_chunks(AdditiveCode.build(higher_sig)):
@@ -238,11 +241,4 @@ def verify_equivalence(
                 "FAIL", rep.ts, positions, witness, "set-equality", "composed witness failed set equality"
             )
         return EquivalenceReport("PASS", rep.ts, positions, witness, "set-equality")
-    if check_sets is True:
-        need = max(cost, 8 * length)
-        raise CapacityError(
-            f"set-equality check needs ~{need} bytes (budget {budget_bytes})",
-            required_bytes=need,
-            budget_bytes=budget_bytes,
-        )
     return EquivalenceReport("PASS", rep.ts, positions, witness, "algebra-only")

@@ -202,12 +202,19 @@ def build_y_matrix(p: int, s: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _phi_table_cached(p: int, s: int) -> np.ndarray:
-    if s == 1:
-        table = np.arange(p, dtype=np.uint8)[:, None]
-    else:
-        dig = np.arange(p**s, dtype=np.int64)[:, None] // p ** np.arange(s) % p  # base-p digits
-        y = build_y_matrix(p, s - 1)
-        table = ((dig[:, s - 1 : s] + dig[:, : s - 1] @ y) % p).astype(np.uint8)
+    # phi(u)[j] = u_{s-1} + sum_i u_i j_i (mod p) over base-p digits, summed in uint8 (uint16 for p > 128)
+    # one table-sized term per digit: the build holds twice the table and its p^s-entry digit columns
+    u, j = np.arange(p**s), np.arange(p ** (s - 1))
+    dtype = np.min_scalar_type(2 * (p - 1))
+    mul = (np.arange(p)[:, None] * np.arange(p) % p).astype(dtype)  # u_i * j_i mod p
+    table = np.repeat((u // p ** (s - 1)).astype(dtype)[:, None], j.size, axis=1)
+    for i in range(s - 1):
+        term = mul[np.ix_(u // p**i % p, j // p**i % p)]
+        np.add(table, term, out=term)
+        np.subtract(term, dtype.type(p), out=table)  # wraps above the sum exactly when the sum is < p
+        np.minimum(table, term, out=table)
+        del term  # before the next term is made
+    table = table.astype(np.uint8, copy=False)
     table.flags.writeable = False
     return table
 

@@ -23,12 +23,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .construction import _LOOKUP_BYTES, GrayCode, _mod_p_diff
+from .construction import _LOOKUP_BYTES, _RANK_CHUNK_BYTES, GrayCode, _mod_p_diff
 from .errors import InputError
 
 _PROBES = 24  # probe words spread over the code that filter the kernel candidates
 _WINDOW = 64  # nonzero residues echelonized at a time by ReducedBasis.absorb
-_CHUNK_BYTES = 2**21  # float rows per chunk of reduced_basis
 _FLOAT32_EXACT = 2**24  # integers of magnitude up to 2^24 are exact in float32
 
 
@@ -131,10 +130,10 @@ class ReducedBasis:
 
 
 def reduced_basis(gc: GrayCode, chunk_rows: int | None = None) -> ReducedBasis:
-    """Row-reduce the whole word matrix, streaming in chunks of about _CHUNK_BYTES of float rows."""
+    """Row-reduce the whole word matrix, streaming in chunks of about _RANK_CHUNK_BYTES of float rows."""
     basis = ReducedBasis(gc.sig.p, gc.length)
     if chunk_rows is None:
-        chunk_rows = max(1, _CHUNK_BYTES // (gc.length * basis.rows.itemsize))
+        chunk_rows = max(1, _RANK_CHUNK_BYTES // (gc.length * basis.rows.itemsize))
     for start in range(0, len(gc), chunk_rows):
         basis.absorb(gc.words[start : start + chunk_rows])
         if basis.rank == gc.length:

@@ -5,7 +5,8 @@ a permuted or corrupted code, a subset, repeated rows.  Rows are compared
 as fixed-width byte keys against one argsort of the code's own rows, and
 set equality is multiset equality.  The library's ``GrayCode`` decodes the
 pinned coordinates of a type instead; the two must agree on every full
-code in odometer order.
+code in odometer order.  ``set_equal`` asks either kind of code whether a
+matrix holds its words in some order.
 """
 
 from dataclasses import dataclass, field
@@ -51,3 +52,16 @@ class SortedKeyCode(GrayCode):
             return False
         counts = np.bincount(hits, minlength=len(self))
         return bool(np.array_equal(counts, np.bincount(self.locate(self.words), minlength=len(self))))
+
+
+def same_multiset(code: GrayCode, hits: np.ndarray) -> bool:
+    """Are the rows that ``code.locate`` turned into ``hits`` the code's words, each as often as it holds them?"""
+    if isinstance(code, SortedKeyCode):
+        return code.same_multiset(hits)
+    return len(hits) == len(code) and bool((hits >= 0).all() and (np.bincount(hits, minlength=len(code)) == 1).all())
+
+
+def set_equal(code: GrayCode, rows: np.ndarray) -> bool:
+    """Are the rows the code's words in some order? Exact."""
+    rows = np.asarray(rows)
+    return rows.shape == code.words.shape and same_multiset(code, code.locate(rows))

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from ghcodes import classification, cli
 from ghcodes.classification import (
     bound_classes_all_s,
     bound_classes_reps,
@@ -17,6 +18,7 @@ from ghcodes.classification import (
     is_linear_type,
     isolated_types,
 )
+from ghcodes.construction import materialization_bytes, validate_type
 from ghcodes.errors import InputError
 
 
@@ -149,6 +151,43 @@ def test_census_threads_agree():
     assert serial.class_count == threaded.class_count
 
 
+def test_census_threads_share_the_budget(monkeypatch):
+    # a budget that holds one t = 6 image but not two runs one worker, with the rows of one thread
+    need = max(materialization_bytes(validate_type(3, rep)) for rep in ((2, 0, 1), (2, 3), (3, 1)))
+    pools = []
+    real = classification.ThreadPoolExecutor
+    monkeypatch.setattr(classification, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or real(max_workers))
+    serial = census(6, 3, with_invariants=True, budget_bytes=need + need // 2, threads=1)
+    threaded = census(6, 3, with_invariants=True, budget_bytes=need + need // 2, threads=2)
+    assert threaded == serial and serial.skipped_reps == ()
+    assert census(6, 3, with_invariants=True, threads=2) == serial
+    assert pools == [2]  # a single worker runs in the calling thread
+
+
+T9_RK = {
+    (2, 0, 0, 0, 0): (96, 2),
+    (2, 0, 0, 2): (36, 4),
+    (2, 0, 1, 0): (64, 3),
+    (2, 0, 4): (17, 6),
+    (2, 1, 2): (27, 5),
+    (2, 2, 0): (43, 4),
+    (2, 6): (11, 8),
+    (3, 0, 1): (49, 4),
+    (3, 4): (15, 7),
+    (4, 2): (23, 6),
+    (5, 0): (36, 5),
+}
+
+
+@pytest.mark.slow
+def test_t9_census_fills_every_class_under_the_default_budget():
+    # each 1.08 GiB image is held in turn: about 2 min at 1.16 GB peak RSS
+    result = census(9, 3, with_invariants=True)
+    assert result.skipped_reps == ()
+    assert {row.representative: (row.r, row.k) for row in result.rows if not row.linear} == T9_RK
+    assert len({(row.r, row.k) for row in result.rows}) == 12
+
+
 # ---------------------------------------------------------------------------
 # isolated types
 # ---------------------------------------------------------------------------
@@ -223,3 +262,18 @@ def test_bounds_report_flags_known_discrepancies():
 def test_bounds_report_p2_has_no_reference_column():
     report = bounds_report(2, 3, 8)
     assert report.discrepancies == ()
+
+
+def test_bounds_flag_a_lower_bound_unlike_the_reported_one(monkeypatch, capsys):
+    monkeypatch.setitem(classification._REPORTED_P3["lower_rk"], 4, 3)
+    argv = ["tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--with-lower"]
+    assert cli.main(argv) == 0
+    assert "note: t=4 lower_rk: computed 2, previously reported 3" in capsys.readouterr().out.splitlines()
+    # a partial lower bound is never compared
+    assert cli.main([*argv, "--budget-bytes", "1"]) == 0
+    assert "lower_rk" not in capsys.readouterr().out
+
+
+def test_t10_lower_bound_is_partial_under_the_default_budget():
+    (row,) = bounds_report(3, 10, 10, with_lower=True).rows
+    assert (row.lower_rk, row.lower_rk_partial) == (1, True)  # only the linear class, no image built

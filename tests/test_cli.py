@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ import pytest
 from ghcodes import cli
 from ghcodes.cli import build_parser, main
 from ghcodes.construction import GH_SAMPLE_SEED, build_gray_code, validate_type
+from ghcodes.errors import CapacityError
+from ghcodes.gray import _phi_table_cached
+
+from sorted_key_code import set_equal
 
 
 def run(capsys, *argv):
@@ -63,7 +68,7 @@ def test_construct_gray_dump_matches_library(capsys):
     words = np.array([[int(v) for v in line.split()] for line in lines[1:]])
     gc = build_gray_code(validate_type(3, (1, 1)))
     assert words.shape == (27, 9)
-    assert gc.set_equal(words.astype(gc.words.dtype))
+    assert set_equal(gc, words.astype(gc.words.dtype))
 
 
 def test_construct_additive_dump_count(capsys):
@@ -192,6 +197,44 @@ def test_capacity_exit_code_on_construct(capsys):
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+def dump_estimate_and_peak(ts, kind):
+    """The bytes a codeword dump is checked for, and the tracemalloc peak of its result and rendered text."""
+    argv = ["construct", "--p", "3", "--type", ts, "--codewords", kind]
+    with pytest.raises(CapacityError) as exc:
+        cli.cmd_construct(build_parser().parse_args([*argv, "--budget-bytes", "1"]))
+    args = build_parser().parse_args(argv)
+    cli._check_limits(args)
+    _phi_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        cli._render(cli.cmd_construct(args), "table")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return exc.value.required_bytes, peak
+
+
+@pytest.mark.parametrize("kind", ["gray", "additive"])
+def test_dump_estimate_bounds_its_rows_and_text(kind):
+    # t = 6; the text of a gray dump is twice the image, held three times over
+    need, peak = dump_estimate_and_peak("3,1", kind)
+    assert peak <= need, (peak, need)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["gray", "additive"])
+def test_t7_dump_estimate_bounds_its_rows_and_text(kind):
+    # the gray dump peaked at 82.5 MiB for its 13.7 MiB image, over the 55 MiB the 4x estimate gave
+    need, peak = dump_estimate_and_peak("3,2", kind)
+    assert peak <= need, (peak, need)
+
+
+def test_t9_gray_dump_is_refused_under_the_default_budget(capsys):
+    code, out, err = run(capsys, "construct", "--p", "3", "--type", "5,0", "--codewords", "gray")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: codeword dump of type (5, 0) needs ~")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcodes import construction
-from ghcodes.classification import enumerate_types
+from ghcodes.classification import enumerate_types, is_linear_type
 from ghcodes.construction import (
+    DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     GrayCode,
     build_gray_code,
@@ -19,17 +20,21 @@ from ghcodes.construction import (
     gray_bytes,
     gray_chunks,
     is_gh_code,
+    materialization_bytes,
     materialize_additive,
     materialize_gray,
     min_distance,
     p_basis,
+    phi_bytes,
     row_orders,
     validate_type,
 )
 from ghcodes.construction import _mod_p_diff, _odometer_blocks, _pair_counts
 from ghcodes.errors import CapacityError, InputError
-from ghcodes.gray import phi_table
+from ghcodes.gray import _phi_table_cached, phi_table
 from ghcodes.ring import RingParams
+
+from sorted_key_code import set_equal
 
 
 def sig(p, ts):
@@ -264,18 +269,18 @@ def test_membership_queries():
 def test_set_equal_ignores_order():
     gc = build_gray_code(sig(2, (2, 1)))
     shuffled = gc.words[::-1].copy()
-    assert gc.set_equal(shuffled)
+    assert set_equal(gc, shuffled)
     tweaked = gc.words.copy()
     tweaked[0, 0] ^= 1
-    assert not gc.set_equal(tweaked)
+    assert not set_equal(gc, tweaked)
 
 
 def test_set_equal_rejects_repeated_rows():
     gc = build_gray_code(sig(3, (1, 1)))
-    assert not gc.set_equal(np.repeat(gc.words[:1], len(gc), axis=0))
+    assert not set_equal(gc, np.repeat(gc.words[:1], len(gc), axis=0))
     copied = gc.words.copy()
     copied[4] = copied[9]  # every row is still a codeword, word 4 is gone
-    assert not gc.set_equal(copied)
+    assert not set_equal(gc, copied)
 
 
 def test_capacity_errors_carry_sizes():
@@ -287,6 +292,26 @@ def test_capacity_errors_carry_sizes():
 
     with pytest.raises(CapacityError):
         materialize_additive(AdditiveCode.build(a), budget_bytes=128)
+
+
+@pytest.mark.parametrize("p,t_max", [(2, 15), (3, 10), (5, 6), (7, 5)])
+def test_estimate_is_the_image_its_phi_table_and_one_working_set(p, t_max):
+    # no margin that grows with the image: what the stages reading it add stays under 32 MiB
+    for t in range(1, t_max + 1):
+        for s in range(1, t + 2):
+            for ts in enumerate_types(t, s):
+                a = sig(p, ts)
+                held = gray_bytes(a) + phi_bytes(a.params)
+                assert held < materialization_bytes(a) <= held + 32 * 2**20, ts
+
+
+@pytest.mark.parametrize("p,t,fits", [(3, 9, True), (5, 6, True), (7, 5, True), (2, 15, True), (3, 10, False)])
+def test_default_budget_holds_one_image_up_to_a_gib(p, t, fits):
+    # every nonlinear type, which a census may build: a p = 3, t = 9 image is 1.08 GiB, a t = 10 one 9.7 GiB
+    for s in range(2, t + 2):
+        for ts in enumerate_types(t, s):
+            if not is_linear_type(p, ts):
+                assert (materialization_bytes(sig(p, ts)) <= DEFAULT_BUDGET_BYTES) == fits, ts
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +579,26 @@ def test_exhaustive_check_memory_stays_near_the_gray_image():
     assert verdict.passed and verdict.pairs_checked == len(gc) * (len(gc) - 1) // 2
     assert distance == 3**5 * 2
     assert max(gh_peak, distance_peak) <= gray_bytes(a) + 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "p,ts,mode",
+    [(2, (2, 0, 0, 0, 1), "exhaustive"), (3, (3, 1), "exhaustive"), (5, (2, 1), "exhaustive"), (3, (3, 2), "sampled")],
+)
+def test_estimate_bounds_building_and_scanning_pairs(p, ts, mode):
+    # the image with its phi table built cold, then the GH check and the minimum distance
+    a = sig(p, ts)
+    _phi_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        gc = materialize_gray(AdditiveCode.build(a))
+        verdict = is_gh_code(gc, mode=mode, pairs=10**5)
+        distance = min_distance(gc) if mode == "exhaustive" else None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and distance in (None, p ** (a.t - 1) * (p - 1))
+    assert peak <= materialization_bytes(a), peak
 
 
 @pytest.mark.parametrize("ts", [(7,), (3, 1), (1, 0, 4), (1, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0, 0)])

@@ -4,6 +4,8 @@ The frozen tables for p=3, s=3 (all 27 Gray rows and tau values) pin the
 conventions; the property tests then cover other p and s.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from ghcodes.errors import InputError, NotAGrayImage
 from ghcodes.gray import (
     Permutation,
+    _phi_table_cached,
     block_lift,
     build_y_matrix,
     gamma,
@@ -189,6 +192,40 @@ def test_phi_table_matches_gray():
     assert table.shape == (27, 9)
     for u in range(27):
         assert tuple(int(v) for v in table[u]) == PHI3[u]
+
+
+def phi_by_digit_matrix(p, s):
+    """phi(u) = u_{s-1} + (u_0, ..., u_{s-2}) . Y over every u at once, in int64 (the earlier build)."""
+    if s == 1:
+        return np.arange(p, dtype=np.uint8)[:, None]
+    dig = np.arange(p**s, dtype=np.int64)[:, None] // p ** np.arange(s) % p
+    return ((dig[:, s - 1 : s] + dig[:, : s - 1] @ build_y_matrix(p, s - 1)) % p).astype(np.uint8)
+
+
+# every ring the tests build codes over, p = 13, s = 3 (a sum of products overflows uint8)
+# and two primes above 128, whose sums of two residues overflow uint8
+PHI_RINGS = [(2, s) for s in range(1, 11)] + [(3, s) for s in range(1, 8)] + [(5, s) for s in range(1, 6)]
+PHI_RINGS += [(7, s) for s in range(1, 5)] + [(13, 3), (131, 2), (251, 2)]
+
+
+@pytest.mark.parametrize("p,s", PHI_RINGS)
+def test_phi_table_matches_the_digit_matrix_build(p, s):
+    table = phi_table(RingParams(p, s))
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert np.array_equal(table, phi_by_digit_matrix(p, s))
+
+
+@pytest.mark.parametrize("p,s", [(3, 7), (2, 10), (5, 5), (13, 3)])
+def test_cold_phi_build_holds_about_twice_the_table(p, s):
+    # the int64 build of (3, 7) peaked at 16x its 1.52 MiB table
+    _phi_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _phi_table_cached(p, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes + 128 * p**s + 2**18, peak  # and numpy's fixed buffers
 
 
 def test_phi1_is_identity():

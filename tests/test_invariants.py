@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ghcodes import invariants
-from ghcodes.classification import is_linear_type
-from ghcodes.construction import build_gray_code, validate_type
-from ghcodes.gray import Permutation
+from ghcodes.classification import census, is_linear_type
+from ghcodes.construction import AdditiveCode, build_gray_code, materialization_bytes, materialize_gray, validate_type
+from ghcodes.gray import Permutation, _phi_table_cached
 from ghcodes.invariants import (
     ReducedBasis,
     _float_dtype,
@@ -20,7 +20,7 @@ from ghcodes.invariants import (
     reduced_basis,
 )
 
-from sorted_key_code import SortedKeyCode
+from sorted_key_code import SortedKeyCode, set_equal
 
 
 def gc_for(p, ts):
@@ -91,7 +91,7 @@ def test_kernel_matches_translation_count(p, ts):
     for row in basis.rows:
         assert gc.contains_row(row.astype(gc.words.dtype))
         shifted = (gc.words.astype(np.int64) + row) % p
-        assert gc.set_equal(shifted.astype(gc.words.dtype))
+        assert set_equal(gc, shifted.astype(gc.words.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,23 @@ def test_kernel_gathers_rows_in_bounded_steps():
     assert peak <= 16 * 2**20
 
 
+@pytest.mark.parametrize("p,t", [(3, 6), (3, 7), (2, 10), (5, 5)])
+def test_estimate_bounds_building_and_ranking_each_representative(p, t):
+    # the image with its phi table built cold, then rank and kernel: at most
+    # materialization_bytes above the baseline (the 4x estimate was 6.3 MiB at
+    # p = 3, t = 6, under a 7.3 MiB peak)
+    for rep in sorted({row.representative for row in census(t, p).rows if not row.linear}):
+        sig = validate_type(p, rep)
+        _phi_table_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            invariant_pair(materialize_gray(AdditiveCode.build(sig)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= materialization_bytes(sig), (rep, peak)
+
+
 def test_rank_holds_one_chunk_of_float_rows():
     # rank reduces about 2 MiB of float32 rows at a time, never a copy of the whole
     # image (6561 x 2187 bytes, 13.7 MiB, as uint8) nor int64 chunks of it
@@ -244,7 +261,7 @@ def test_rank_matches_gauss_jordan_across_seams(p, ts, window, chunk_rows, monke
     gc = gc_for(p, ts)
     monkeypatch.setattr(invariants, "_WINDOW", window)
     # chunks of chunk_rows float32 rows, which leave a short last chunk here
-    monkeypatch.setattr(invariants, "_CHUNK_BYTES", chunk_rows * gc.length * 4)
+    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", chunk_rows * gc.length * 4)
     assert len(gc) % chunk_rows or chunk_rows == 1
     assert rank(gc) == naive_rank(gc.words, p)
 

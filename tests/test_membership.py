@@ -42,7 +42,7 @@ from ghcodes.gray import phi_table
 from ghcodes.ring import RingParams
 
 from goldens import PHI3
-from sorted_key_code import SortedKeyCode
+from sorted_key_code import SortedKeyCode, same_multiset, set_equal
 from test_construction import small_types
 
 construction = importlib.import_module("ghcodes.construction")
@@ -150,8 +150,8 @@ def test_set_equal_matches_oracle(case):
         other = next(i for i, r in enumerate(swapped) if not np.array_equal(r, swapped[twice[0]]))
         swapped[twice[0]] = swapped[other]
     for rows in (shuffled, changed, duplicated, repeated, swapped, words[:-1]):
-        assert gc.set_equal(rows) == oracle_set_equal(words, rows)
-        assert gc.same_multiset(gc.locate(rows)) == oracle_set_equal(words, rows)
+        assert set_equal(gc, rows) == oracle_set_equal(words, rows)
+        assert same_multiset(gc, gc.locate(rows)) == oracle_set_equal(words, rows)
 
 
 def test_set_equal_counts_repeated_words():
@@ -159,12 +159,12 @@ def test_set_equal_counts_repeated_words():
     sig = full_code(3, (1, 1)).sig
     a, b, c = (np.array(PHI3[u], dtype=np.uint8) for u in (0, 13, 26))
     gc = SortedKeyCode(sig, np.stack([a, a, b]))
-    assert gc.set_equal(np.stack([b, a, a]))
-    assert gc.set_equal(gc.words)
-    assert not gc.set_equal(np.stack([a, b, b]))  # same set, other multiplicities
-    assert not gc.set_equal(np.stack([a, b, c]))
-    assert not gc.set_equal(np.stack([a, b]))
-    assert not SortedKeyCode(sig, np.stack([a, b, c])).set_equal(np.stack([a, a, b]))
+    assert set_equal(gc, np.stack([b, a, a]))
+    assert set_equal(gc, gc.words)
+    assert not set_equal(gc, np.stack([a, b, b]))  # same set, other multiplicities
+    assert not set_equal(gc, np.stack([a, b, c]))
+    assert not set_equal(gc, np.stack([a, b]))
+    assert not set_equal(SortedKeyCode(sig, np.stack([a, b, c])), np.stack([a, a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_locate_agrees_with_sorted_key_oracle(case):
     assert np.array_equal(gc.contains_rows(queries), hit)
     for wrong in (queries[:, :-1], np.hstack([queries, queries[:, :1]])):
         assert (gc.locate(wrong) == -1).all()
-    assert gc.set_equal(gc.words[::-1])
+    assert set_equal(gc, gc.words[::-1])
 
 
 def test_row_out_of_its_odometer_place_is_not_found():
@@ -237,7 +237,7 @@ def test_row_out_of_its_odometer_place_is_not_found():
     got = gc.locate(full.words)
     assert got[4] == got[9] == -1
     assert np.array_equal(np.delete(got, [4, 9]), np.delete(np.arange(len(gc)), [4, 9]))
-    assert not gc.set_equal(full.words) and not gc.set_equal(words)
+    assert not set_equal(gc, full.words) and not set_equal(gc, words)
     assert (GrayCode(full.sig, full.words[:0]).locate(full.words) == -1).all()
     assert (GrayCode(full.sig, full.words[-1:]).locate(full.words[-1:]) == -1).all()  # its odometer row is not held
 
