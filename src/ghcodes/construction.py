@@ -149,8 +149,7 @@ class AdditiveCode:
 
 def additive_bytes(sig: TypeSignature) -> int:
     """Bytes ``materialize_additive`` holds: the matrix, and the low table and block of its stream."""
-    block = sig.p ** _block_exponent(sig) * sig.n * _sum_dtype(sig).itemsize
-    return sig.size * sig.n * sig.params.dtype().itemsize + 2 * block
+    return sig.size * sig.n * sig.params.dtype().itemsize + _stream_bytes(sig)
 
 
 def gray_bytes(sig: TypeSignature) -> int:
@@ -222,6 +221,11 @@ def _block_exponent(sig: TypeSignature) -> int:
     while a <= t and sig.p ** (a + 1) <= rows:
         a += 1
     return a
+
+
+def _stream_bytes(sig: TypeSignature) -> int:
+    """Bytes of ``_odometer_blocks``' low span table and one of its blocks."""
+    return 2 * sig.p ** _block_exponent(sig) * sig.n * _sum_dtype(sig).itemsize
 
 
 def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
@@ -309,7 +313,7 @@ def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step
         return out
     coords, divisors, weights = plan
     for start in range(0, rows.shape[0], step):
-        chunk = np.asarray(rows[start : start + step], dtype=np.uint8)
+        chunk = rows[start : start + step]  # uncast: a symbol outside [0, p) never equals a member's
         res = _block_residues(sig.params, chunk, coords)
         res[:, 1:] -= res[:, :1]
         cand = (res % sig.params.modulus // divisors) @ weights
@@ -365,7 +369,7 @@ class GrayCode:
         return self.locate(rows) >= 0
 
     def contains_row(self, row: np.ndarray) -> bool:
-        return bool(self.contains_rows(np.asarray(row, dtype=np.uint8)[None, :])[0])
+        return bool(self.contains_rows(np.asarray(row)[None, :])[0])
 
 
 def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
@@ -393,10 +397,17 @@ def gray_chunks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     """The code's Gray words in odometer order, one fresh block at a time.
 
     Yields (first row, words), so a caller can work through a code's Gray
-    image while holding only one block of it.
+    image while holding only one block of it (see ``gray_chunk_bytes``).
     """
     for start, block in _odometer_blocks(code):
         yield start, gray_matrix(code.sig.params, block)
+
+
+def gray_chunk_bytes(sig: TypeSignature) -> int:
+    """Bytes held while a caller works on one block of ``gray_chunks``: the low span table, the
+    block, its np.take index and Gray words, and the caller's copy of them with an 8-byte index a word."""
+    rows = sig.p ** _block_exponent(sig)
+    return _stream_bytes(sig) + rows * (8 * sig.n + 2 * sig.gray_length + 8)
 
 
 class RegeneratedGray:
@@ -424,10 +435,15 @@ class RegeneratedGray:
         return (sig.t + 2) // 2  # ceil((t+1)/2)
 
     @classmethod
-    def table_bytes(cls, sig: TypeSignature) -> int:
-        """Bytes of the two span tables held for the type."""
+    def lookup_bytes(cls, sig: TypeSignature) -> int:
+        """Bytes of the two span tables and of one ``locate`` step of ``_chunk_rows`` queries: three
+        int64 arrays of their pinned residues, two gathered table rows, their np.take index, the
+        rebuilt Gray words and their comparison with the queries."""
         a = cls._low_rows(sig)
-        return (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * _sum_dtype(sig).itemsize
+        entry = _sum_dtype(sig).itemsize
+        tables = (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * entry
+        step = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.gray_length
+        return tables + _chunk_rows(sig) * step
 
     def __len__(self) -> int:
         return self.sig.size
@@ -469,17 +485,17 @@ class GHVerdict:
         return self.passed
 
 
-def _mod_p_diff(a: np.ndarray, b: np.ndarray, p: int, overwrite_a: bool = False) -> np.ndarray:
+def _mod_p_diff(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a - b) mod p for uint8 symbol matrices, without leaving uint8.
 
-    With ``overwrite_a`` the result may be written into ``a`` (a fresh
-    gather the caller no longer needs), which saves one matrix of memory.
+    The result may be written into ``a``, so callers pass a fresh gather
+    they no longer need; that saves one matrix of memory.
     """
     if p > 127:
         return ((a.astype(np.int16) - b) % p).astype(np.uint8)
     # a - b < 0 wraps to 256 + a - b >= 257 - p; adding p wraps exactly
     # those entries back to a - b + p < p and lifts the others to >= p
-    d = np.subtract(a, b, out=a if overwrite_a else None)
+    d = np.subtract(a, b, out=a)
     np.minimum(d, d + np.uint8(p), out=d)
     return d
 
@@ -626,7 +642,7 @@ def is_gh_code(
         remaining -= int(u.size)
         for s0 in range(0, u.size, step):
             us, vs = u[s0 : s0 + step], v[s0 : s0 + step]
-            ok = _pair_rows_ok(_mod_p_diff(words[us], words[vs], p, overwrite_a=True), p)
+            ok = _pair_rows_ok(_mod_p_diff(words[us], words[vs], p), p)
             if not ok.all():
                 bad = int(np.flatnonzero(~ok)[0])
                 return _failed(words, mode, checked, int(us[bad]), int(vs[bad]))

@@ -7,7 +7,9 @@ the member with t_1 >= 2 (lowest ring level); walking one level up sends
 corresponding Gray images differ by an explicit coordinate permutation
 built from gamma and rho.  Composing those step permutations between two
 positions of one chain yields a monomial-free equivalence witness that
-maps one Gray image exactly onto the other.
+maps one Gray image exactly onto the other.  Each step is folded into the
+product as it is built, so the composition's peak, ``witness_bytes``, does
+not grow with the chain.
 
 That claim is checked in one streamed pass that holds neither Gray image.
 The higher member is generated from its basis coefficients; block by block
@@ -18,7 +20,8 @@ rebuilt from two span tables of its basis (``RegeneratedGray``) and
 compared with it.  The located rows must hit every word of the lower
 member exactly once.  No image, permuted copy or additive matrix of either
 member is ever allocated whole; ``set_check_bytes`` counts what the pass
-allocates.
+allocates, the witness included.  These two estimates are all the budget
+is compared with.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
@@ -40,10 +44,8 @@ from .construction import (
     AdditiveCode,
     RegeneratedGray,
     TypeSignature,
-    _block_exponent,
     _check_budget,
-    _chunk_rows,
-    _sum_dtype,
+    gray_chunk_bytes,
     gray_chunks,
     phi_bytes,
     validate_type,
@@ -126,45 +128,40 @@ def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
     """
     if s < 1:
         raise InputError("s must be >= 1")
-    g = gamma_extended(p, s + 1, n_prime)
-    r_star = block_lift(rho(p, n_prime), p ** (s - 1))
-    return g.compose(r_star).inverse()
+    # one expression, so gamma and the lifted rho are freed before the inverse is made
+    return gamma_extended(p, s + 1, n_prime).compose(block_lift(rho(p, n_prime), p ** (s - 1))).inverse()
 
 
-def _chain_steps(rep: TypeSignature, lo: int, hi: int, t: int) -> list[Permutation]:
-    """Step permutations linking positions lo..hi of a chain (lo <= hi)."""
+def _chain_steps(rep: TypeSignature, lo: int, hi: int, t: int) -> Iterator[Permutation]:
+    """Step permutations linking positions lo..hi of a chain (lo <= hi), built one at a time."""
     p = rep.p
-    out = []
     for j in range(lo, hi):
         s_j = rep.s + j - 1
-        n_next = p ** (t - s_j)  # length of the member at position j+1
-        out.append(step_permutation(p, s_j, n_next))
-    return out
+        yield step_permutation(p, s_j, p ** (t - s_j))  # p^(t - s_j): length of the member at position j+1
+
+
+def witness_bytes(length: int) -> int:
+    """Bytes the composition of a witness of ``length`` coordinates holds at its peak.
+
+    ``reduce`` folds in each step as it is built, so the peak does not grow
+    with the number of steps: the product, the last step and the arrays of
+    ``step_permutation`` make eight int64 arrays of the length under
+    tracemalloc (p = 2, t = 17 and p = 3, t = 10), plus a few KiB of short
+    ones.  That is more than the witness and its inverse image.
+    """
+    return 8 * 8 * length + 2**16
 
 
 def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
-    """Bytes the streamed set-equality check of ``verify_equivalence`` allocates.
+    """Bytes the streamed set-equality check of ``verify_equivalence`` allocates, all as held at once.
 
-    It counts, all as held at once: the witness while it is composed (its
-    step permutations, the running product, the next product with its
-    validated copy and bincount, 8 bytes a coordinate each) and its inverse
-    image; the two span tables of the lower member; one block of the
-    higher member's odometer stream (its low table, the block, the np.take
-    index and Gray words of the block, and the witness's mapped copy); one
-    ``locate`` step on the lower member (the residues read at its pinned
-    coordinates, the two gathered table rows, the np.take index, the
-    rebuilt Gray words and their comparison); the located indices of
-    every word; and the phi tables of both rings.
+    The witness, composed and then with its inverse image; one block of the
+    higher member's stream with its mapped copy (``gray_chunk_bytes``); the
+    lower member's lookup (``RegeneratedGray.lookup_bytes``); the located
+    index of every word; and the phi tables of both rings.
     """
-    length = lower.gray_length
-    steps = chain_of(higher).position - chain_of(lower).position
-    witness = 8 * length * (steps + 5)
-    rows = higher.p ** _block_exponent(higher)
-    block = rows * (higher.n * (2 * _sum_dtype(higher).itemsize + 8) + 2 * length + 8)
-    step = min(rows, _chunk_rows(lower))
-    lookup = step * (3 * 8 * lower.num_rows * lower.s + lower.n * (2 * _sum_dtype(lower).itemsize + 8) + 2 * length)
-    phi = phi_bytes(lower.params) + phi_bytes(higher.params)
-    return witness + RegeneratedGray.table_bytes(lower) + block + lookup + 8 * lower.size + phi
+    stream = gray_chunk_bytes(higher) + RegeneratedGray.lookup_bytes(lower) + 8 * lower.size
+    return witness_bytes(lower.gray_length) + stream + phi_bytes(lower.params) + phi_bytes(higher.params)
 
 
 @dataclass(frozen=True)
@@ -195,11 +192,13 @@ def verify_equivalence(
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
 
-    The check streams the higher member's words through the witness in
-    blocks of at most 256 KiB and rebuilds each lower word it is compared
-    with, so it holds neither Gray image (see the module docstring).  Its
-    cost is ``set_check_bytes``: the witness, the lower member's two span
-    tables, one block's buffers and the located indices.
+    The witness is composed when ``witness_bytes`` fits the budget, and is
+    None otherwise.  The check streams the higher member's words through
+    the witness in blocks of at most 256 KiB and rebuilds each lower word
+    it is compared with, so it holds neither Gray image (see the module
+    docstring).  It runs when ``set_check_bytes`` fits the budget (with
+    check_sets=True, CapacityError otherwise); that estimate includes the
+    witness, so a checked verdict always has one.
     """
     if sig_a.p != sig_b.p:
         raise InputError("types live over different primes")
@@ -227,7 +226,7 @@ def verify_equivalence(
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
     length = sig_a.gray_length
-    if 8 * length <= budget_bytes:
+    if witness_bytes(length) <= budget_bytes:
         witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
 
     if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there

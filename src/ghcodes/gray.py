@@ -13,9 +13,9 @@ block by block.  For s = 1 phi is the identity on Z_p.
 
 Residues and Gray words are plain numpy arrays (int64 residues, uint8
 symbols), with the ring passed as a ``RingParams``.  ``phi_table`` holds
-phi(u) for every u, and ``gray`` returns one of its rows; ``gray_matrix``
+phi(u) for every u, and ``gray`` computes one row alone; ``gray_matrix``
 expands a batch of residue vectors and ``gray_inverse`` decodes one word.
-The rows ``gray`` and ``tau`` return are read-only views of cached tables.
+The rows ``gray`` and ``tau`` return are read-only.
 
 Two families of coordinate permutations make Gray images of codes over
 neighbouring rings comparable:
@@ -47,7 +47,6 @@ from .ring import RingParams
 __all__ = [
     "Permutation",
     "block_lift",
-    "build_y_matrix",
     "gamma",
     "gamma_extended",
     "gray",
@@ -177,52 +176,34 @@ def block_lift(perm: Permutation, width: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _y_matrix_cached(p: int, s: int) -> np.ndarray:
-    if s == 1:
-        y = np.arange(p, dtype=np.int64)[None, :]
-    else:
-        prev = _y_matrix_cached(p, s - 1)
-        top = np.tile(prev, p)
-        bottom = np.repeat(np.arange(p, dtype=np.int64), p ** (s - 1))[None, :]
-        y = np.vstack([top, bottom])
-    y.flags.writeable = False
-    return y
-
-
-def build_y_matrix(p: int, s: int) -> np.ndarray:
-    """The s x p^s matrix whose columns enumerate Z_p^s.
-
-    Column c holds the base-p digits of c, least significant in row 0, so
-    row i is the i-th digit sequence of 0..p^s-1.
-    """
-    RingParams(p, s)  # validates p prime, s >= 1 and size
-    return _y_matrix_cached(p, s)
+def _phi_rows(p: int, s: int, u: np.ndarray) -> np.ndarray:
+    """phi of each residue in ``u``: (len(u), p^(s-1)) uint8."""
+    if p > 251:
+        raise InputError("symbol alphabet must fit one byte")
+    # phi(u)[j] = u_{s-1} + sum_i u_i j_i (mod p) over base-p digits, summed in uint8 (uint16 for p > 128)
+    # one row-sized term per digit: the build holds twice the rows and u's digit columns
+    j = np.arange(p ** (s - 1), dtype=np.min_scalar_type(p ** (s - 1)))
+    dtype = np.min_scalar_type(2 * (p - 1))
+    mul = (np.arange(p)[:, None] * np.arange(p) % p).astype(dtype)  # u_i * j_i mod p
+    rows = np.repeat((u // p ** (s - 1)).astype(dtype)[:, None], j.size, axis=1)
+    for i in range(s - 1):
+        term = mul[np.ix_(u // p**i % p, j // p**i % p)]
+        np.add(rows, term, out=term)
+        np.subtract(term, dtype.type(p), out=rows)  # wraps above the sum exactly when the sum is < p
+        np.minimum(rows, term, out=rows)
+        del term  # before the next term is made
+    return rows.astype(np.uint8, copy=False)
 
 
 @lru_cache(maxsize=None)
 def _phi_table_cached(p: int, s: int) -> np.ndarray:
-    # phi(u)[j] = u_{s-1} + sum_i u_i j_i (mod p) over base-p digits, summed in uint8 (uint16 for p > 128)
-    # one table-sized term per digit: the build holds twice the table and its p^s-entry digit columns
-    u, j = np.arange(p**s), np.arange(p ** (s - 1))
-    dtype = np.min_scalar_type(2 * (p - 1))
-    mul = (np.arange(p)[:, None] * np.arange(p) % p).astype(dtype)  # u_i * j_i mod p
-    table = np.repeat((u // p ** (s - 1)).astype(dtype)[:, None], j.size, axis=1)
-    for i in range(s - 1):
-        term = mul[np.ix_(u // p**i % p, j // p**i % p)]
-        np.add(table, term, out=term)
-        np.subtract(term, dtype.type(p), out=table)  # wraps above the sum exactly when the sum is < p
-        np.minimum(table, term, out=table)
-        del term  # before the next term is made
-    table = table.astype(np.uint8, copy=False)
+    table = _phi_rows(p, s, np.arange(p**s))
     table.flags.writeable = False
     return table
 
 
 def phi_table(params: RingParams) -> np.ndarray:
     """Rows = phi(u) for u = 0..p^s-1; shape (p^s, p^(s-1)), dtype uint8."""
-    if params.p > 251:
-        raise InputError("symbol alphabet must fit one byte")
     return _phi_table_cached(params.p, params.s)
 
 
@@ -238,8 +219,10 @@ def _residue(u: int, params: RingParams) -> int:
 
 
 def gray(u: int, params: RingParams) -> np.ndarray:
-    """phi(u): the length-p^(s-1) Gray image of one residue, a read-only row of ``phi_table``."""
-    return phi_table(params)[_residue(u, params)]
+    """phi(u): the length-p^(s-1) Gray image of one residue, read-only; the table is not built."""
+    row = _phi_rows(params.p, params.s, np.array([_residue(u, params)]))[0]
+    row.flags.writeable = False
+    return row
 
 
 def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:

@@ -129,11 +129,10 @@ class ReducedBasis:
         return not self.reduce(np.asarray(word)[None, :]).any()
 
 
-def reduced_basis(gc: GrayCode, chunk_rows: int | None = None) -> ReducedBasis:
+def reduced_basis(gc: GrayCode) -> ReducedBasis:
     """Row-reduce the whole word matrix, streaming in chunks of about _RANK_CHUNK_BYTES of float rows."""
     basis = ReducedBasis(gc.sig.p, gc.length)
-    if chunk_rows is None:
-        chunk_rows = max(1, _RANK_CHUNK_BYTES // (gc.length * basis.rows.itemsize))
+    chunk_rows = max(1, _RANK_CHUNK_BYTES // (gc.length * basis.rows.itemsize))
     for start in range(0, len(gc), chunk_rows):
         basis.absorb(gc.words[start : start + chunk_rows])
         if basis.rank == gc.length:
@@ -192,7 +191,7 @@ def _translates_inside(gc: GrayCode, idx: np.ndarray, x: np.ndarray) -> Iterator
     step = max(1, _LOOKUP_BYTES // gc.length)
     for start in range(0, len(idx), step):
         # the gather is fresh, so it can hold the sum
-        yield gc.contains_rows(_mod_p_diff(gc.words[idx[start : start + step]], neg, p, overwrite_a=True))
+        yield gc.contains_rows(_mod_p_diff(gc.words[idx[start : start + step]], neg, p))
 
 
 def invariant_pair(gc: GrayCode) -> tuple[int, int]:

@@ -39,11 +39,11 @@ class SortedKeyCode(GrayCode):
         out = np.full(rows.shape[0], -1, dtype=np.int64)
         if rows.shape[1] != self.length or not len(self):
             return out
-        chunk = np.ascontiguousarray(rows, dtype=np.uint8)
+        keys = row_keys(np.ascontiguousarray(rows, dtype=np.uint8))
         order = self.index()
-        pos = np.searchsorted(row_keys(self.words), row_keys(chunk), sorter=order)
+        pos = np.searchsorted(row_keys(self.words), keys, sorter=order)
         cand = order[np.minimum(pos, len(order) - 1)]
-        hit = (self.words[cand] == chunk).all(axis=1)
+        hit = (self.words[cand] == rows).all(axis=1)  # uncast: a symbol outside [0, 256) is a miss
         return np.where(hit, cand, -1)
 
     def same_multiset(self, hits: np.ndarray) -> bool:

@@ -23,6 +23,7 @@ from ghcodes.equivalence import (
     sigma,
     step_permutation,
     verify_equivalence,
+    witness_bytes,
 )
 from ghcodes.errors import CapacityError, InputError, NoSecondRow
 from ghcodes.gray import Permutation, tau_tilde
@@ -284,6 +285,24 @@ def test_tiny_budget_gives_algebra_only_verdict():
     assert rep.passed
     assert rep.mode == "algebra-only"
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("p,rep", [(2, (3, 12)), (3, (2, 7)), (5, (2, 4))])
+def test_witness_is_composed_within_the_budget(p, rep):
+    # the longest witnesses the benchmark composes, first member to last (12, 7 and 4 steps):
+    # each run returns no witness or peaks at most at its budget
+    members = chain_members(sig(p, rep)).members
+    length = members[0].gray_length
+    for budget in (8 * length, witness_bytes(length)):
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(members[0], members[-1], check_sets=False, budget_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.verdict, report.mode) == ("PASS", "algebra-only")
+        assert report.witness is None or peak <= budget, (budget, peak)
+        assert (report.witness is not None) == (budget == witness_bytes(length))
 
 
 # ---------------------------------------------------------------------------

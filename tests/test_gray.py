@@ -1,10 +1,13 @@
 """Gray map, the gamma/rho permutations and the tau unmapping.
 
 The frozen tables for p=3, s=3 (all 27 Gray rows and tau values) pin the
-conventions; the property tests then cover other p and s.
+conventions; the property tests then cover other p and s.  The Y matrix
+of the Gray map's definition is kept here, as the oracle phi is built
+against.
 """
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from ghcodes.gray import (
     Permutation,
     _phi_table_cached,
     block_lift,
-    build_y_matrix,
     gamma,
     gamma_extended,
     gray,
@@ -168,6 +170,22 @@ def test_rho_golden():
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def build_y_matrix(p, s):
+    """The oracle's s x p^s matrix whose columns enumerate Z_p^s.
+
+    Column c holds the base-p digits of c, least significant in row 0, so
+    row i is the i-th digit sequence of 0..p^s-1.
+    """
+    if s == 1:
+        y = np.arange(p, dtype=np.int64)[None, :]
+    else:
+        prev = build_y_matrix(p, s - 1)
+        y = np.vstack([np.tile(prev, p), np.repeat(np.arange(p, dtype=np.int64), p ** (s - 1))[None, :]])
+    y.flags.writeable = False
+    return y
+
+
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 2), (3, 4), (5, 3)])
 def test_y_matrix_columns_are_base_p_digits(p, s):
     y = build_y_matrix(p, s)
@@ -175,11 +193,6 @@ def test_y_matrix_columns_are_base_p_digits(p, s):
     for c in range(p**s):
         col = tuple(int(v) for v in y[:, c])
         assert col == tuple(c // p**i % p for i in range(s))
-
-
-def test_y_matrix_rejects_s_below_one():
-    with pytest.raises(InputError, match="s must be >= 1"):
-        build_y_matrix(3, 0)
 
 
 def test_phi3_golden_all_rows():
@@ -226,6 +239,25 @@ def test_cold_phi_build_holds_about_twice_the_table(p, s):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * table.nbytes + 128 * p**s + 2**18, peak  # and numpy's fixed buffers
+
+
+def test_gray_builds_one_row_not_the_table():
+    # the table of Z_{2^16} is 2^16 rows of 2^15 symbols (2 GiB); one row is 32 KiB
+    params = RingParams(2, 16)
+    _phi_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        row = gray(13, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _phi_table_cached.cache_info().currsize == 0
+    assert peak < 2**20, peak
+    assert row.dtype == np.uint8 and not row.flags.writeable
+    digits = [13 >> i & 1 for i in range(16)]  # phi(u)[j] = u_15 + sum_i u_i j_i (mod 2)
+    j = np.arange(2**15)
+    want = (digits[15] + sum(digits[i] * (j >> i & 1) for i in range(15))) % 2
+    assert np.array_equal(row, want)
 
 
 def test_phi1_is_identity():
@@ -291,6 +323,7 @@ def test_gray_inverse_rejects_non_image():
         pytest.param(lambda: gray(27, PS), id="gray-modulus"),
         pytest.param(lambda: gray(np.array([[1]]), PS), id="gray-2d"),
         pytest.param(lambda: gray(1.5, PS), id="gray-float"),
+        pytest.param(lambda: gray(0, RingParams(257, 1)), id="gray-alphabet"),
         pytest.param(lambda: tau(-1, PS), id="tau-negative"),
         pytest.param(lambda: tau(27, PS), id="tau-modulus"),
         pytest.param(lambda: tau(np.array([[1]]), PS), id="tau-2d"),

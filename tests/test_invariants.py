@@ -165,9 +165,11 @@ def test_reduced_basis_incremental():
     assert not basis.contains(np.array([0, 0, 1, 0]))
 
 
-def test_reduced_basis_matches_streaming():
+def test_reduced_basis_matches_streaming(monkeypatch):
     gc = gc_for(3, (2, 1))
-    assert reduced_basis(gc, chunk_rows=17).rank == rank(gc)
+    want = rank(gc)
+    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 17 * gc.length * 4)  # 17 float32 rows a chunk
+    assert reduced_basis(gc).rank == want
 
 
 def test_kernel_gathers_rows_in_bounded_steps():
@@ -277,7 +279,8 @@ def test_float64_elimination_when_float32_is_not_exact(p, monkeypatch):
         assert basis.rows.dtype == np.float64
         assert_reduced_span_of(basis, words, p)
     gc = gc_for(p, (2, 1) if p < 7 else (1, 0))
-    assert reduced_basis(gc, chunk_rows=11).rows.dtype == np.float64
+    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 11 * gc.length * 8)  # 11 float64 rows a chunk
+    assert reduced_basis(gc).rows.dtype == np.float64
     assert rank(gc) == naive_rank(gc.words, p)
 
 

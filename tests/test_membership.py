@@ -297,3 +297,31 @@ def test_regenerated_rows_equal_the_held_image(p, ts):
     regen = RegeneratedGray(code)
     assert np.array_equal(regen.rows(idx), words[idx])
     assert np.array_equal(regen.rows(np.arange(len(words))), words)
+
+
+@pytest.mark.parametrize("p,ts", [(3, (1, 1)), (2, (2, 1)), (5, (1, 0)), (3, (1, 0, 1))])
+def test_symbols_outside_the_alphabet_are_misses(p, ts):
+    # int64 queries one symbol off a member by +-256 (the same byte) or set to p + k:
+    # a uint8 cast of the query would find the member
+    full = full_code(p, ts)
+    regen = RegeneratedGray(AdditiveCode.build(full.sig))
+    oracle = SortedKeyCode(full.sig, full.words.copy())
+    rng = np.random.default_rng(p * len(ts))
+    rows = rng.integers(0, len(full), size=12)
+    cols = rng.integers(0, full.length, size=len(rows))
+    queries = full.words[rows].astype(np.int64)
+    sym = queries[np.arange(len(rows)), cols]
+    sym[0::4] += 256
+    sym[1::4] -= 256
+    sym[2::4] = p
+    sym[3::4] += p + 1  # p + k for k = the old symbol + 1
+    queries[np.arange(len(rows)), cols] = sym
+    assert ((queries < 0) | (queries >= p)).any(axis=1).all()
+    for code in (full, regen, oracle):
+        assert (code.locate(queries) == -1).all()
+    assert not full.contains_rows(queries).any()
+    assert not any(full.contains_row(q) for q in queries)
+    # the members themselves, as int64 queries, are still found
+    for code in (full, regen, oracle):
+        assert np.array_equal(code.locate(full.words[rows].astype(np.int64)), rows)
+
