@@ -177,6 +177,7 @@ def build_y_matrix(p, s):
     Column c holds the base-p digits of c, least significant in row 0, so
     row i is the i-th digit sequence of 0..p^s-1.
     """
+    RingParams(p, s)  # validates p prime, s >= 1 and size
     if s == 1:
         y = np.arange(p, dtype=np.int64)[None, :]
     else:
@@ -193,6 +194,11 @@ def test_y_matrix_columns_are_base_p_digits(p, s):
     for c in range(p**s):
         col = tuple(int(v) for v in y[:, c])
         assert col == tuple(c // p**i % p for i in range(s))
+
+
+def test_y_matrix_rejects_s_below_one():
+    with pytest.raises(InputError, match="s must be >= 1"):
+        build_y_matrix(3, 0)
 
 
 def test_phi3_golden_all_rows():
