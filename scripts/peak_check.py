@@ -12,8 +12,8 @@ growth is within the bound; 1 otherwise.
     python3 scripts/peak_check.py --bound-mib 32 \\
         --expect-json '{"verdict": "PASS", "mode": "set-equality"}' \\
         -- equiv-check --p 3 --type-a 3,3 --type-b 1,0,0,2,0 --sets always
-    python3 scripts/peak_check.py --bound-mib 32 --plus-image 3 3,0,0 \\
-        --expect 'r=48 k=3 linear=false' -- invariants --p 3 --type 3,0,0
+    python3 scripts/peak_check.py --bound-mib 32 --plus-image 3 3,1 \\
+        --expect 'gh PASS mode=sampled pairs=1000' -- verify --p 3 --type 3,1 --mode sampled --pairs 1000
 """
 
 import argparse

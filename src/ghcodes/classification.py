@@ -12,8 +12,9 @@ silently adopting either side.
 
 The census walks every type of one length, locates it in its chain,
 marks the linear ones (a single equivalence class per length) and can
-attach (rank, kernel) pairs computed from the Gray image of each class's
-representative.  A representative whose image is over the memory budget
+attach (rank, kernel) pairs of each class's representative, computed by
+``invariants.structural_pair`` without holding its Gray image.  A
+representative whose computation is over the memory budget
 (``CapacityError``) is marked skipped; worker threads share the budget.
 """
 
@@ -24,17 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .construction import (
-    DEFAULT_BUDGET_BYTES,
-    AdditiveCode,
-    TypeSignature,
-    materialization_bytes,
-    materialize_gray,
-    validate_type,
-)
+from .construction import DEFAULT_BUDGET_BYTES, AdditiveCode, validate_type
 from .errors import CapacityError, InputError, NoSecondRow
 from .equivalence import chain_of
-from .invariants import invariant_pair
+from .invariants import structural_bytes, structural_pair
 from .ring import RingParams
 
 
@@ -166,12 +160,11 @@ def _locate(p: int, ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, 
 
 
 def _invariants_for_rep(p: int, rep: tuple[int, ...], budget_bytes: int) -> "tuple[int, int] | None":
-    """(rank, kernel dimension) of the representative, or None where its image is over the budget."""
+    """(rank, kernel dimension) of the representative, or None where it is over the budget."""
     try:
-        gc = materialize_gray(AdditiveCode.build(validate_type(p, rep)), budget_bytes)
+        return structural_pair(AdditiveCode.build(validate_type(p, rep)), budget_bytes)
     except CapacityError:
         return None
-    return invariant_pair(gc)
 
 
 def census(
@@ -187,7 +180,7 @@ def census(
     Rows carry the chain location and the linear flag; with_invariants
     attaches (rank, kernel dimension) per equivalence class, computed on
     the representative when it fits the budget and marked skipped
-    otherwise.  Linear classes get (t+1, t+1) without materialization.
+    otherwise.  Linear classes get (t+1, t+1) without computation.
     """
     _check_tp(t, p)
     levels = range(2, t + 2) if s is None else [s]
@@ -204,15 +197,19 @@ def census(
 
     results: dict[tuple[int, ...], "tuple[int, int] | None"] = {}
     if with_invariants and nonlinear_reps:
-        # each worker holds one image at a time, so budget // need of them fit the budget together
-        need = max(materialization_bytes(validate_type(p, rep)) for rep in nonlinear_reps)
+        # each worker works on one representative at a time within its share of the budget,
+        # so budget // need of them fit the budget together
+        need = max(structural_bytes(validate_type(p, rep)) for rep in nonlinear_reps)
         workers = max(1, min(threads, budget_bytes // need))
-        run = lambda rep: _invariants_for_rep(p, rep, budget_bytes)
         if workers == 1:  # in this thread: a worker thread's own malloc arena adds about 8 MB of RSS
-            results = dict(zip(nonlinear_reps, map(run, nonlinear_reps)))
+            results = {rep: _invariants_for_rep(p, rep, budget_bytes) for rep in nonlinear_reps}
         else:
+            share = budget_bytes // workers
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(zip(nonlinear_reps, pool.map(run, nonlinear_reps)))
+                results = dict(zip(nonlinear_reps, pool.map(lambda rep: _invariants_for_rep(p, rep, share), nonlinear_reps)))
+            # a basis that outgrew its share is tried again alone, so what is skipped does not depend on the threads
+            for rep in [rep for rep, pair in results.items() if pair is None]:
+                results[rep] = _invariants_for_rep(p, rep, budget_bytes)
 
     rows = []
     for ts, lvl, rep, pos, clen, lin in located:

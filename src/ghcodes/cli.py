@@ -57,7 +57,7 @@ from .construction import (
 from .equivalence import chain_members, chain_of, verify_equivalence
 from .errors import CapacityError, InputError
 from .gray import gray
-from .invariants import invariant_pair
+from .invariants import structural_pair
 from .ring import RingParams
 
 FORMATS = ("table", "csv", "json")
@@ -202,8 +202,7 @@ def cmd_gray(args: argparse.Namespace) -> Result:
 def cmd_invariants(args: argparse.Namespace) -> Result:
     """rank, kernel dimension and linearity of one type"""
     sig = _sig(args)
-    gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
-    r, k = invariant_pair(gc)
+    r, k = structural_pair(AdditiveCode.build(sig), args.budget_bytes)
     linear = r == sig.t + 1  # p^rank = |C| = p^(t+1)
     return Result(
         lines=[f"r={r} k={k} linear={str(linear).lower()}"],
@@ -230,12 +229,26 @@ def cmd_chain(args: argparse.Namespace) -> Result:
     )
 
 
+def _witness_json_bytes(length: int) -> int:
+    """Bytes the rendered witness of ``length`` coordinates holds at most.
+
+    Per coordinate 56 bytes of Python objects: a 32-byte int and the slots
+    of ``one_based()``'s list and tuple and of the document's list, with its
+    int64 temporary.  Then its JSON text, at most five times over: the
+    encoder's pieces, the joined text, the text with its last newline and
+    its encoding on the way out.
+    """
+    return length * (56 + 5 * (len(str(length)) + 1))
+
+
 def cmd_equiv_check(args: argparse.Namespace) -> Result:
     """decide equivalence of two types (JSON verdict, witness permutation)"""
     sig_a = _sig(args, "type_a")
     sig_b = _sig(args, "type_b")
     check_sets = {"auto": None, "always": True, "never": False}[args.sets]
-    report = verify_equivalence(sig_a, sig_b, check_sets=check_sets, budget_bytes=args.budget_bytes)
+    report = verify_equivalence(
+        sig_a, sig_b, check_sets=check_sets, budget_bytes=args.budget_bytes, render_bytes=_witness_json_bytes(sig_a.gray_length)
+    )
     doc = {
         "verdict": report.verdict,
         "representative": list(report.representative) if report.representative else None,

@@ -130,6 +130,26 @@ def p_basis(sig: TypeSignature) -> np.ndarray:
     return np.stack(out)
 
 
+def order_p_split(code: "AdditiveCode") -> tuple[np.ndarray, np.ndarray]:
+    """The p-basis split into its top rows p^(sigma_i - 1) w_i and the other rows, both in basis order.
+
+    The sum t_i top rows have order p and span the order-p subgroup C[p]
+    over Z_p.  The odometer span T of the other t + 1 - sum t_i rows
+    meets C[p] in 0 only, so every codeword is one tau + z with tau in T
+    and z in C[p]: T is a transversal of C / C[p].
+    """
+    p = code.sig.p
+    sigmas = []
+    for order in row_orders(code.sig):
+        sigma = 1
+        while p**sigma < order:
+            sigma += 1
+        sigmas.append(sigma)
+    top = np.zeros(len(code.basis), dtype=bool)
+    top[np.cumsum(sigmas) - 1] = True  # each row's powers p^0 .. p^(sigma_i - 1) are consecutive in the basis
+    return code.basis[top], code.basis[~top]
+
+
 @dataclass(frozen=True)
 class AdditiveCode:
     """A type together with its generator matrix and p-basis matrix."""
@@ -209,9 +229,12 @@ def _sum_dtype(sig: TypeSignature) -> np.dtype:
     return dtype
 
 
-def _chunk_rows(sig: TypeSignature) -> int:
-    """Words per chunk: as many as fit _CHUNK_BYTES as Gray words or as the np.take index of their residues."""
-    return max(1, _CHUNK_BYTES // (sig.n * max(8, sig.gray_length // sig.n)))
+def _chunk_rows(sig: TypeSignature, coords: "int | None" = None) -> int:
+    """Words per chunk: as many as fit _CHUNK_BYTES as Gray words or as the np.take index of their residues.
+
+    The words are the code's, or their restriction to ``coords`` additive coordinates.
+    """
+    return max(1, _CHUNK_BYTES // ((coords or sig.n) * max(8, sig.gray_length // sig.n)))
 
 
 def _block_exponent(sig: TypeSignature) -> int:
@@ -234,7 +257,7 @@ def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
     The coefficient of rows[0] varies fastest.  Entries are in ``_sum_dtype``.
     """
     p, modulus = sig.p, sig.params.modulus
-    table = np.zeros((p ** len(rows), sig.n), dtype=_sum_dtype(sig))
+    table = np.zeros((p ** len(rows), rows.shape[1]), dtype=_sum_dtype(sig))
     filled = 1
     for row in rows.astype(table.dtype):
         for k in range(1, p):
@@ -243,24 +266,23 @@ def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
-    """All p^(t+1) codewords in odometer order, as consecutive blocks (first row, block).
+def _span_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """All p^len(rows) words of the odometer span of ``rows``, as consecutive blocks (first index, block).
 
-    Word m is sum_j ((m // p^j) mod p) * basis[j] mod p^s; the first basis
-    vector's coefficient varies fastest.  Every block holds p^a words: the
-    span table of basis[:a], built once, plus one offset vector, the word
-    of the high digits over basis[a:], with a from ``_block_exponent``.
-    Blocks are in ``_sum_dtype``.  The yielded block is overwritten by the
-    next one.
+    Word m is sum_j ((m // p^j) mod p) * rows[j] mod p^s; the coefficient of
+    rows[0] varies fastest.  Every block holds p^a words: the span table of
+    rows[:a], built once, plus one offset vector, the word of the high
+    digits over rows[a:], with a from ``_block_exponent`` (or all rows, if
+    fewer).  Blocks are in ``_sum_dtype``.  The yielded block is
+    overwritten by the next one.
     """
-    sig = code.sig
     p, modulus = sig.p, sig.params.modulus
-    a = _block_exponent(sig)
-    low = _span_table(sig, code.basis[:a])
-    high = code.basis[a:].astype(np.int64)
+    a = min(_block_exponent(sig), len(rows))
+    low = _span_table(sig, rows[:a])
+    high = rows[a:].astype(np.int64)
     # the step to the next block adds high[j] and takes the p - 1 of each lower high digit off
     steps = ((high - (p - 1) * (np.cumsum(high, axis=0) - high)) % modulus).astype(low.dtype)
-    offset = np.zeros(sig.n, dtype=low.dtype)
+    offset = np.zeros(rows.shape[1], dtype=low.dtype)
     block = np.empty_like(low)
     for h in range(p ** len(high)):
         if h:
@@ -270,6 +292,11 @@ def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
             _add_mod(offset, steps[j], modulus, out=offset)
         _add_mod(low, offset, modulus, out=block)
         yield h * p**a, block
+
+
+def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
+    """All p^(t+1) codewords in odometer order over the p-basis, as ``_span_blocks`` yields them."""
+    return _span_blocks(code.sig, code.basis)
 
 
 def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
@@ -300,16 +327,17 @@ def _decode_plan(sig: TypeSignature) -> "tuple[np.ndarray, np.ndarray, np.ndarra
     return np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths]
 
 
-def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step: int) -> np.ndarray:
+def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step: int, width: int) -> np.ndarray:
     """For each row, the odometer index of the equal word of the code, or -1 if it is none.
 
-    Each query is decoded to its odometer row m by ``plan`` (see
-    ``_decode_plan``); it is a hit when m < ``held`` and the query equals
-    ``held_at(m)``, the word there.  Queries run ``step`` rows at a time.
+    Each query of ``width`` symbols is decoded to its odometer row m by
+    ``plan`` (see ``_decode_plan``); it is a hit when m < ``held`` and the
+    query equals ``held_at(m)``, the word there.  Queries run ``step`` rows
+    at a time.
     """
     rows = np.asarray(rows)
     out = np.full(rows.shape[0], -1, dtype=np.int64)
-    if rows.shape[1] != sig.gray_length or not held:
+    if rows.shape[1] != width or not held:
         return out
     coords, divisors, weights = plan
     for start in range(0, rows.shape[0], step):
@@ -362,7 +390,7 @@ class GrayCode:
         temporary grows with the code.
         """
         step = max(1, _LOOKUP_BYTES // self.sig.gray_length)
-        return _locate(self.sig, self.index(), rows, len(self), self.words.__getitem__, step)
+        return _locate(self.sig, self.index(), rows, len(self), self.words.__getitem__, step, self.sig.gray_length)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact membership of each row."""
@@ -399,8 +427,13 @@ def gray_chunks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     Yields (first row, words), so a caller can work through a code's Gray
     image while holding only one block of it (see ``gray_chunk_bytes``).
     """
-    for start, block in _odometer_blocks(code):
-        yield start, gray_matrix(code.sig.params, block)
+    return _gray_blocks(code.sig, code.basis)
+
+
+def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The Gray images of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
+    for start, block in _span_blocks(sig, rows):
+        yield start, gray_matrix(sig.params, block)
 
 
 def gray_chunk_bytes(sig: TypeSignature) -> int:
@@ -419,16 +452,31 @@ class RegeneratedGray:
     Phi((low[m mod p^a] + high[m div p^a]) mod p^s).  ``locate`` decodes
     each query's odometer row as ``GrayCode.locate`` does and compares the
     query with the word rebuilt there.
+
+    Given ``sample``, additive coordinates, it is the image restricted to
+    the Gray blocks of ``coords``: the pinned coordinates of
+    ``_decode_plan`` first, then the sampled ones not among them.  A
+    restricted query is found when it equals the restriction of the word
+    its pinned blocks decode to, as every restricted member does.
     """
 
-    def __init__(self, code: AdditiveCode):
+    def __init__(self, code: AdditiveCode, sample: "np.ndarray | None" = None):
         sig = code.sig
         a = self._low_rows(sig)
+        coords, divisors, weights = _decode_plan(sig)
+        self.coords = np.arange(sig.n)  # the additive coordinates of the words, in their order
+        basis = code.basis
+        if sample is not None:
+            self.coords = np.r_[coords, np.setdiff1d(sample, coords)]
+            basis = basis[:, self.coords]
+            coords = np.arange(len(coords))
         self.sig = sig
-        self.plan = _decode_plan(sig)
+        self.plan = coords, divisors, weights
+        self.width = basis.shape[1] * sig.gray_length // sig.n
+        self.step = _chunk_rows(sig, basis.shape[1])
         self.split = sig.p**a
-        self.low = _span_table(sig, code.basis[:a])
-        self.high = _span_table(sig, code.basis[a:])
+        self.low = _span_table(sig, basis[:a])
+        self.high = _span_table(sig, basis[a:])
 
     @staticmethod
     def _low_rows(sig: TypeSignature) -> int:
@@ -457,10 +505,11 @@ class RegeneratedGray:
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """For each row, the index of the equal word of the code, or -1 if it is none.
 
-        Queries run ``_chunk_rows`` at a time, so a rebuilt batch is never
-        larger than a block of the code's odometer stream may be.
+        Queries run ``_chunk_rows`` (of the words' coordinates) at a time, so
+        a rebuilt batch is never larger than a block of the code's odometer
+        stream may be.
         """
-        return _locate(self.sig, self.plan, rows, len(self), self.rows, _chunk_rows(self.sig))
+        return _locate(self.sig, self.plan, rows, len(self), self.rows, self.step, self.width)
 
     def same_multiset(self, hits: np.ndarray) -> bool:
         """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""

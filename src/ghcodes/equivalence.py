@@ -183,6 +183,7 @@ def verify_equivalence(
     sig_b: TypeSignature,
     check_sets: "bool | None" = None,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
+    render_bytes: int = 0,
 ) -> EquivalenceReport:
     """Decide equivalence of two types and, when PASS, produce a witness.
 
@@ -198,7 +199,9 @@ def verify_equivalence(
     it is compared with, so it holds neither Gray image (see the module
     docstring).  It runs when ``set_check_bytes`` fits the budget (with
     check_sets=True, CapacityError otherwise); that estimate includes the
-    witness, so a checked verdict always has one.
+    witness, so a checked verdict always has one.  ``render_bytes``, what
+    the caller will hold beside the returned witness (the command line's
+    JSON of it), is added to both estimates.
     """
     if sig_a.p != sig_b.p:
         raise InputError("types live over different primes")
@@ -221,12 +224,12 @@ def verify_equivalence(
     lo, hi = min(positions), max(positions)
     lower_sig, higher_sig = (sig_a, sig_b) if ca.position <= cb.position else (sig_b, sig_a)
 
-    cost = set_check_bytes(lower_sig, higher_sig)
+    cost = set_check_bytes(lower_sig, higher_sig) + render_bytes
     if check_sets is True:
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
     length = sig_a.gray_length
-    if witness_bytes(length) <= budget_bytes:
+    if witness_bytes(length) + render_bytes <= budget_bytes:
         witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
 
     if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there

@@ -195,9 +195,16 @@ def _phi_rows(p: int, s: int, u: np.ndarray) -> np.ndarray:
     return rows.astype(np.uint8, copy=False)
 
 
+_PHI_SLAB = 2**18  # table entries built at a time, so the build's temporaries stay small beside the table
+
+
 @lru_cache(maxsize=None)
 def _phi_table_cached(p: int, s: int) -> np.ndarray:
-    table = _phi_rows(p, s, np.arange(p**s))
+    # built a slab of residues at a time straight into the uint8 table: the sums of p > 128 are uint16
+    table = np.empty((p**s, p ** (s - 1)), dtype=np.uint8)
+    step = max(1, _PHI_SLAB // table.shape[1])
+    for start in range(0, len(table), step):
+        table[start : start + step] = _phi_rows(p, s, np.arange(start, min(start + step, len(table))))
     table.flags.writeable = False
     return table
 
@@ -205,6 +212,50 @@ def _phi_table_cached(p: int, s: int) -> np.ndarray:
 def phi_table(params: RingParams) -> np.ndarray:
     """Rows = phi(u) for u = 0..p^s-1; shape (p^s, p^(s-1)), dtype uint8."""
     return _phi_table_cached(params.p, params.s)
+
+
+@lru_cache(maxsize=None)
+def order_p_identity_holds(params: RingParams) -> bool:
+    """Does phi(v + p^(s-1) a) = phi(v) + phi(p^(s-1) a) (mod p) hold for every v in Z_{p^s} and a in Z_p?
+
+    Checked once per ring on its phi table, for a = 1 and every v, with
+    phi(0) = 0; the other a follow by induction, since p^(s-1) a is a sum
+    of a copies of p^(s-1).  Phi acts coordinate by coordinate, so where the
+    identity holds, adding a word of the order-p subgroup p^(s-1) Z_{p^s}^n
+    to any word adds its Gray image to the image.
+    """
+    p, top = params.p, params.modulus // params.p
+    blocks = phi_table(params).reshape(p, top, top)  # block k: the residues k p^(s-1) + [0, p^(s-1))
+    shift = blocks[1, 0].astype(np.int16)  # phi(p^(s-1))
+    # v + p^(s-1) is block k + 1 (block 0 after block p - 1) at the same place
+    steps = all(np.array_equal((blocks[k] + shift) % p, blocks[(k + 1) % p]) for k in range(p))
+    return steps and not blocks[0, 0].any()
+
+
+@lru_cache(maxsize=None)
+def spanning_positions(params: RingParams) -> np.ndarray:
+    """Positions of a phi-block whose columns of the phi table span all its columns over GF(p).
+
+    Position 0 and the positions p^i (i < s-1), where every column j of
+    the table is phi[:, 0] + sum_i j_i (phi[:, p^i] - phi[:, 0]) mod p, j_i
+    being the base-p digits of j, as the Y matrix makes it; this is
+    checked on the table, a slab of rows at a time.  Every position where
+    the check fails.  A set of words then has the rank of its Gray images
+    read at these positions of each block only.
+    """
+    p, top = params.p, params.modulus // params.p
+    pinned = np.array([0, *(p**i for i in range(params.s - 1))])
+    digits = np.arange(top)[:, None] // p ** np.arange(params.s - 1) % p  # j_i of each position j
+    table = phi_table(params)
+    step = max(1, _PHI_SLAB // top)
+    for start in range(0, len(table), step):
+        read = table[start : start + step, pinned].astype(np.int32)
+        spanned = (read[:, :1] + (read[:, 1:] - read[:, :1]) @ digits.T) % p
+        if not np.array_equal(spanned, table[start : start + step]):
+            pinned = np.arange(top)
+            break
+    pinned.flags.writeable = False
+    return pinned
 
 
 def _residue(u: int, params: RingParams) -> int:

@@ -14,19 +14,53 @@ stay exact (see ``_float_dtype``), so the product is one BLAS GEMM and the
 reduction mod p one floor division.  New pivots are found by Gauss-Jordan
 on a window of at most ``_WINDOW`` nonzero residues at a time; the rest of
 the chunk is then reduced against them by one more GEMM.
+
+``rank``, ``kernel`` and ``invariant_pair`` read a held image and serve
+any code that contains 0.  ``structural_pair`` gives a type's pair without
+holding its image, from the split C = T + C[p] of ``order_p_split``: where
+the ring's Gray map satisfies ``order_p_identity_holds``, Phi(tau + z) =
+Phi(tau) + Phi(z) for tau in T and z in C[p], and Phi(C[p]) is the linear
+span L of the images of the top rows.  So Phi(C) = Phi(T) + L, which gives
+
+    rank = rank(Phi(top rows) and Phi(T)),
+    ker  = L + {Phi(tau) : tau in T, Phi(tau) + Phi(tau') in Phi(C) for every tau' in T},
+
+and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
+This generalizes the coset-of-kernel argument of Phelps, Rifà and
+Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .construction import _LOOKUP_BYTES, _RANK_CHUNK_BYTES, GrayCode, _mod_p_diff
+from .construction import (
+    _LOOKUP_BYTES,
+    _RANK_CHUNK_BYTES,
+    DEFAULT_BUDGET_BYTES,
+    AdditiveCode,
+    GrayCode,
+    RegeneratedGray,
+    TypeSignature,
+    _block_exponent,
+    _check_budget,
+    _gray_blocks,
+    _mod_p_diff,
+    _span_blocks,
+    gray_chunk_bytes,
+    materialize_gray,
+    order_p_split,
+    phi_bytes,
+)
 from .errors import InputError
+from .gray import gray_matrix, order_p_identity_holds, phi_table, spanning_positions
 
 _PROBES = 24  # probe words spread over the code that filter the kernel candidates
+_PROBE_COORDS = 32  # additive coordinates (besides the pinned ones) on which structural_pair's probes compare
 _WINDOW = 64  # nonzero residues echelonized at a time by ReducedBasis.absorb
 _FLOAT32_EXACT = 2**24  # integers of magnitude up to 2^24 are exact in float32
 
@@ -60,12 +94,17 @@ def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class ReducedBasis:
-    """A GF(p) row space in reduced echelon form, growable a batch at a time."""
+    """A GF(p) row space in reduced echelon form, growable a batch at a time.
+
+    With ``budget_bytes`` the rows may take at most that much, held twice
+    while they grow; a batch that would take more raises CapacityError.
+    """
 
     p: int
     length: int
     rows: np.ndarray = field(default=None)  # (r, length) floats holding residues
     pivots: list = field(default_factory=list)
+    budget_bytes: "int | None" = None
 
     def __post_init__(self):
         if self.rows is None:
@@ -116,6 +155,9 @@ class ReducedBasis:
         nz = np.flatnonzero(residue.any(axis=1))
         while nz.size:
             new_rows, new_pivots = self._echelonize(residue[nz[:_WINDOW]])
+            if self.budget_bytes is not None:
+                grown = (self.rank + len(new_pivots)) * self.length * self.rows.itemsize
+                _check_budget(f"a rank basis of length {self.length}", 2 * grown, self.budget_bytes)
             # new rows vanish at the old pivots: clearing their pivots from the old rows keeps both reduced
             self._eliminate(self.rows, new_pivots, new_rows)
             self.rows = np.vstack([self.rows, new_rows])
@@ -148,6 +190,11 @@ def rank(gc: GrayCode) -> int:
 def is_linear(gc: GrayCode) -> bool:
     """A code containing 0 is linear iff its span is no bigger than itself."""
     return gc.sig.p ** rank(gc) == len(gc)
+
+
+def _negated(x: np.ndarray, p: int) -> np.ndarray:
+    """-x mod p of uint8 symbols."""
+    return ((p - x.astype(np.int16)) % p).astype(np.uint8)
 
 
 def _probe_indices(m: int) -> np.ndarray:
@@ -187,7 +234,7 @@ def kernel(gc: GrayCode) -> tuple[int, ReducedBasis]:
 def _translates_inside(gc: GrayCode, idx: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
     """Is words[i] + x in the code, for the rows i of idx? One array per step of at most 4 MiB of rows."""
     p = gc.sig.p
-    neg = ((p - x.astype(np.int64)) % p).astype(np.uint8)
+    neg = _negated(x, p)
     step = max(1, _LOOKUP_BYTES // gc.length)
     for start in range(0, len(idx), step):
         # the gather is fresh, so it can hold the sum
@@ -202,3 +249,138 @@ def invariant_pair(gc: GrayCode) -> tuple[int, int]:
         return r, dims
     k, _ = kernel(gc)
     return r, k
+
+
+# ---------------------------------------------------------------------------
+# structural rank and kernel of a type
+# ---------------------------------------------------------------------------
+
+
+def structural_bytes(sig: TypeSignature) -> int:
+    """Bytes ``structural_pair`` holds at once above the baseline, its reduced bases aside.
+
+    The phi table, one block of Phi(T) (``gray_chunk_bytes``), and the
+    larger working set of its two stages.  Rank's is five float chunks, as
+    in ``materialization_bytes``, each at least one block.  The kernel's is
+    a ``RegeneratedGray``'s span tables and one locate step, the probe
+    words, a few words of the candidate at hand and two 8-byte indices of
+    every word of T.  Each basis checks its own growth against what the
+    budget leaves (see ``ReducedBasis``), so no rank is guessed here.
+    """
+    p, length = sig.p, sig.gray_length
+    block = p ** _block_exponent(sig) * length * _float_dtype(p, length).itemsize
+    rank = 5 * max(_RANK_CHUNK_BYTES, block)
+    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - sig.num_rows)
+    return phi_bytes(sig.params) + gray_chunk_bytes(sig) + max(rank, kernel)
+
+
+def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The words at odometer indices ``idx`` of the span of ``rows``, as int64 residues."""
+    digits = np.asarray(idx, dtype=np.int64)[:, None] // sig.p ** np.arange(len(rows)) % sig.p
+    return digits @ rows.astype(np.int64) % sig.params.modulus
+
+
+def _regrouped(blocks: Iterator[tuple[int, np.ndarray]], rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Consecutive blocks (first index, words) joined into chunks of at least ``rows`` words; the last may be short."""
+    held, first = [], 0
+    for start, words in blocks:
+        if not held:
+            first = start
+        held.append(words)
+        if sum(map(len, held)) >= rows:
+            yield first, np.concatenate(held)
+            held = []
+    if held:
+        yield first, np.concatenate(held)
+
+
+def _absorb_stream(basis: ReducedBasis, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
+    """Fold blocks of words into ``basis`` in chunks of about _RANK_CHUNK_BYTES of float rows, until it spans everything."""
+    for _, words in _regrouped(blocks, max(1, _RANK_CHUNK_BYTES // (basis.length * basis.rows.itemsize))):
+        basis.absorb(words)
+        if basis.rank == basis.length:
+            return
+
+
+def _split_rank(sig: TypeSignature, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
+    """rank(Phi(top) and Phi(T)), with Phi(T) streamed a block at a time.
+
+    The words are read at the ``spanning_positions`` of each phi-block
+    only: the other columns are combinations of those, so the rank is the
+    same (s of the p^(s-1) positions where the ring's phi table allows).
+    """
+    table = np.ascontiguousarray(phi_table(sig.params)[:, spanning_positions(sig.params)])
+    read = lambda rows: np.take(table, rows, axis=0).reshape(len(rows), -1)
+    tops = ((i, read(top[i : i + 1])) for i in range(len(top)))
+    basis = ReducedBasis(sig.p, sig.n * table.shape[1], budget_bytes=budget_bytes)
+    _absorb_stream(basis, itertools.chain(tops, ((start, read(block)) for start, block in _span_blocks(sig, other))))
+    return basis.rank
+
+
+def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
+    """The indices i > 0 of T for which Phi(tau_i) + Phi(probe) is in Phi(C) on a sample of coordinates, for each probe.
+
+    Every kernel tau survives; the probes (words of T spread over its
+    odometer order) and the coordinate sample only prune.
+    """
+    sig, p = code.sig, code.sig.p
+    sample = np.unique(np.linspace(0, sig.n - 1, num=min(_PROBE_COORDS, sig.n), dtype=np.int64))
+    restricted = RegeneratedGray(code, sample)
+    rows = other[:, restricted.coords]
+    probes = gray_matrix(sig.params, _span_words(sig, rows, _probe_indices(p ** len(other))))
+    negs = _negated(probes, p)
+    survivors = []
+    for start, words in _regrouped(_gray_blocks(sig, rows), restricted.step):
+        idx = np.arange(start, start + len(words))
+        for neg in negs:
+            if not len(idx):
+                break
+            inside = restricted.locate(_mod_p_diff(words.copy(), neg, p)) >= 0
+            words, idx = words[inside], idx[inside]
+        survivors.append(idx)
+    survivors = np.concatenate(survivors)
+    return survivors[survivors > 0]
+
+
+def _split_kernel(code: AdditiveCode, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
+    """dim ker: L spanned by Phi(top), then each probe survivor tau checked against all of Phi(T).
+
+    A survivor in the span of L and the kernel images already found is in
+    the kernel, which is a subspace; any other is checked exactly, block by
+    block of Phi(T), with ``RegeneratedGray.locate``.  The dimension is
+    sum t_i + log_p of the number of kernel tau, 0 included.
+    """
+    sig, p = code.sig, code.sig.p
+    survivors = _probe_survivors(code, other)
+    lookup = RegeneratedGray(code)
+    basis = ReducedBasis(p, sig.gray_length, budget_bytes=budget_bytes)
+    _absorb_stream(basis, ((i, gray_matrix(sig.params, top[i : i + 1])) for i in range(len(top))))
+    for i in survivors:
+        x = gray_matrix(sig.params, _span_words(sig, other, [i]))
+        if basis.contains(x[0]):
+            continue
+        neg = _negated(x[0], p)
+        # each block is fresh, so it can hold the sum
+        if all((lookup.locate(_mod_p_diff(words, neg, p)) >= 0).all() for _, words in _gray_blocks(sig, other)):
+            basis.absorb(x)
+    return basis.rank
+
+
+def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
+    """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p], holding no image.
+
+    See the module docstring.  A ring whose Gray map fails
+    ``order_p_identity_holds`` falls back to ``invariant_pair`` on the
+    held image.  The budget is checked against ``structural_bytes``; what
+    it leaves bounds each reduced basis.  Both raise CapacityError.
+    """
+    sig = code.sig
+    if not order_p_identity_holds(sig.params):
+        return invariant_pair(materialize_gray(code, budget_bytes))
+    need = structural_bytes(sig)
+    _check_budget(f"rank and kernel of type {sig.ts} over Z_{sig.p}^{sig.s}", need, budget_bytes)
+    top, other = order_p_split(code)
+    r = _split_rank(sig, top, other, budget_bytes - need)
+    if r == sig.t + 1:
+        return r, r
+    return r, _split_kernel(code, top, other, budget_bytes - need)

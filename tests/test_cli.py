@@ -12,6 +12,7 @@ import pytest
 from ghcodes import cli
 from ghcodes.cli import build_parser, main
 from ghcodes.construction import GH_SAMPLE_SEED, build_gray_code, validate_type
+from ghcodes.equivalence import chain_members, witness_bytes
 from ghcodes.errors import CapacityError
 from ghcodes.gray import _phi_table_cached
 
@@ -182,6 +183,28 @@ def test_equiv_check_forced_sets_over_budget(capsys):
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("p,rep", [(2, (3, 12)), (3, (2, 7)), (5, (2, 4))])
+def test_equiv_check_budget_counts_the_rendered_witness(capsys, p, rep):
+    # the longest witnesses the benchmark renders: at p = 2 its one_based() tuple and JSON text
+    # peaked at 9.37 MB against the 8.45 MB of its composition alone
+    members = chain_members(validate_type(p, rep)).members
+    length = members[0].gray_length
+    need = witness_bytes(length) + cli._witness_json_bytes(length)
+    argv = ["equiv-check", "--p", str(p), "--type-a", ",".join(map(str, rep))]
+    argv += ["--type-b", ",".join(map(str, members[-1].ts)), "--sets", "never"]
+    for budget in (need, need - 1):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv, "--budget-bytes", str(budget))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        doc = json.loads(out)
+        assert code == 0 and (doc["verdict"], doc["mode"]) == ("PASS", "algebra-only")
+        assert (doc["witness"] is not None) == (budget == need)
+        assert peak <= budget, (budget, peak)
 
 
 def test_malformed_type_is_input_error(capsys):

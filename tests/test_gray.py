@@ -234,9 +234,9 @@ def test_phi_table_matches_the_digit_matrix_build(p, s):
     assert np.array_equal(table, phi_by_digit_matrix(p, s))
 
 
-@pytest.mark.parametrize("p,s", [(3, 7), (2, 10), (5, 5), (13, 3)])
+@pytest.mark.parametrize("p,s", [(3, 7), (2, 10), (5, 5), (13, 3), (251, 2)])
 def test_cold_phi_build_holds_about_twice_the_table(p, s):
-    # the int64 build of (3, 7) peaked at 16x its 1.52 MiB table
+    # the int64 build of (3, 7) peaked at 16x its 1.52 MiB table, and the uint16 sums of (251, 2) at 4x its 15.8 MB
     _phi_table_cached.cache_clear()
     tracemalloc.start()
     try:

@@ -1,26 +1,42 @@
 """Rank and kernel of Gray images, against brute-force oracles."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ghcodes import invariants
-from ghcodes.classification import census, is_linear_type
-from ghcodes.construction import AdditiveCode, build_gray_code, materialization_bytes, materialize_gray, validate_type
-from ghcodes.gray import Permutation, _phi_table_cached
+from ghcodes.classification import census, enumerate_types, is_linear_type
+from ghcodes.construction import (
+    AdditiveCode,
+    build_gray_code,
+    materialization_bytes,
+    materialize_gray,
+    order_p_split,
+    validate_type,
+)
+from ghcodes.errors import CapacityError
+from ghcodes.gray import Permutation, _phi_table_cached, order_p_identity_holds, phi_table, spanning_positions
 from ghcodes.invariants import (
     ReducedBasis,
     _float_dtype,
     _mod_p,
+    _probe_survivors,
     invariant_pair,
     is_linear,
     kernel,
     rank,
     reduced_basis,
+    structural_bytes,
+    structural_pair,
 )
+from ghcodes.ring import RingParams
 
 from sorted_key_code import SortedKeyCode, set_equal
+
+construction = importlib.import_module("ghcodes.construction")
+gray_module = importlib.import_module("ghcodes.gray")
 
 
 def gc_for(p, ts):
@@ -300,3 +316,206 @@ def test_floor_modulo_exact_up_to_the_bound(p):
         [np.arange(top - 5000, top + 1), np.arange(-top, -top + 5000), np.arange(-500, 500), rng.integers(-top, top + 1, 20000)]
     )
     assert np.array_equal(_mod_p(x.astype(np.float32), p), x % p)
+
+
+# ---------------------------------------------------------------------------
+# structural rank and kernel against the held image
+# ---------------------------------------------------------------------------
+
+STRUCTURAL_T_MAX = {2: 9, 3: 7, 5: 5, 7: 4}  # per p, the lengths p^t of the differential test
+
+
+def nonlinear_types(p, t_max):
+    return [
+        ts
+        for t in range(1, t_max + 1)
+        for s in range(1, t + 2)
+        for ts in enumerate_types(t, s)
+        if not is_linear_type(p, ts)
+    ]
+
+
+def held_pair(code):
+    return invariant_pair(materialize_gray(code))
+
+
+def test_the_differential_test_covers_96_nonlinear_types():
+    assert {p: len(nonlinear_types(p, t)) for p, t in STRUCTURAL_T_MAX.items()} == {2: 55, 3: 30, 5: 8, 7: 3}
+
+
+@pytest.mark.parametrize("p", sorted(STRUCTURAL_T_MAX))
+def test_structural_pair_matches_the_held_image_on_every_nonlinear_type(p):
+    for ts in nonlinear_types(p, STRUCTURAL_T_MAX[p]):
+        code = AdditiveCode.build(validate_type(p, ts))
+        assert structural_pair(code) == held_pair(code), ts
+
+
+@pytest.mark.parametrize("p,ts", [(3, (3,)), (3, (1, 0, 2)), (2, (2, 2)), (2, (1, 1, 2)), (2, (1, 0, 1, 1)), (5, (1, 1))])
+def test_structural_pair_of_a_linear_type_is_full(p, ts):
+    sig = validate_type(p, ts)
+    assert structural_pair(AdditiveCode.build(sig)) == (sig.t + 1, sig.t + 1)
+
+
+@pytest.mark.parametrize("p,ts", [(2, (3, 0, 1)), (3, (2, 0, 1)), (3, (1, 1, 1, 0)), (5, (2, 0)), (7, (1, 1, 0))])
+def test_order_p_split_is_a_transversal_of_the_order_p_subgroup(p, ts):
+    code = AdditiveCode.build(validate_type(p, ts))
+    sig = code.sig
+    top, other = order_p_split(code)
+    assert len(top) == sig.num_rows and len(other) == sig.t + 1 - sig.num_rows
+    assert not (p * top % sig.params.modulus).any()  # order p
+    # every codeword is one tau + z, with tau from the odometer span of the other rows and z from that of the top rows
+    span = lambda rows: construction._span_table(sig, rows).astype(np.int64)
+    sums = (span(other)[:, None, :] + span(top)[None, :, :]) % sig.params.modulus
+    codewords = construction.materialize_additive(code).astype(np.int64)
+    as_set = lambda words: {row.tobytes() for row in words}
+    assert as_set(sums.reshape(-1, sig.n)) == as_set(codewords) and sums.shape[0] * sums.shape[1] == sig.size
+
+
+IDENTITY_RINGS = [(p, s) for p, t_max in STRUCTURAL_T_MAX.items() for s in range(1, t_max + 1)]
+
+
+@pytest.mark.parametrize("p,s", IDENTITY_RINGS)
+def test_order_p_identity_holds_on_every_ring_of_the_differential_test(p, s):
+    # every ring a nonlinear type of the differential test lives over, every v and every a
+    params = RingParams(p, s)
+    table = phi_table(params).astype(np.int16)
+    top = p ** (s - 1)
+    v = np.arange(p**s)
+    for a in range(p):
+        assert np.array_equal(table[(v + a * top) % p**s], (table + table[a * top]) % p), a
+    assert order_p_identity_holds(params)
+
+
+def broken_phi(p, s):
+    """The phi table with one symbol of phi(p^(s-1)) changed off the decoded positions 0 and p^i: still
+    injective and still decoded as before, but phi(2 p^(s-1)) != 2 phi(p^(s-1))."""
+    table = _phi_table_cached.__wrapped__(p, s).copy()
+    free = next(j for j in range(1, p ** (s - 1)) if j not in {p**i for i in range(s - 1)})
+    table[p ** (s - 1), free] = (table[p ** (s - 1), free] + 1) % p
+    table.flags.writeable = False
+    return table
+
+
+@pytest.mark.parametrize("p,s", IDENTITY_RINGS)
+def test_the_decoded_positions_span_every_phi_column(p, s):
+    # rank is read at positions 0 and p^i of each block; on small rings their columns have the rank of all
+    params = RingParams(p, s)
+    pinned = [0, *(p**i for i in range(s - 1))]
+    assert spanning_positions(params).tolist() == pinned
+    if p**s <= 729:
+        table = phi_table(params)
+        assert naive_rank(table, p) == naive_rank(table[:, pinned], p) == s
+
+
+def skewed_phi(p, s):
+    """The phi table plus 1 at the first position off 0 and p^i wherever u mod p^(s-1) = 1: the order-p
+    identity still holds, but that column is no combination of the columns at 0 and p^i."""
+    table = _phi_table_cached.__wrapped__(p, s).copy()
+    top = p ** (s - 1)
+    free = next(j for j in range(1, top) if j not in {p**i for i in range(s - 1)})
+    table[:, free] = (table[:, free] + (np.arange(p**s) % top == 1)) % p
+    table.flags.writeable = False
+    return table
+
+
+def clear_ring_caches():
+    for cached in (_phi_table_cached, order_p_identity_holds, spanning_positions):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_ring_caches():
+    clear_ring_caches()
+    yield
+    clear_ring_caches()
+
+
+@pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (3, (1, 1, 0))])
+def test_a_gray_map_without_the_identity_falls_back_to_the_held_image(p, ts, monkeypatch, fresh_ring_caches):
+    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
+    sig = validate_type(p, ts)
+    assert not order_p_identity_holds(sig.params)
+    code = AdditiveCode.build(sig)
+    held = held_pair(code)
+    assert structural_pair(code) == held
+    # the split alone, which assumes the identity, gets this code wrong
+    top, other = order_p_split(code)
+    assert invariants._split_rank(sig, top, other, 2**30) != held[0]
+
+
+@pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (5, (2, 0))])
+def test_a_gray_map_whose_columns_need_every_position_is_ranked_on_all(p, ts, monkeypatch, fresh_ring_caches):
+    monkeypatch.setattr(gray_module, "_phi_table_cached", skewed_phi)
+    sig = validate_type(p, ts)
+    assert order_p_identity_holds(sig.params)
+    assert spanning_positions(sig.params).tolist() == list(range(p ** (sig.s - 1)))
+    code = AdditiveCode.build(sig)
+    assert structural_pair(code) == held_pair(code)
+
+
+@pytest.mark.parametrize("probes,coords", [(1, 1), (2, 0)])
+def test_structural_kernel_checks_every_probe_survivor(probes, coords, monkeypatch):
+    # with one or two probes on a few coordinates many non-kernel words of T survive the filter;
+    # each one is checked against all of T
+    types = [(2, (2, 0, 1)), (2, (3, 0, 0)), (3, (2, 1)), (3, (2, 0, 0)), (3, (3, 0)), (3, (1, 1, 0, 0)), (5, (2, 0))]
+    codes = [AdditiveCode.build(validate_type(p, ts)) for p, ts in types]
+    pairs = [held_pair(code) for code in codes]  # before the patch, which the held kernel's probes read too
+    monkeypatch.setattr(invariants, "_PROBES", probes)
+    monkeypatch.setattr(invariants, "_PROBE_COORDS", coords)
+    spurious = 0
+    for code, (r, k) in zip(codes, pairs):
+        assert structural_pair(code) == (r, k), code.sig.ts
+        spurious += len(_probe_survivors(code, order_p_split(code)[1])) - (code.sig.p ** (k - code.sig.num_rows) - 1)
+    assert spurious > 0
+
+
+@pytest.mark.parametrize("p,ts", [(2, (3, 0, 1)), (3, (2, 0, 1)), (3, (1, 1, 1, 0)), (5, (2, 0)), (3, (1, 0, 0, 0, 2))])
+def test_structural_pair_across_block_and_chunk_seams(p, ts, monkeypatch):
+    code = AdditiveCode.build(validate_type(p, ts))
+    want = held_pair(code)
+    monkeypatch.setattr(construction, "_CHUNK_BYTES", 1)  # blocks of one word, and one-word locate steps
+    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 3 * code.sig.gray_length * 4)  # rank chunks of 3 words
+    assert structural_pair(code) == want
+
+
+def bases_bytes(sig, r, k):
+    """The larger of the two reduced bases of structural_pair, each held twice while it grows: rank's, of
+    words read at the spanning positions, and the kernel's, of whole Gray words."""
+    width, length = sig.n * len(spanning_positions(sig.params)), sig.gray_length
+    return 2 * max(r * width * _float_dtype(sig.p, width).itemsize, k * length * _float_dtype(sig.p, length).itemsize)
+
+
+@pytest.mark.parametrize("p,t", [(3, 6), (3, 7), (2, 10), (5, 5)])
+def test_structural_estimate_and_basis_budget_bound_the_peak(p, t, fresh_ring_caches):
+    # built cold, each representative's pair fits a budget of structural_bytes plus its larger basis held
+    # twice, and peaks within it; a budget one byte short of that basis is refused
+    for rep in sorted({row.representative for row in census(t, p).rows if not row.linear}):
+        sig = validate_type(p, rep)
+        code = AdditiveCode.build(sig)
+        r, k = held_pair(code)
+        budget = structural_bytes(sig) + bases_bytes(sig, r, k)
+        clear_ring_caches()
+        tracemalloc.start()
+        try:
+            assert structural_pair(code, budget) == (r, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (rep, peak, budget)
+        with pytest.raises(CapacityError):
+            structural_pair(code, budget - 1)
+        with pytest.raises(CapacityError):
+            structural_pair(code, structural_bytes(sig) - 1)
+
+
+def test_structural_pair_bounds_the_p2_t15_basis():
+    # the held-image estimate counted 26.0 MiB for a 46.5 MiB peak here (rank 178 at length 2^15)
+    sig = validate_type(2, (2, 0, 0, 0, 0, 0, 0, 0))
+    budget = structural_bytes(sig) + bases_bytes(sig, 178, 3)
+    tracemalloc.start()
+    try:
+        assert structural_pair(AdditiveCode.build(sig), budget) == (178, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)

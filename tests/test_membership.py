@@ -299,6 +299,33 @@ def test_regenerated_rows_equal_the_held_image(p, ts):
     assert np.array_equal(regen.rows(np.arange(len(words))), words)
 
 
+def restricted_columns(regen, sig):
+    """The Gray columns of the blocks of a restricted RegeneratedGray's coordinates."""
+    width = sig.gray_length // sig.n
+    return (regen.coords[:, None] * width + np.arange(width)).ravel()
+
+
+@pytest.mark.parametrize("p,ts", [(2, (2, 3)), (3, (2, 2)), (3, (1, 0, 1, 0)), (5, (1, 1)), *WIDE])
+def test_restricted_regenerated_gray_never_drops_a_member(p, ts):
+    # restricted to the pinned coordinates and a sample, a query the held image finds is found at the same
+    # index (others may be found too); restricted to every coordinate it is exact
+    full = full_code(p, ts)
+    code = AdditiveCode.build(full.sig)
+    rng = np.random.default_rng(p * sum(ts))
+    other = next(o for o in types_of(p, full.sig.t) if o != ts)
+    queries = mixed_queries(full, full_code(p, other), rng)
+    held = full.locate(queries)
+    for sample in (np.arange(0, full.sig.n, 5), np.array([], dtype=np.int64), np.arange(full.sig.n)):
+        regen = RegeneratedGray(code, sample)
+        assert list(regen.coords[: code.sig.num_rows]) == list(construction._decode_plan(code.sig)[0])
+        cols = restricted_columns(regen, full.sig)
+        assert np.array_equal(regen.rows(np.arange(len(full))), full.words[:, cols])
+        got = regen.locate(queries[:, cols])
+        assert ((held < 0) | (got == held)).all()
+        if len(sample) == full.sig.n:
+            assert np.array_equal(got, held)
+
+
 @pytest.mark.parametrize("p,ts", [(3, (1, 1)), (2, (2, 1)), (5, (1, 0)), (3, (1, 0, 1))])
 def test_symbols_outside_the_alphabet_are_misses(p, ts):
     # int64 queries one symbol off a member by +-256 (the same byte) or set to p + k:
