@@ -13,14 +13,14 @@ silently adopting either side.
 The census walks every type of one length, locates it in its chain,
 marks the linear ones (a single equivalence class per length) and can
 attach (rank, kernel) pairs of each class's representative, computed by
-``invariants.structural_pair`` without holding its Gray image.  A
-representative whose computation is over the memory budget
-(``CapacityError``) is marked skipped; worker threads share the budget.
+``invariants.structural_pair`` without holding its Gray image, one at a
+time in the calling thread with the whole budget.  A representative
+whose computation is over the budget (``CapacityError``) is marked
+skipped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -28,7 +28,7 @@ from typing import Iterator
 from .construction import DEFAULT_BUDGET_BYTES, AdditiveCode, validate_type
 from .errors import CapacityError, InputError, NoSecondRow
 from .equivalence import chain_of
-from .invariants import structural_bytes, structural_pair
+from .invariants import structural_pair
 from .ring import RingParams
 
 
@@ -173,7 +173,6 @@ def census(
     s: "int | None" = None,
     with_invariants: bool = False,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
-    threads: int = 1,
 ) -> Census:
     """Classify every type of Gray length p^t (optionally at one level s).
 
@@ -195,21 +194,7 @@ def census(
     class_ids = {("linear",) if lin else rep for _, _, rep, _, _, lin in located}
     nonlinear_reps = sorted({rep for _, _, rep, _, _, lin in located if not lin})
 
-    results: dict[tuple[int, ...], "tuple[int, int] | None"] = {}
-    if with_invariants and nonlinear_reps:
-        # each worker works on one representative at a time within its share of the budget,
-        # so budget // need of them fit the budget together
-        need = max(structural_bytes(validate_type(p, rep)) for rep in nonlinear_reps)
-        workers = max(1, min(threads, budget_bytes // need))
-        if workers == 1:  # in this thread: a worker thread's own malloc arena adds about 8 MB of RSS
-            results = {rep: _invariants_for_rep(p, rep, budget_bytes) for rep in nonlinear_reps}
-        else:
-            share = budget_bytes // workers
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(zip(nonlinear_reps, pool.map(lambda rep: _invariants_for_rep(p, rep, share), nonlinear_reps)))
-            # a basis that outgrew its share is tried again alone, so what is skipped does not depend on the threads
-            for rep in [rep for rep, pair in results.items() if pair is None]:
-                results[rep] = _invariants_for_rep(p, rep, budget_bytes)
+    results = {rep: _invariants_for_rep(p, rep, budget_bytes) for rep in nonlinear_reps} if with_invariants else {}
 
     rows = []
     for ts, lvl, rep, pos, clen, lin in located:
@@ -322,7 +307,6 @@ def bounds_report(
     t_max: int,
     with_lower: bool = False,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
-    threads: int = 1,
 ) -> BoundsReport:
     """All four bound families over a range of t, with cross-checks.
 
@@ -341,7 +325,7 @@ def bounds_report(
         lower = None
         partial = False
         if with_lower:
-            c = census(t, p, with_invariants=True, budget_bytes=budget_bytes, threads=threads)
+            c = census(t, p, with_invariants=True, budget_bytes=budget_bytes)
             pairs = {(row.r, row.k) for row in c.rows if row.r is not None}
             lower = len(pairs)
             partial = bool(c.skipped_reps)

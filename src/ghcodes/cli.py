@@ -14,14 +14,15 @@ stdout or ``--output``.  A subcommand offers only the formats it renders:
 
 ``--budget-bytes`` exists only on the commands that materialize codes
 (construct, invariants, equiv-check, classify, tables, verify).  Of the
-options of ``tables``, --with-lower belongs to --kind bounds, and --threads
-and --budget-bytes to the kinds types and bounds.  An option or format a
-subcommand (or a kind of ``tables``) does not offer is a usage error (exit
-code 2).
+options of ``tables``, --with-lower belongs to --kind bounds, and
+--budget-bytes to the kinds types and bounds; every kind checks
+1 <= --t-min <= --t-max.  ``classify --threads`` takes the one value 1,
+kept so that command lines which pin it still parse.  An option or format
+a subcommand (or a kind of ``tables``) does not offer is a usage error
+(exit code 2).
 
 Output is deterministic for fixed inputs and seed: fixed orderings
-everywhere, no timestamps, single-threaded output assembly (workers only
-run inside the library).
+everywhere, no timestamps, one thread.
 
 Exit codes: 0 success, 1 verification FAIL, 2 bad input, 3 capacity
 (over the memory budget).
@@ -34,7 +35,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -77,15 +77,15 @@ def _parse_type(text: str) -> tuple[int, ...]:
 
 # the options of `tables` that each kind honours; the others are usage errors
 _TABLES_KIND_OPTIONS = {
-    "types": ("threads", "budget_bytes"),
-    "bounds": ("with_lower", "threads", "budget_bytes"),
+    "types": ("budget_bytes",),
+    "bounds": ("with_lower", "budget_bytes"),
     "isolated": (),
 }
 
 
 def _check_kind(args: argparse.Namespace) -> None:
     """Reject the `tables` options that the chosen --kind ignores, and drop them from ``args``."""
-    for dest in ("with_lower", "threads", "budget_bytes"):
+    for dest in ("with_lower", "budget_bytes"):
         if dest in _TABLES_KIND_OPTIONS[args.kind]:
             continue
         given = getattr(args, dest)
@@ -95,26 +95,12 @@ def _check_kind(args: argparse.Namespace) -> None:
 
 
 def _check_limits(args: argparse.Namespace) -> None:
-    """Validate --budget-bytes and --threads where the command has them;
-    a missing --budget-bytes is the default budget, and GHCODE_THREADS
-    fills in a missing --threads."""
+    """Validate --budget-bytes where the command has it; a missing one is the default budget."""
     if hasattr(args, "budget_bytes"):
         if args.budget_bytes is None:
             args.budget_bytes = DEFAULT_BUDGET_BYTES
         elif args.budget_bytes <= 0:
             raise InputError(f"--budget-bytes must be positive, got {args.budget_bytes}")
-    if not hasattr(args, "threads"):
-        return
-    if args.threads is None:
-        env = os.environ.get("GHCODE_THREADS", "") or "1"
-        try:
-            args.threads = int(env)
-        except ValueError:
-            raise InputError(f"GHCODE_THREADS must be an integer, got {env!r}") from None
-        if args.threads < 1:
-            raise InputError(f"GHCODE_THREADS must be >= 1, got {args.threads}")
-    elif args.threads < 1:
-        raise InputError(f"--threads must be >= 1, got {args.threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +263,7 @@ def _census_rows(rows, json_keys, csv_keys) -> "tuple[list[dict], list[list]]":
 
 def cmd_classify(args: argparse.Namespace) -> Result:
     """census of all types of one length"""
-    c = census(
-        args.t,
-        args.p,
-        s=args.s,
-        with_invariants=args.invariants,
-        budget_bytes=args.budget_bytes,
-        threads=args.threads,
-    )
+    c = census(args.t, args.p, s=args.s, with_invariants=args.invariants, budget_bytes=args.budget_bytes)
     docs, cells = _census_rows(
         c.rows,
         ("s", "type", "representative", "position", "chain_len", "linear", "r", "k", "skipped"),
@@ -331,7 +310,7 @@ def _tables_types(args: argparse.Namespace) -> Result:
     rows = [
         row
         for t in range(args.t_min, args.t_max + 1)
-        for row in census(t, args.p, with_invariants=True, budget_bytes=args.budget_bytes, threads=args.threads).rows
+        for row in census(t, args.p, with_invariants=True, budget_bytes=args.budget_bytes).rows
         if not row.linear
     ]
     lines = []
@@ -345,14 +324,7 @@ def _tables_types(args: argparse.Namespace) -> Result:
 
 
 def _tables_bounds(args: argparse.Namespace) -> Result:
-    report = bounds_report(
-        args.p,
-        args.t_min,
-        args.t_max,
-        with_lower=args.with_lower,
-        budget_bytes=args.budget_bytes,
-        threads=args.threads,
-    )
+    report = bounds_report(args.p, args.t_min, args.t_max, with_lower=args.with_lower, budget_bytes=args.budget_bytes)
     # the * columns lean on the level-wise class-count assumption below
     lines = [f"{'t':>3} {'types(all s)':>13} {'classes(all s)*':>16} {'types(reps)':>12} {'classes(reps)*':>15} {'lower(r,k)':>11}"]
     cells = [["t", "types_all_s", "classes_all_s", "types_reps", "classes_reps", "lower_rk"]]
@@ -375,6 +347,10 @@ def _tables_bounds(args: argparse.Namespace) -> Result:
 
 def cmd_tables(args: argparse.Namespace) -> Result:
     """rank/kernel, bounds or isolated tables over a range of t"""
+    if args.t_min < 1:
+        raise InputError(f"--t-min must be >= 1, got {args.t_min}")
+    if args.t_min > args.t_max:
+        raise InputError(f"empty t range: --t-min {args.t_min} > --t-max {args.t_max}")
     if args.kind == "isolated":
         return _isolated(args.p, args.t_min, args.t_max)
     if args.kind == "bounds":
@@ -465,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, default=None, help="restrict to one ring level")
     sp.add_argument("--invariants", action="store_true", help="attach (r,k) per class within budget")
-    sp.add_argument("--threads", type=int, default=None, metavar="N")
+    sp.add_argument("--threads", type=int, choices=(1,), default=1, help="1, the one thread every census runs in")
 
     sp = _command(sub, "isolated", cmd_isolated, FORMATS)
     sp.add_argument("--t-max", type=int, required=True)
@@ -475,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=int, required=True)
     sp.add_argument("--kind", choices=("types", "bounds", "isolated"), default="types")
     sp.add_argument("--with-lower", action="store_true", help="bounds: include the (r,k) lower bound (materializes codes)")
-    sp.add_argument("--threads", type=int, default=None, metavar="N", help="types, bounds: worker threads")
     sp.set_defaults(usage_error=sp.error)
 
     sp = _command(sub, "verify", cmd_verify, ("table", "json"), budget=True)

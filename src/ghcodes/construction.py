@@ -187,7 +187,7 @@ def _check_budget(what: str, need: int, budget_bytes: int) -> None:
         raise CapacityError(f"{what} needs ~{need} bytes (budget {budget_bytes})", need, budget_bytes)
 
 
-_RANK_CHUNK_BYTES = 2**21  # float rows per chunk of invariants.reduced_basis
+_RANK_CHUNK_BYTES = 2**21  # float rows per chunk that a reduced basis absorbs (invariants._absorb_stream)
 _BASIS_BYTES = 2**23  # reduced basis budgeted for: rank 96 at length 3^9 (p = 3, t = 9) is 7.2 MiB of float32
 
 

@@ -27,7 +27,9 @@ span L of the images of the top rows.  So Phi(C) = Phi(T) + L, which gives
 
 and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
-Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).
+Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  Where the
+identity fails, the same formulas run on the trivial split: no top rows,
+L = 0 and T = C, a streamed scan of the whole code that needs no identity.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .construction import (
     _mod_p_diff,
     _span_blocks,
     gray_chunk_bytes,
-    materialize_gray,
     order_p_split,
     phi_bytes,
 )
@@ -171,14 +172,40 @@ class ReducedBasis:
         return not self.reduce(np.asarray(word)[None, :]).any()
 
 
+def _regrouped(blocks: Iterator[tuple[int, np.ndarray]], rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Consecutive blocks (first index, words) joined into chunks of at least ``rows`` words; the last may be short.
+
+    A block that is a chunk on its own is passed on as it is, not copied."""
+    held, first = [], 0
+    for start, words in blocks:
+        if not held:
+            first = start
+        held.append(words)
+        if sum(map(len, held)) >= rows:
+            yield first, held[0] if len(held) == 1 else np.concatenate(held)
+            held = []
+    if held:
+        yield first, held[0] if len(held) == 1 else np.concatenate(held)
+
+
+def _chunk_rows(basis: ReducedBasis) -> int:
+    """Words per chunk that ``basis`` absorbs: about _RANK_CHUNK_BYTES of its float rows."""
+    return max(1, _RANK_CHUNK_BYTES // (basis.length * basis.rows.itemsize))
+
+
+def _absorb_stream(basis: ReducedBasis, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
+    """Fold blocks of words into ``basis`` in chunks of at least ``_chunk_rows``, until it spans everything."""
+    for _, words in _regrouped(blocks, _chunk_rows(basis)):
+        basis.absorb(words)
+        if basis.rank == basis.length:
+            return
+
+
 def reduced_basis(gc: GrayCode) -> ReducedBasis:
-    """Row-reduce the whole word matrix, streaming in chunks of about _RANK_CHUNK_BYTES of float rows."""
+    """Row-reduce the whole word matrix, streaming it in chunks of ``_chunk_rows`` words."""
     basis = ReducedBasis(gc.sig.p, gc.length)
-    chunk_rows = max(1, _RANK_CHUNK_BYTES // (gc.length * basis.rows.itemsize))
-    for start in range(0, len(gc), chunk_rows):
-        basis.absorb(gc.words[start : start + chunk_rows])
-        if basis.rank == gc.length:
-            break
+    rows = _chunk_rows(basis)
+    _absorb_stream(basis, ((start, gc.words[start : start + rows]) for start in range(0, len(gc), rows)))
     return basis
 
 
@@ -264,13 +291,15 @@ def structural_bytes(sig: TypeSignature) -> int:
     in ``materialization_bytes``, each at least one block.  The kernel's is
     a ``RegeneratedGray``'s span tables and one locate step, the probe
     words, a few words of the candidate at hand and two 8-byte indices of
-    every word of T.  Each basis checks its own growth against what the
-    budget leaves (see ``ReducedBasis``), so no rank is guessed here.
+    every word of T, for the split ``_split`` makes.  Each basis checks its
+    own growth against what the budget leaves (see ``ReducedBasis``), so
+    no rank is guessed here.
     """
     p, length = sig.p, sig.gray_length
     block = p ** _block_exponent(sig) * length * _float_dtype(p, length).itemsize
     rank = 5 * max(_RANK_CHUNK_BYTES, block)
-    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - sig.num_rows)
+    top = sig.num_rows if order_p_identity_holds(sig.params) else 0
+    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - top)
     return phi_bytes(sig.params) + gray_chunk_bytes(sig) + max(rank, kernel)
 
 
@@ -278,28 +307,6 @@ def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.nda
     """The words at odometer indices ``idx`` of the span of ``rows``, as int64 residues."""
     digits = np.asarray(idx, dtype=np.int64)[:, None] // sig.p ** np.arange(len(rows)) % sig.p
     return digits @ rows.astype(np.int64) % sig.params.modulus
-
-
-def _regrouped(blocks: Iterator[tuple[int, np.ndarray]], rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Consecutive blocks (first index, words) joined into chunks of at least ``rows`` words; the last may be short."""
-    held, first = [], 0
-    for start, words in blocks:
-        if not held:
-            first = start
-        held.append(words)
-        if sum(map(len, held)) >= rows:
-            yield first, np.concatenate(held)
-            held = []
-    if held:
-        yield first, np.concatenate(held)
-
-
-def _absorb_stream(basis: ReducedBasis, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
-    """Fold blocks of words into ``basis`` in chunks of about _RANK_CHUNK_BYTES of float rows, until it spans everything."""
-    for _, words in _regrouped(blocks, max(1, _RANK_CHUNK_BYTES // (basis.length * basis.rows.itemsize))):
-        basis.absorb(words)
-        if basis.rank == basis.length:
-            return
 
 
 def _split_rank(sig: TypeSignature, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
@@ -318,7 +325,7 @@ def _split_rank(sig: TypeSignature, top: np.ndarray, other: np.ndarray, budget_b
 
 
 def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
-    """The indices i > 0 of T for which Phi(tau_i) + Phi(probe) is in Phi(C) on a sample of coordinates, for each probe.
+    """The indices i of T for which Phi(tau_i) + Phi(probe) is in Phi(C) on a sample of coordinates, for each probe.
 
     Every kernel tau survives; the probes (words of T spread over its
     odometer order) and the coordinate sample only prune.
@@ -338,21 +345,24 @@ def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
             inside = restricted.locate(_mod_p_diff(words.copy(), neg, p)) >= 0
             words, idx = words[inside], idx[inside]
         survivors.append(idx)
-    survivors = np.concatenate(survivors)
-    return survivors[survivors > 0]
+    return np.concatenate(survivors)
 
 
 def _split_kernel(code: AdditiveCode, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
     """dim ker: L spanned by Phi(top), then each probe survivor tau checked against all of Phi(T).
 
-    A survivor in the span of L and the kernel images already found is in
-    the kernel, which is a subspace; any other is checked exactly, block by
-    block of Phi(T), with ``RegeneratedGray.locate``.  The dimension is
-    sum t_i + log_p of the number of kernel tau, 0 included.
+    The kernel is a subspace only where Phi(C) holds 0: as ``kernel``
+    does, a code without it raises InputError.  A survivor in the span of L
+    and the kernel images already found (0 among them) is in the kernel;
+    any other is checked exactly, block by block of Phi(T), with
+    ``RegeneratedGray.locate``.  The dimension is len(top) + log_p of the
+    number of kernel tau, 0 included.
     """
     sig, p = code.sig, code.sig.p
     survivors = _probe_survivors(code, other)
     lookup = RegeneratedGray(code)
+    if lookup.locate(np.zeros((1, sig.gray_length), dtype=np.uint8))[0] < 0:
+        raise InputError("kernel needs 0 in the code")
     basis = ReducedBasis(p, sig.gray_length, budget_bytes=budget_bytes)
     _absorb_stream(basis, ((i, gray_matrix(sig.params, top[i : i + 1])) for i in range(len(top))))
     for i in survivors:
@@ -366,20 +376,27 @@ def _split_kernel(code: AdditiveCode, top: np.ndarray, other: np.ndarray, budget
     return basis.rank
 
 
-def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
-    """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p], holding no image.
+def _split(code: AdditiveCode) -> tuple[np.ndarray, np.ndarray]:
+    """(top rows, rows of T): ``order_p_split`` where the ring's Gray map satisfies
+    ``order_p_identity_holds``, else the trivial split, no top rows and T = C."""
+    if order_p_identity_holds(code.sig.params):
+        return order_p_split(code)
+    return code.basis[:0], code.basis
 
-    See the module docstring.  A ring whose Gray map fails
-    ``order_p_identity_holds`` falls back to ``invariant_pair`` on the
-    held image.  The budget is checked against ``structural_bytes``; what
-    it leaves bounds each reduced basis.  Both raise CapacityError.
+
+def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
+    """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p] of ``_split``, holding no image.
+
+    See the module docstring.  Every ring takes this one path: where the
+    Gray map fails ``order_p_identity_holds``, the trivial split streams
+    the whole code.  The budget is checked against ``structural_bytes``;
+    what it leaves bounds each reduced basis.  Both raise CapacityError.
+    An image without the zero word has no kernel (InputError).
     """
     sig = code.sig
-    if not order_p_identity_holds(sig.params):
-        return invariant_pair(materialize_gray(code, budget_bytes))
     need = structural_bytes(sig)
     _check_budget(f"rank and kernel of type {sig.ts} over Z_{sig.p}^{sig.s}", need, budget_bytes)
-    top, other = order_p_split(code)
+    top, other = _split(code)
     r = _split_rank(sig, top, other, budget_bytes - need)
     if r == sig.t + 1:
         return r, r

@@ -144,42 +144,6 @@ def test_census_class_count_equals_representative_bound(p):
         assert census(t, p).class_count == bound_types_reps(t, p)
 
 
-def test_census_threads_agree():
-    serial = census(6, 3, with_invariants=True, threads=1)
-    threaded = census(6, 3, with_invariants=True, threads=2)
-    key = lambda rows: [(r.ts, r.r, r.k) for r in rows]
-    assert key(serial.rows) == key(threaded.rows)
-    assert serial.class_count == threaded.class_count
-
-
-def test_census_threads_share_the_budget(monkeypatch):
-    # a budget that holds one t = 6 representative's structural working set but not two runs one worker,
-    # with the rows of one thread
-    need = max(structural_bytes(validate_type(3, rep)) for rep in ((2, 0, 1), (2, 3), (3, 1)))
-    pools = []
-    real = classification.ThreadPoolExecutor
-    monkeypatch.setattr(classification, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or real(max_workers))
-    serial = census(6, 3, with_invariants=True, budget_bytes=need + need // 2, threads=1)
-    threaded = census(6, 3, with_invariants=True, budget_bytes=need + need // 2, threads=2)
-    assert threaded == serial and serial.skipped_reps == ()
-    assert census(6, 3, with_invariants=True, threads=2) == serial
-    assert pools == [2]  # a single worker runs in the calling thread
-
-
-def test_census_tries_alone_what_outgrew_a_workers_share(monkeypatch):
-    # two workers get half the budget each: 20000 bytes beside the largest estimate there, fewer than
-    # the bases of (2,0,1) need (about 27 kB); with the whole budget it fits, so nothing is skipped
-    need = max(structural_bytes(validate_type(3, rep)) for rep in ((2, 0, 1), (2, 3), (3, 1)))
-    budget = 2 * need + 40_000
-    calls = []
-    real = classification._invariants_for_rep
-    monkeypatch.setattr(classification, "_invariants_for_rep", lambda p, rep, b: calls.append((rep, b)) or real(p, rep, b))
-    assert census(6, 3, with_invariants=True, budget_bytes=budget, threads=2) == census(6, 3, with_invariants=True)
-    retried = [rep for rep, b in calls if b == budget]
-    assert retried == [(2, 0, 1)]
-    assert sorted(rep for rep, b in calls if b == budget // 2) == [(2, 0, 1), (2, 3), (3, 1)]
-
-
 T9_RK = {
     (2, 0, 0, 0, 0): (96, 2),
     (2, 0, 0, 2): (36, 4),

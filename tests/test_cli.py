@@ -380,52 +380,42 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert a == b
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GHCODE_THREADS", "zero")
-    code, _, err = run(capsys, "classify", "--p", "3", "--t", "4")
-    assert code == 2
-    assert "GHCODE_THREADS" in err
-
-    monkeypatch.setenv("GHCODE_THREADS", "2")
-    code, out, _ = run(capsys, "classify", "--p", "3", "--t", "4", "--invariants")
-    assert code == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gray", "--p", "3", "--s", "2", "--value", "1"),
-        ("chain", "--p", "3", "--type", "1,0,2,1"),
-        ("isolated", "--p", "3", "--t-max", "5"),
-        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "5"),
-        ("equiv-check", "--p", "3", "--type-a", "2,1", "--type-b", "1,1,0"),
-    ],
-    ids=lambda argv: " ".join(argv),
-)
-def test_threads_env_is_read_only_where_threads_are_used(capsys, monkeypatch, argv):
-    monkeypatch.delenv("GHCODE_THREADS", raising=False)
-    expected = run(capsys, *argv)
-    assert expected[0] == 0
-    for value in ("zero", "0", "-3"):
-        monkeypatch.setenv("GHCODE_THREADS", value)
-        assert run(capsys, *argv) == expected
-
-
 def test_honoured_tables_options_still_work(capsys):
-    code, out, _ = run(capsys, "tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--with-lower", "--threads", "1", "--budget-bytes", str(2**30))
+    code, out, _ = run(capsys, "tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--with-lower", "--budget-bytes", str(2**30))
     assert code == 0
     assert out.splitlines()[1].split()[-1] != "-"  # the lower (r,k) column is filled
-    code, out, _ = run(capsys, "tables", "--kind", "types", "--p", "3", "--t-min", "4", "--t-max", "4", "--threads", "1", "--budget-bytes", "64")
+    code, out, _ = run(capsys, "tables", "--kind", "types", "--p", "3", "--t-min", "4", "--t-max", "4", "--budget-bytes", "64")
     assert code == 0
     assert "skipped" in out
-    code, _, err = run(capsys, "tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--threads", "0")
-    assert code == 2 and "--threads must be >= 1" in err
+    with pytest.raises(SystemExit) as exc:  # no kind of tables has --threads
+        main(["tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "4", "--threads", "1"])
+    assert exc.value.code == 2
 
 
-def test_threads_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("GHCODE_THREADS", "zero")  # flag wins, env never parsed
-    code, _, _ = run(capsys, "classify", "--p", "3", "--t", "4", "--threads", "1")
-    assert code == 0
+def test_classify_takes_only_one_thread(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "3", "--t", "5", "--invariants", "--threads", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    for fmt in ("csv", "table", "json"):
+        argv = ("classify", "--p", "3", "--t", "5", "--invariants", "--format", fmt)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--threads", "1") == plain
+
+
+@pytest.mark.parametrize("kind", ["types", "bounds", "isolated"])
+@pytest.mark.parametrize("t_min,t_max", [(5, 4), (9, 4), (-3, 4), (0, 4), (0, 0)])
+def test_tables_rejects_an_empty_or_nonpositive_t_range(capsys, kind, t_min, t_max):
+    code, out, err = run(capsys, "tables", "--kind", kind, "--p", "3", "--t-min", str(t_min), "--t-max", str(t_max))
+    want = "empty t range" if t_min > t_max else "--t-min must be >= 1"
+    assert code == 2 and out == "" and want in err
+
+
+@pytest.mark.parametrize("kind", ["types", "isolated"])
+def test_tables_accepts_a_t_range_from_1(capsys, kind):
+    code, out, _ = run(capsys, "tables", "--kind", kind, "--p", "3", "--t-min", "1", "--t-max", "2", "--format", "json")
+    assert code == 0 and out
 
 
 # ---------------------------------------------------------------------------

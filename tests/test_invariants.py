@@ -16,7 +16,7 @@ from ghcodes.construction import (
     order_p_split,
     validate_type,
 )
-from ghcodes.errors import CapacityError
+from ghcodes.errors import CapacityError, InputError
 from ghcodes.gray import Permutation, _phi_table_cached, order_p_identity_holds, phi_table, spanning_positions
 from ghcodes.invariants import (
     ReducedBasis,
@@ -430,7 +430,10 @@ def fresh_ring_caches():
     clear_ring_caches()
 
 
-@pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (3, (1, 1, 0))])
+BROKEN_IDENTITY_TYPES = [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (3, (1, 1, 0))]
+
+
+@pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
 def test_a_gray_map_without_the_identity_falls_back_to_the_held_image(p, ts, monkeypatch, fresh_ring_caches):
     monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
     sig = validate_type(p, ts)
@@ -441,6 +444,48 @@ def test_a_gray_map_without_the_identity_falls_back_to_the_held_image(p, ts, mon
     # the split alone, which assumes the identity, gets this code wrong
     top, other = order_p_split(code)
     assert invariants._split_rank(sig, top, other, 2**30) != held[0]
+
+
+@pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
+def test_a_gray_map_without_the_identity_is_streamed_with_no_image_held(p, ts, monkeypatch, fresh_ring_caches):
+    # the trivial split (no top rows, T = C) scans the whole code a block at a time: no Gray image is built,
+    # the pair is the held oracle's, and the peak stays within structural_bytes plus the bases
+    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
+    sig = validate_type(p, ts)
+    code = AdditiveCode.build(sig)
+    r, k = held_pair(code)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gray image was materialized")
+
+    monkeypatch.setattr(construction, "materialize_gray", refuse)
+    monkeypatch.setattr(invariants, "materialize_gray", refuse, raising=False)
+    budget = structural_bytes(sig) + bases_bytes(sig, r, k)
+    tracemalloc.start()
+    try:
+        assert structural_pair(code, budget) == (r, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)
+
+
+def zero_moved_phi(p, s):
+    """The phi table plus 1 at position 0 of every residue: phi(0) != 0, and 0 is found in no image."""
+    table = _phi_table_cached.__wrapped__(p, s).copy()
+    table[:, 0] = (table[:, 0] + 1) % p
+    table.flags.writeable = False
+    return table
+
+
+@pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
+def test_an_image_without_the_zero_word_has_no_kernel(p, ts, monkeypatch, fresh_ring_caches):
+    monkeypatch.setattr(gray_module, "_phi_table_cached", zero_moved_phi)
+    code = AdditiveCode.build(validate_type(p, ts))
+    with pytest.raises(InputError):
+        held_pair(code)
+    with pytest.raises(InputError):
+        structural_pair(code)
 
 
 @pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (5, (2, 0))])
@@ -465,7 +510,7 @@ def test_structural_kernel_checks_every_probe_survivor(probes, coords, monkeypat
     spurious = 0
     for code, (r, k) in zip(codes, pairs):
         assert structural_pair(code) == (r, k), code.sig.ts
-        spurious += len(_probe_survivors(code, order_p_split(code)[1])) - (code.sig.p ** (k - code.sig.num_rows) - 1)
+        spurious += len(_probe_survivors(code, order_p_split(code)[1])) - code.sig.p ** (k - code.sig.num_rows)
     assert spurious > 0
 
 
