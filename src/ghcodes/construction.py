@@ -14,9 +14,10 @@ Every producer of codewords reads one stream: the words in odometer
 order over the p-basis (the first basis vector's coefficient varies
 fastest), in blocks of at most 256 KiB.  ``materialize_additive`` copies
 the blocks into one matrix, ``materialize_gray`` Gray-expands each block
-straight into its image and ``gray_chunks`` hands out the Gray words of
-one block at a time.  ``RegeneratedGray`` holds no words: it rebuilds the
-word at any odometer row from two span tables of the same basis.
+straight into its image and ``_gray_blocks`` hands out the Gray words of
+one block at a time, of a code or of the span of some of its basis rows.
+``RegeneratedGray`` holds no words: it rebuilds the word at any odometer
+row from two span tables of the same basis.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ class AdditiveCode:
         return cls(sig, gen, basis)
 
 
+def build_bytes(sig: TypeSignature) -> int:
+    """Bytes ``AdditiveCode.build`` holds at its peak, at most four int64 matrices of t + 1 rows:
+    the generator's last stacking and its reduction, then the p-basis, its rows and the int64 generator."""
+    return 4 * 8 * (sig.t + 1) * sig.n
+
+
 def additive_bytes(sig: TypeSignature) -> int:
     """Bytes ``materialize_additive`` holds: the matrix, and the low table and block of its stream."""
     return sig.size * sig.n * sig.params.dtype().itemsize + _stream_bytes(sig)
@@ -246,9 +253,14 @@ def _block_exponent(sig: TypeSignature) -> int:
     return a
 
 
-def _stream_bytes(sig: TypeSignature) -> int:
-    """Bytes of ``_odometer_blocks``' low span table and one of its blocks."""
-    return 2 * sig.p ** _block_exponent(sig) * sig.n * _sum_dtype(sig).itemsize
+def _block_rows(sig: TypeSignature, span: "int | None" = None) -> int:
+    """Words in a block of ``_span_blocks`` over ``span`` rows (all t + 1 rows of the code by default)."""
+    return sig.p ** min(_block_exponent(sig), sig.t + 1 if span is None else span)
+
+
+def _stream_bytes(sig: TypeSignature, span: "int | None" = None) -> int:
+    """Bytes of ``_span_blocks``' low span table and one of its blocks, over ``span`` rows."""
+    return 2 * _block_rows(sig, span) * sig.n * _sum_dtype(sig).itemsize
 
 
 def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
@@ -421,26 +433,19 @@ def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES
     return materialize_gray(AdditiveCode.build(sig), budget_bytes)
 
 
-def gray_chunks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
-    """The code's Gray words in odometer order, one fresh block at a time.
-
-    Yields (first row, words), so a caller can work through a code's Gray
-    image while holding only one block of it (see ``gray_chunk_bytes``).
-    """
-    return _gray_blocks(code.sig, code.basis)
-
-
 def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The Gray images of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
     for start, block in _span_blocks(sig, rows):
         yield start, gray_matrix(sig.params, block)
 
 
-def gray_chunk_bytes(sig: TypeSignature) -> int:
-    """Bytes held while a caller works on one block of ``gray_chunks``: the low span table, the
-    block, its np.take index and Gray words, and the caller's copy of them with an 8-byte index a word."""
-    rows = sig.p ** _block_exponent(sig)
-    return _stream_bytes(sig) + rows * (8 * sig.n + 2 * sig.gray_length + 8)
+def gray_chunk_bytes(sig: TypeSignature, span: "int | None" = None) -> int:
+    """Bytes held while a caller works on one block of ``_gray_blocks``: the low span table, the
+    block, its np.take index and Gray words, and the caller's copy of them with an 8-byte index a word.
+
+    ``span`` is the number of rows streamed, if fewer than the code's t + 1: a block has at most p^span words.
+    """
+    return _stream_bytes(sig, span) + _block_rows(sig, span) * (8 * sig.n + 2 * sig.gray_length + 8)
 
 
 class RegeneratedGray:
@@ -483,15 +488,16 @@ class RegeneratedGray:
         return (sig.t + 2) // 2  # ceil((t+1)/2)
 
     @classmethod
-    def lookup_bytes(cls, sig: TypeSignature) -> int:
-        """Bytes of the two span tables and of one ``locate`` step of ``_chunk_rows`` queries: three
-        int64 arrays of their pinned residues, two gathered table rows, their np.take index, the
-        rebuilt Gray words and their comparison with the queries."""
+    def lookup_bytes(cls, sig: TypeSignature, queries: "int | None" = None) -> int:
+        """Bytes of the two span tables and of one ``locate`` step of ``_chunk_rows`` queries (or of
+        ``queries``, if fewer are asked at once): three int64 arrays of their pinned residues, two
+        gathered table rows, their np.take index, the rebuilt Gray words and their comparison with
+        the queries."""
         a = cls._low_rows(sig)
         entry = _sum_dtype(sig).itemsize
         tables = (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * entry
         step = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.gray_length
-        return tables + _chunk_rows(sig) * step
+        return tables + min(_chunk_rows(sig), queries or _chunk_rows(sig)) * step
 
     def __len__(self) -> int:
         return self.sig.size
@@ -510,11 +516,6 @@ class RegeneratedGray:
         stream may be.
         """
         return _locate(self.sig, self.plan, rows, len(self), self.rows, self.step, self.width)
-
-    def same_multiset(self, hits: np.ndarray) -> bool:
-        """Are the rows that ``locate`` turned into ``hits`` this code's words, each once?"""
-        size = len(self)
-        return len(hits) == size and bool((hits >= 0).all() and (np.bincount(hits, minlength=size) == 1).all())
 
 
 # ---------------------------------------------------------------------------

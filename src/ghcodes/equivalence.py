@@ -11,17 +11,37 @@ maps one Gray image exactly onto the other.  Each step is folded into the
 product as it is built, so the composition's peak, ``witness_bytes``, does
 not grow with the chain.
 
-That claim is checked in one streamed pass that holds neither Gray image.
-The higher member is generated from its basis coefficients; block by block
-its words are Gray-expanded and mapped by the witness (a column gather).
-Each mapped word is decoded to a row of the lower member's odometer order
-through its pinned coordinates, and the lower member's word at that row is
-rebuilt from two span tables of its basis (``RegeneratedGray``) and
-compared with it.  The located rows must hit every word of the lower
-member exactly once.  No image, permuted copy or additive matrix of either
-member is ever allocated whole; ``set_check_bytes`` counts what the pass
-allocates, the witness included.  These two estimates are all the budget
-is compared with.
+That claim is checked on the order-p split C = T + C[p] that gives rank
+and kernel (``invariants._split``), holding neither Gray image.  Let z_j
+be the top rows of the higher member C_hi, y_j = pi(Phi(z_j)) their mapped
+images and Y their span.  The witness pi passes when
+
+(a) pi(Phi(tau)) is in Phi(C_lo) for every tau of T_hi;
+(b) every y_j is in the kernel of Phi(C_lo): y_j + Phi(tau') is in
+    Phi(C_lo) for every tau' of T_lo, the translate check of the
+    structural kernel;
+(c) the y_j are independent, and the |T_hi| words pi(Phi(tau)) are
+    distinct modulo Y.
+
+Where the higher ring satisfies the order-p identity, Phi(C_hi) =
+Phi(T_hi) + span Phi(z_j), and pi is linear, so pi(Phi(C_hi)) =
+pi(Phi(T_hi)) + Y.  (a) and (b) put that set inside Phi(C_lo), and (c)
+gives it p^(t+1) distinct words, as many as Phi(C_lo) has at most: the
+two sets are equal.  Where a ring fails the identity its split is
+trivial, no top rows and T = C, and the same three conditions are a scan
+of the whole code.  This generalizes the coset-of-kernel argument of
+Phelps, Rifà and Villanueva (IEEE Trans. IT 52(1), 2006).
+
+T_hi is streamed a block at a time: its words are Gray-expanded, mapped
+by the witness (a column gather) and located in the lower member through
+``RegeneratedGray``, which rebuilds the word at a decoded odometer row
+from two span tables of its basis.  Distinctness modulo Y compares one
+exact integer digest of each word's residue, and the residues themselves
+wherever two digests are equal, so a PASS never rests on a hash.  The
+check costs |T_hi| lookups, not p^(t+1).  No image, permuted copy or
+additive matrix of either member is ever allocated whole;
+``set_check_bytes`` counts what the check allocates, the witness included.
+These two estimates are all the budget is compared with.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -44,14 +64,17 @@ from .construction import (
     AdditiveCode,
     RegeneratedGray,
     TypeSignature,
+    _block_rows,
     _check_budget,
+    _gray_blocks,
+    build_bytes,
     gray_chunk_bytes,
-    gray_chunks,
     phi_bytes,
     validate_type,
 )
 from .errors import InputError, NoSecondRow
-from .gray import Permutation, block_lift, gamma_extended, identity_permutation, rho
+from .gray import Permutation, block_lift, gamma_extended, gray_matrix, identity_permutation, rho
+from .invariants import ReducedBasis, _float_dtype, _in_split_kernel, _split, _top_rows
 
 
 def sigma(sig: TypeSignature) -> int:
@@ -152,16 +175,35 @@ def witness_bytes(length: int) -> int:
     return 8 * 8 * length + 2**16
 
 
-def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
-    """Bytes the streamed set-equality check of ``verify_equivalence`` allocates, all as held at once.
+def _tables_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
+    """What ``set_check_bytes`` counts before the phi tables are built: the witness and the tables."""
+    return witness_bytes(lower.gray_length) + phi_bytes(lower.params) + phi_bytes(higher.params)
 
-    The witness, composed and then with its inverse image; one block of the
-    higher member's stream with its mapped copy (``gray_chunk_bytes``); the
-    lower member's lookup (``RegeneratedGray.lookup_bytes``); the located
-    index of every word; and the phi tables of both rings.
+
+def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
+    """Bytes the set-equality check of ``verify_equivalence`` allocates, all as held at once.
+
+    Each member is sized by the split ``_split`` takes, so this builds the
+    phi tables of both rings.  It counts the witness, composed and then
+    with its inverse image, and those tables (``_tables_bytes``); both
+    members' ``AdditiveCode.build`` (``build_bytes``); the lower member's
+    lookup (``RegeneratedGray.lookup_bytes``); the Y basis, twice while it
+    grows; and the larger of two streams.  The stream of T_hi holds one
+    block with its mapped copy (``gray_chunk_bytes``), three float copies
+    of the block while it is reduced modulo Y, the float64 copy its
+    digests are taken from, and three 8-byte entries per word of T_hi: the
+    digests, their sort order and the sorted digests.  The translate check
+    holds one block of T_lo (``gray_chunk_bytes``).
     """
-    stream = gray_chunk_bytes(higher) + RegeneratedGray.lookup_bytes(lower) + 8 * lower.size
-    return witness_bytes(lower.gray_length) + stream + phi_bytes(lower.params) + phi_bytes(higher.params)
+    p, length = lower.p, lower.gray_length
+    top, span = _top_rows(higher), higher.t + 1 - _top_rows(higher)
+    lower_span = lower.t + 1 - _top_rows(lower)
+    itemsize = _float_dtype(p, length).itemsize
+    rows = _block_rows(higher, span)
+    higher_stream = gray_chunk_bytes(higher, span) + rows * length * (3 * itemsize + 8) + 3 * 8 * p**span
+    lookup = RegeneratedGray.lookup_bytes(lower, max(rows, _block_rows(lower, lower_span)))
+    held = lookup + 2 * top * length * itemsize + max(higher_stream, gray_chunk_bytes(lower, lower_span))
+    return _tables_bytes(lower, higher) + build_bytes(lower) + build_bytes(higher) + held
 
 
 @dataclass(frozen=True)
@@ -194,14 +236,18 @@ def verify_equivalence(
     fit the memory budget; True forces the check, False skips it.
 
     The witness is composed when ``witness_bytes`` fits the budget, and is
-    None otherwise.  The check streams the higher member's words through
-    the witness in blocks of at most 256 KiB and rebuilds each lower word
-    it is compared with, so it holds neither Gray image (see the module
+    None otherwise.  The check is exact and runs on the order-p splits of
+    both members: it streams the |T_hi| words of the higher member's
+    transversal through the witness in blocks of at most 256 KiB, looks
+    each one up in the lower member, checks that the mapped top rows lie
+    in the lower member's kernel and that the mapped words stay distinct
+    modulo their span, so it holds neither Gray image (see the module
     docstring).  It runs when ``set_check_bytes`` fits the budget (with
-    check_sets=True, CapacityError otherwise); that estimate includes the
-    witness, so a checked verdict always has one.  ``render_bytes``, what
-    the caller will hold beside the returned witness (the command line's
-    JSON of it), is added to both estimates.
+    check_sets=True, CapacityError otherwise); that estimate is asked only
+    once the witness and the phi tables fit, since it builds the tables.
+    It includes the witness, so a checked verdict always has one.
+    ``render_bytes``, what the caller will hold beside the returned witness
+    (the command line's JSON of it), is added to both estimates.
     """
     if sig_a.p != sig_b.p:
         raise InputError("types live over different primes")
@@ -224,23 +270,78 @@ def verify_equivalence(
     lo, hi = min(positions), max(positions)
     lower_sig, higher_sig = (sig_a, sig_b) if ca.position <= cb.position else (sig_b, sig_a)
 
-    cost = set_check_bytes(lower_sig, higher_sig) + render_bytes
+    length = sig_a.gray_length
+    cost = 0
+    if check_sets is not False:
+        # sizing the splits builds both phi tables, so it waits until they fit
+        cost = _tables_bytes(lower_sig, higher_sig) + render_bytes
+        if cost <= budget_bytes:
+            cost = set_check_bytes(lower_sig, higher_sig) + render_bytes
     if check_sets is True:
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
-    length = sig_a.gray_length
     if witness_bytes(length) + render_bytes <= budget_bytes:
         witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
 
     if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there
-        lower = RegeneratedGray(AdditiveCode.build(lower_sig))
-        hits = np.empty(higher_sig.size, dtype=np.int64)
-        for start, words in gray_chunks(AdditiveCode.build(higher_sig)):
-            hits[start : start + len(words)] = lower.locate(witness(words))
-        if not lower.same_multiset(hits):
+        if not _maps_onto(AdditiveCode.build(lower_sig), AdditiveCode.build(higher_sig), witness):
             # the chain theory guarantees equality; reaching here means a bug
             return EquivalenceReport(
                 "FAIL", rep.ts, positions, witness, "set-equality", "composed witness failed set equality"
             )
         return EquivalenceReport("PASS", rep.ts, positions, witness, "set-equality")
     return EquivalenceReport("PASS", rep.ts, positions, witness, "algebra-only")
+
+
+def _mapped_blocks(
+    higher: TypeSignature, other: np.ndarray, witness: Permutation, basis: ReducedBasis
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first index, mapped words, their residues modulo ``basis``) for each block of Phi(T_hi)."""
+    for start, words in _gray_blocks(higher, other):
+        mapped = witness(words)
+        yield start, mapped, basis.reduce(mapped)
+
+
+def _digest_weights(p: int, length: int) -> np.ndarray:
+    """Integer weights small enough that a residue's weighted sum is exact in float64, in any order.
+
+    Each is the splitmix64 mix of its index, so the weights look random
+    without numpy.random, whose first use maps about 5 MB of modules.
+    """
+    z = np.arange(1, length + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mul)
+    z ^= z >> np.uint64(31)
+    return (z % np.uint64(2**53 // (length * (p - 1)))).astype(np.float64)  # a residue has entries up to p - 1
+
+
+def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) -> bool:
+    """Does ``witness`` map Phi(higher) onto Phi(lower)?  Conditions (a)-(c) of the module docstring, exactly."""
+    p, length = lower.sig.p, lower.sig.gray_length
+    top, other = _split(higher)
+    lookup = RegeneratedGray(lower)
+    ys = witness(gray_matrix(higher.sig.params, top))
+    basis = ReducedBasis(p, length)
+    basis.absorb(ys)
+    if basis.rank < len(top):  # (c): the y_j are dependent
+        return False
+    lower_other = _split(lower)[1]
+    if not all(_in_split_kernel(lookup, lower_other, y) for y in ys):  # (b)
+        return False
+    weights = _digest_weights(p, length)
+    digests = np.empty(p ** len(other))
+    for start, mapped, residues in _mapped_blocks(higher.sig, other, witness, basis):
+        if (lookup.locate(mapped) < 0).any():  # (a)
+            return False
+        digests[start : start + len(mapped)] = residues @ weights
+    # (c): equal residues have equal digests, so only words whose digests tie can be equal modulo Y
+    order = np.argsort(digests)
+    ranked = digests[order]
+    ties = ranked[1:] == ranked[:-1]
+    if not ties.any():
+        return True
+    tied = np.unique(np.r_[order[1:][ties], order[:-1][ties]])
+    rows = set()
+    for start, _, residues in _mapped_blocks(higher.sig, other, witness, basis):  # the same stream, once more
+        rows.update(residues[i - start].tobytes() for i in tied[(tied >= start) & (tied < start + len(residues))])
+    return len(rows) == len(tied)

@@ -280,7 +280,7 @@ def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
     """Gray-expand a batch: (M, n) residues -> (M, n * p^(s-1)) uint8.
 
     np.take converts the residues to an index array of M * n entries, so
-    callers pass blocks of a code (see ``construction.gray_chunks``).
+    callers pass blocks of a code (see ``construction._gray_blocks``).
     """
     table = phi_table(params)
     m, n = rows.shape

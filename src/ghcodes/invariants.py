@@ -30,6 +30,8 @@ This generalizes the coset-of-kernel argument of Phelps, Rifà and
 Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  Where the
 identity fails, the same formulas run on the trivial split: no top rows,
 L = 0 and T = C, a streamed scan of the whole code that needs no identity.
+The chain witnesses of ``equivalence`` are checked on the same split, with
+the same translate check (``_in_split_kernel``).
 """
 
 from __future__ import annotations
@@ -298,8 +300,7 @@ def structural_bytes(sig: TypeSignature) -> int:
     p, length = sig.p, sig.gray_length
     block = p ** _block_exponent(sig) * length * _float_dtype(p, length).itemsize
     rank = 5 * max(_RANK_CHUNK_BYTES, block)
-    top = sig.num_rows if order_p_identity_holds(sig.params) else 0
-    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - top)
+    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - _top_rows(sig))
     return phi_bytes(sig.params) + gray_chunk_bytes(sig) + max(rank, kernel)
 
 
@@ -367,19 +368,33 @@ def _split_kernel(code: AdditiveCode, top: np.ndarray, other: np.ndarray, budget
     _absorb_stream(basis, ((i, gray_matrix(sig.params, top[i : i + 1])) for i in range(len(top))))
     for i in survivors:
         x = gray_matrix(sig.params, _span_words(sig, other, [i]))
-        if basis.contains(x[0]):
-            continue
-        neg = _negated(x[0], p)
-        # each block is fresh, so it can hold the sum
-        if all((lookup.locate(_mod_p_diff(words, neg, p)) >= 0).all() for _, words in _gray_blocks(sig, other)):
+        if not basis.contains(x[0]) and _in_split_kernel(lookup, other, x[0]):
             basis.absorb(x)
     return basis.rank
+
+
+def _in_split_kernel(lookup: RegeneratedGray, other: np.ndarray, x: np.ndarray) -> bool:
+    """Is x + Phi(tau') in Phi(C) for every tau' of T, the odometer span of ``other``?
+
+    With T from ``_split``, that is x in ker Phi(C): Phi(C) = Phi(T) + L,
+    and L lies in the kernel where the identity holds (and is 0 where it
+    does not).  Phi(T) is streamed a block at a time.
+    """
+    sig = lookup.sig
+    neg = _negated(x, sig.p)
+    # each block is fresh, so it can hold the sum
+    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in _gray_blocks(sig, other))
+
+
+def _top_rows(sig: TypeSignature) -> int:
+    """How many top rows ``_split`` takes: sum t_i where the ring satisfies the identity, else none."""
+    return sig.num_rows if order_p_identity_holds(sig.params) else 0
 
 
 def _split(code: AdditiveCode) -> tuple[np.ndarray, np.ndarray]:
     """(top rows, rows of T): ``order_p_split`` where the ring's Gray map satisfies
     ``order_p_identity_holds``, else the trivial split, no top rows and T = C."""
-    if order_p_identity_holds(code.sig.params):
+    if _top_rows(code.sig):
         return order_p_split(code)
     return code.basis[:0], code.basis
 

@@ -18,7 +18,6 @@ from ghcodes.construction import (
     build_gray_code,
     generator_matrix,
     gray_bytes,
-    gray_chunks,
     is_gh_code,
     materialization_bytes,
     materialize_additive,
@@ -35,6 +34,7 @@ from ghcodes.gray import _phi_table_cached, phi_table
 from ghcodes.ring import RingParams
 
 from sorted_key_code import set_equal
+from streamed_set_check import gray_chunks
 
 
 def sig(p, ts):

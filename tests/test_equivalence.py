@@ -17,6 +17,7 @@ from ghcodes.construction import (
     validate_type,
 )
 from ghcodes.equivalence import (
+    _maps_onto,
     chain_members,
     chain_of,
     set_check_bytes,
@@ -26,13 +27,17 @@ from ghcodes.equivalence import (
     witness_bytes,
 )
 from ghcodes.errors import CapacityError, InputError, NoSecondRow
-from ghcodes.gray import Permutation, tau_tilde
+from ghcodes.gray import Permutation, gray_matrix, identity_permutation, tau_tilde
+from ghcodes.invariants import _span_words, _split, _top_rows, kernel
 from ghcodes.ring import RingParams
 
 from sorted_key_code import set_equal
+from streamed_set_check import streamed_set_equal
+from test_invariants import broken_phi, fresh_ring_caches  # noqa: F401 (a fixture)
 
 construction = importlib.import_module("ghcodes.construction")
 equivalence = importlib.import_module("ghcodes.equivalence")
+gray_module = importlib.import_module("ghcodes.gray")
 
 
 def sig(p, ts):
@@ -306,8 +311,77 @@ def test_witness_is_composed_within_the_budget(p, rep):
 
 
 # ---------------------------------------------------------------------------
-# the streamed set-equality check
+# the set-equality check on the order-p split, against the streamed oracle
 # ---------------------------------------------------------------------------
+
+
+def chains_at(p, t):
+    """The members of length p^t of every chain at p, in position order, by representative.
+
+    A collapsed chain keeps its members from position 2 on: its formal
+    first member has another length, and its single-row top member has no
+    second row, so no chain position.
+    """
+    chains = {}
+    for s in range(1, t + 2):
+        for ts in enumerate_types(t, s):
+            try:
+                cp = chain_of(sig(p, ts))
+            except NoSecondRow:
+                continue
+            chains.setdefault(cp.representative.ts, []).append((cp.position, sig(p, ts)))
+    return {rep: [m for _, m in sorted(members, key=lambda pm: pm[0])] for rep, members in chains.items()}
+
+
+def spoiled(witness):
+    """The witness after the transposition of coordinates 0 and 1."""
+    swap = np.arange(witness.size)
+    swap[[0, 1]] = [1, 0]
+    return witness.compose(Permutation(swap))
+
+
+def with_a_repeated_word(real):
+    """A stand-in for the stream ``real`` that yields it as one block, with word 3 in place of word 7."""
+
+    def blocks(code_sig, rows):
+        words = np.vstack([words for _, words in real(code_sig, rows)])
+        words[7] = words[3]
+        yield 0, words
+
+    return blocks
+
+
+def agree_with_the_oracle(lo, hi):
+    """The check and the streamed oracle agree on the composed witness of lo and hi and on a spoiled copy."""
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("PASS", "set-equality"), (lo.ts, hi.ts)
+    assert streamed_set_equal(lo, hi, report.witness), (lo.ts, hi.ts)
+    bad = spoiled(report.witness)
+    got = _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), bad)
+    assert got == streamed_set_equal(lo, hi, bad), (lo.ts, hi.ts)
+
+
+@pytest.mark.parametrize("p,t_max", [(3, 6), (2, 9), (5, 4)])
+def test_the_split_check_agrees_with_the_streamed_oracle(p, t_max):
+    # every pair of positions of every chain, collapsed chains such as (1,3) / (1,0,2) included
+    pairs = 0
+    for t in range(1, t_max + 1):
+        for members in chains_at(p, t).values():
+            for i, lo in enumerate(members):
+                for hi in members[i + 1 :]:
+                    agree_with_the_oracle(lo, hi)
+                    pairs += 1
+    assert pairs == {3: 32, 2: 193, 5: 5}[p]
+
+
+@pytest.mark.slow
+def test_every_consecutive_t8_chain_pair_passes_and_agrees_with_the_oracle():
+    # 14 pairs of nonlinear chains and 6 of the collapsed chain (8,) of linear codes
+    chains = chains_at(3, 8)
+    pairs = [(lo, hi) for members in chains.values() for lo, hi in zip(members, members[1:])]
+    assert (len(pairs), len(chains[(8,)]) - 1) == (20, 6)
+    for lo, hi in pairs:
+        agree_with_the_oracle(lo, hi)
 
 
 @pytest.mark.parametrize("p,rep", [(3, (2, 2)), (2, (2, 3)), (5, (2, 1))])
@@ -342,18 +416,120 @@ def test_corrupted_witness_fails_set_equality(monkeypatch):
 def test_repeated_word_in_higher_member_fails_set_equality(monkeypatch):
     # every mapped word is a member of the lower image, but one of them twice
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
-    real = equivalence.gray_chunks
+    real = equivalence._gray_blocks
 
-    def one_row_copied(code):
-        assert code.sig == hi  # only the higher member is streamed
-        words = np.vstack([words for _, words in real(code)])
+    def one_row_copied(code_sig, rows):
+        assert code_sig == hi  # only the higher member's transversal T_hi is streamed
+        words = np.vstack([words for _, words in real(code_sig, rows)])
         words[7] = words[3]
         yield 0, words
 
-    monkeypatch.setattr(equivalence, "gray_chunks", one_row_copied)
+    monkeypatch.setattr(equivalence, "_gray_blocks", one_row_copied)
     report = verify_equivalence(lo, hi, check_sets=True)
     assert (report.verdict, report.mode) == ("FAIL", "set-equality")
     assert report.detail == "composed witness failed set equality"
+
+
+def test_a_word_off_the_lower_image_fails_set_equality(monkeypatch):
+    # condition (a): one word of T_hi changed in one symbol maps to a word outside Phi(C_lo)
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    real = equivalence._gray_blocks
+    changed = []
+
+    def one_symbol_changed(code_sig, rows):
+        for start, words in real(code_sig, rows):
+            if start <= 5 < start + len(words):
+                words[5 - start, 0] = (words[5 - start, 0] + 1) % 3
+                changed.append(words[5 - start].copy())
+            yield start, words
+
+    monkeypatch.setattr(equivalence, "_gray_blocks", one_symbol_changed)
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("FAIL", "set-equality")
+    assert report.detail == "composed witness failed set equality"
+    assert report.witness(changed[0]).tobytes() not in {row.tobytes() for row in build_gray_code(lo).words}
+
+
+def test_a_top_image_outside_the_kernel_fails_set_equality(monkeypatch):
+    # condition (b) alone: z_0 replaced by tau + z_0, a word of C_hi outside its kernel.  The mapped T_hi
+    # stays inside Phi(C_lo) and distinct modulo the new Y, but y_0 is no kernel word of Phi(C_lo)
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    code = AdditiveCode.build(hi)
+    top, other = _split(code)
+    witness = verify_equivalence(lo, hi, check_sets=False).witness
+    _, hi_kernel = kernel(build_gray_code(hi))
+    taus = _span_words(hi, other, np.arange(3 ** len(other)))
+    tau = next(w for w in taus if not hi_kernel.contains(gray_matrix(hi.params, w[None])[0]))
+    wrong = top.copy()
+    wrong[0] = (tau + top[0]) % hi.params.modulus
+    real = equivalence._split
+    monkeypatch.setattr(equivalence, "_split", lambda c: (wrong, other) if c.sig == hi else real(c))
+
+    # the oracle, on the held images: (a) and (c) hold with the wrong Y, (b) fails
+    lo_words = {row.tobytes() for row in build_gray_code(lo).words}
+    mapped = witness(gray_matrix(hi.params, taus)).astype(np.int64)
+    ys = witness(gray_matrix(hi.params, wrong)).astype(np.int64)
+    span = np.array([c0 * ys[0] + c1 * ys[1] for c0 in range(3) for c1 in range(3)]) % 3
+    sums = {row.astype(np.uint8).tobytes() for row in (mapped[:, None] + span[None]).reshape(-1, lo.gray_length) % 3}
+    assert len(sums) == lo.size  # (c): the y_j independent, the mapped T_hi distinct modulo Y
+    assert all(row.astype(np.uint8).tobytes() in lo_words for row in mapped)  # (a)
+    shifted = (build_gray_code(lo).words.astype(np.int64) + ys[0]) % 3
+    assert not all(row.astype(np.uint8).tobytes() in lo_words for row in shifted)  # (b) fails
+
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("FAIL", "set-equality")
+    assert report.detail == "composed witness failed set equality"
+
+
+def test_dependent_top_images_fail_set_equality(monkeypatch):
+    # condition (c), the rank of Y: with z_1 replaced by z_0, every check on words still holds, but
+    # pi(Phi(T_hi)) + Y has p^(t+1) / p words, too few for Phi(C_lo)
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    top, other = _split(AdditiveCode.build(hi))
+    twice = top.copy()
+    twice[1] = top[0]
+    witness = verify_equivalence(lo, hi, check_sets=False).witness
+    mapped = witness(gray_matrix(hi.params, _span_words(hi, other, np.arange(3 ** len(other))))).astype(np.int64)
+    y = witness(gray_matrix(hi.params, top[:1])).astype(np.int64)[0]
+    assert len({((row + c * y) % 3).astype(np.uint8).tobytes() for row in mapped for c in range(3)}) == lo.size // 3
+    real = equivalence._split
+    monkeypatch.setattr(equivalence, "_split", lambda c: (twice, other) if c.sig == hi else real(c))
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("FAIL", "set-equality")
+    assert report.detail == "composed witness failed set equality"
+
+
+def test_tied_digests_are_settled_by_the_rows(monkeypatch):
+    # with every digest 0, distinctness modulo Y rests on the rows alone: a true pair passes and a
+    # repeated word in T_hi fails
+    monkeypatch.setattr(equivalence, "_digest_weights", lambda p, length: np.zeros(length))
+    lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
+    assert verify_equivalence(lo, hi, check_sets=True).passed
+    monkeypatch.setattr(equivalence, "_gray_blocks", with_a_repeated_word(equivalence._gray_blocks))
+    assert not verify_equivalence(lo, hi, check_sets=True).passed
+
+
+@pytest.mark.parametrize("p,lo_ts,hi_ts", [(3, (2, 2), (1, 0, 1, 0)), (3, (2, 1), (1, 1, 0)), (2, (2, 0, 2), (1, 1, 0, 1))])
+def test_a_gray_map_without_the_identity_takes_the_trivial_split(p, lo_ts, hi_ts, monkeypatch, fresh_ring_caches):
+    # no top rows and T = C: the check scans both codes whole, and agrees with the oracle.  Under the
+    # broken map the chain witness no longer carries one image onto the other (both say so); the identity
+    # carries each type's image onto itself, and a transposition spoils it
+    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
+    lo, hi = sig(p, lo_ts), sig(p, hi_ts)
+    assert _top_rows(lo) == _top_rows(hi) == 0
+    chain_witness = verify_equivalence(lo, hi, check_sets=False).witness
+    code_lo, code_hi = AdditiveCode.build(lo), AdditiveCode.build(hi)
+    assert not _maps_onto(code_lo, code_hi, chain_witness)
+    assert not streamed_set_equal(lo, hi, chain_witness)
+    for a, code in ((lo, code_lo), (hi, code_hi)):
+        report = verify_equivalence(a, a, check_sets=True)
+        assert (report.verdict, report.mode) == ("PASS", "set-equality")
+        assert streamed_set_equal(a, a, report.witness)
+        bad = spoiled(report.witness)
+        assert not _maps_onto(code, code, bad)
+        assert not streamed_set_equal(a, a, bad)
+    monkeypatch.setattr(equivalence, "_gray_blocks", with_a_repeated_word(equivalence._gray_blocks))
+    assert not _maps_onto(code_lo, code_lo, identity_permutation(lo.gray_length))
 
 
 def _check_peak(lo, hi):
@@ -390,6 +566,15 @@ def test_set_check_estimate_bounds_its_peak(rep):
             assert report.mode == "set-equality"
             estimate = set_check_bytes(lo, hi)
             assert peak <= estimate <= 4 * peak, (lo.ts, hi.ts, peak, estimate)
+
+
+@pytest.mark.parametrize("p,lo_ts,hi_ts", [(2, (1, 11), (1, 0, 10)), (2, (1, 12), (1, 0, 11)), (3, (1, 6), (1, 0, 5))])
+def test_set_check_estimate_bounds_the_peak_of_linear_chain_pairs(p, lo_ts, hi_ts):
+    # T_hi has p^2 words and Y sum t_i rows, so building both codes makes most of the peak
+    report, peak = _check_peak(sig(p, lo_ts), sig(p, hi_ts))
+    assert report.mode == "set-equality"
+    estimate = set_check_bytes(sig(p, lo_ts), sig(p, hi_ts))
+    assert peak <= estimate <= 4 * peak, (peak, estimate)
 
 
 @pytest.mark.slow
