@@ -14,10 +14,10 @@ Every producer of codewords reads one stream: the words in odometer
 order over the p-basis (the first basis vector's coefficient varies
 fastest), in blocks of at most 256 KiB.  ``materialize_additive`` copies
 the blocks into one matrix, ``materialize_gray`` Gray-expands each block
-straight into its image and ``_gray_blocks`` hands out the Gray words of
-one block at a time, of a code or of the span of some of its basis rows.
-``RegeneratedGray`` holds no words: it rebuilds the word at any odometer
-row from two span tables of the same basis.
+straight into its image, and ``_gray_blocks`` and ``_digit_blocks`` hand
+out the Gray or digit words of one block at a time, of a code or of the
+span of some of its basis rows.  ``RegeneratedDigits`` holds no words: it
+rebuilds the digit word at any odometer row from two span tables.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .gray import _block_residues, gray_matrix, phi_table
+from .gray import _block_residues, _digit_words, gray_matrix, phi_table
 from .ring import RingParams
 
 DEFAULT_BUDGET_BYTES = 4 * 2**30
@@ -339,13 +339,13 @@ def _decode_plan(sig: TypeSignature) -> "tuple[np.ndarray, np.ndarray, np.ndarra
     return np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths]
 
 
-def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step: int, width: int) -> np.ndarray:
+def _locate(sig: TypeSignature, plan, read, rows: np.ndarray, held: int, held_at, step: int, width: int) -> np.ndarray:
     """For each row, the odometer index of the equal word of the code, or -1 if it is none.
 
     Each query of ``width`` symbols is decoded to its odometer row m by
-    ``plan`` (see ``_decode_plan``); it is a hit when m < ``held`` and the
-    query equals ``held_at(m)``, the word there.  Queries run ``step`` rows
-    at a time.
+    ``plan`` (see ``_decode_plan``) from the residues ``read`` at its pinned
+    coordinates; it is a hit when m < ``held`` and the query equals
+    ``held_at(m)``, the word there.  Queries run ``step`` rows at a time.
     """
     rows = np.asarray(rows)
     out = np.full(rows.shape[0], -1, dtype=np.int64)
@@ -354,7 +354,7 @@ def _locate(sig: TypeSignature, plan, rows: np.ndarray, held: int, held_at, step
     coords, divisors, weights = plan
     for start in range(0, rows.shape[0], step):
         chunk = rows[start : start + step]  # uncast: a symbol outside [0, p) never equals a member's
-        res = _block_residues(sig.params, chunk, coords)
+        res = read(sig.params, chunk, coords)
         res[:, 1:] -= res[:, :1]
         cand = (res % sig.params.modulus // divisors) @ weights
         inside = cand < held
@@ -402,7 +402,9 @@ class GrayCode:
         temporary grows with the code.
         """
         step = max(1, _LOOKUP_BYTES // self.sig.gray_length)
-        return _locate(self.sig, self.index(), rows, len(self), self.words.__getitem__, step, self.sig.gray_length)
+        return _locate(
+            self.sig, self.index(), _block_residues, rows, len(self), self.words.__getitem__, step, self.sig.gray_length
+        )
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact membership of each row."""
@@ -439,30 +441,43 @@ def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np
         yield start, gray_matrix(sig.params, block)
 
 
-def gray_chunk_bytes(sig: TypeSignature, span: "int | None" = None) -> int:
-    """Bytes held while a caller works on one block of ``_gray_blocks``: the low span table, the
-    block, its np.take index and Gray words, and the caller's copy of them with an 8-byte index a word.
+def _digit_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The digit words of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
+    for start, block in _span_blocks(sig, rows):
+        yield start, _digit_words(sig.params, block)
+
+
+def block_bytes(sig: TypeSignature, width: int, span: "int | None" = None) -> int:
+    """Bytes held while a caller works on one block of ``_gray_blocks`` or ``_digit_blocks``, of ``width``
+    symbols a word: the low span table, the block, its np.take index and words, and the caller's copy of them
+    with an 8-byte index a word.
 
     ``span`` is the number of rows streamed, if fewer than the code's t + 1: a block has at most p^span words.
     """
-    return _stream_bytes(sig, span) + _block_rows(sig, span) * (8 * sig.n + 2 * sig.gray_length + 8)
+    return _stream_bytes(sig, span) + _block_rows(sig, span) * (8 * sig.n + 2 * width + 8)
 
 
-class RegeneratedGray:
-    """A code's Gray image that holds no words: it rebuilds the word at any odometer row.
+def _digit_residues(params: RingParams, words: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The residues read off the digits at each listed coordinate of each digit word, as int64."""
+    s = params.s
+    return words.reshape(len(words), -1, s)[:, coords].astype(np.int64) @ params.p ** np.arange(s)
+
+
+class RegeneratedDigits:
+    """A code's digit words psi(c) that holds no words: it rebuilds the digit word at any odometer row.
 
     The t+1 p-basis rows split into a low part of a = ceil((t+1)/2) rows and
     a high part of the rest, whose span tables ``low`` (p^a words) and
     ``high`` (p^(t+1-a) words) are all that is held.  Word m is
-    Phi((low[m mod p^a] + high[m div p^a]) mod p^s).  ``locate`` decodes
-    each query's odometer row as ``GrayCode.locate`` does and compares the
-    query with the word rebuilt there.
+    psi((low[m mod p^a] + high[m div p^a]) mod p^s).  ``locate`` reads the
+    residues at the pinned coordinates of ``_decode_plan`` straight off the
+    digits, decodes each query's odometer row as ``GrayCode.locate`` does
+    and compares the query with the word rebuilt there.
 
-    Given ``sample``, additive coordinates, it is the image restricted to
-    the Gray blocks of ``coords``: the pinned coordinates of
-    ``_decode_plan`` first, then the sampled ones not among them.  A
-    restricted query is found when it equals the restriction of the word
-    its pinned blocks decode to, as every restricted member does.
+    Given ``sample``, additive coordinates, it is restricted to the digits
+    of ``coords``: the pinned coordinates first, then the sampled ones not
+    among them.  A restricted query is found when it equals the restriction
+    of the word its pinned coordinates decode to, as every member's does.
     """
 
     def __init__(self, code: AdditiveCode, sample: "np.ndarray | None" = None):
@@ -477,7 +492,7 @@ class RegeneratedGray:
             coords = np.arange(len(coords))
         self.sig = sig
         self.plan = coords, divisors, weights
-        self.width = basis.shape[1] * sig.gray_length // sig.n
+        self.width = basis.shape[1] * sig.s
         self.step = _chunk_rows(sig, basis.shape[1])
         self.split = sig.p**a
         self.low = _span_table(sig, basis[:a])
@@ -490,32 +505,32 @@ class RegeneratedGray:
     @classmethod
     def lookup_bytes(cls, sig: TypeSignature, queries: "int | None" = None) -> int:
         """Bytes of the two span tables and of one ``locate`` step of ``_chunk_rows`` queries (or of
-        ``queries``, if fewer are asked at once): three int64 arrays of their pinned residues, two
-        gathered table rows, their np.take index, the rebuilt Gray words and their comparison with
+        ``queries``, if fewer are asked at once): the pinned digits and two int64 arrays of their residues,
+        two gathered table rows, their np.take index, the rebuilt digit words and their comparison with
         the queries."""
         a = cls._low_rows(sig)
         entry = _sum_dtype(sig).itemsize
         tables = (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * entry
-        step = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.gray_length
+        step = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.s * sig.n
         return tables + min(_chunk_rows(sig), queries or _chunk_rows(sig)) * step
 
     def __len__(self) -> int:
         return self.sig.size
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The Gray words at odometer rows ``idx`` (each in [0, p^(t+1)))."""
+        """The digit words at odometer rows ``idx`` (each in [0, p^(t+1)))."""
         words = self.low[idx % self.split]
         _add_mod(words, self.high[idx // self.split], self.sig.params.modulus, out=words)
-        return gray_matrix(self.sig.params, words)
+        return _digit_words(self.sig.params, words)
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """For each row, the index of the equal word of the code, or -1 if it is none.
+        """For each digit word, the index of the equal word of the code, or -1 if it is none.
 
         Queries run ``_chunk_rows`` (of the words' coordinates) at a time, so
         a rebuilt batch is never larger than a block of the code's odometer
         stream may be.
         """
-        return _locate(self.sig, self.plan, rows, len(self), self.rows, self.step, self.width)
+        return _locate(self.sig, self.plan, _digit_residues, rows, len(self), self.rows, self.step, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +666,14 @@ def is_gh_code(
     first draw with a failing pair, reporting the first such pair drawn;
     ``pairs_checked`` then counts the whole draw.  An exhaustive pass with no
     failing pair keeps the minimum distance, n less the largest N_0 counted.
+    ``pairs`` must be at least 1 and ``seed`` nonnegative (InputError).
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
+    if pairs < 1:
+        raise InputError(f"pairs must be >= 1, got {pairs}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     m, n = gc.words.shape
     p = gc.sig.p
     if mode == "auto":

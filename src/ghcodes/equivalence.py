@@ -12,9 +12,9 @@ product as it is built, so the composition's peak, ``witness_bytes``, does
 not grow with the chain.
 
 That claim is checked on the order-p split C = T + C[p] that gives rank
-and kernel (``invariants._split``), holding neither Gray image.  Let z_j
-be the top rows of the higher member C_hi, y_j = pi(Phi(z_j)) their mapped
-images and Y their span.  The witness pi passes when
+and kernel (``construction.order_p_split``), holding neither Gray image.
+Let z_j be the top rows of the higher member C_hi, y_j = pi(Phi(z_j))
+their mapped images and Y their span.  The witness pi passes when
 
 (a) pi(Phi(tau)) is in Phi(C_lo) for every tau of T_hi;
 (b) every y_j is in the kernel of Phi(C_lo): y_j + Phi(tau') is in
@@ -23,25 +23,29 @@ images and Y their span.  The witness pi passes when
 (c) the y_j are independent, and the |T_hi| words pi(Phi(tau)) are
     distinct modulo Y.
 
-Where the higher ring satisfies the order-p identity, Phi(C_hi) =
-Phi(T_hi) + span Phi(z_j), and pi is linear, so pi(Phi(C_hi)) =
-pi(Phi(T_hi)) + Y.  (a) and (b) put that set inside Phi(C_lo), and (c)
-gives it p^(t+1) distinct words, as many as Phi(C_lo) has at most: the
-two sets are equal.  Where a ring fails the identity its split is
-trivial, no top rows and T = C, and the same three conditions are a scan
-of the whole code.  This generalizes the coset-of-kernel argument of
-Phelps, Rifà and Villanueva (IEEE Trans. IT 52(1), 2006).
+The Gray map is linear on digits (``gray.digit_table`` checks it for
+both rings), so Phi(C_hi) = Phi(T_hi) + span Phi(z_j), and pi is linear,
+so pi(Phi(C_hi)) = pi(Phi(T_hi)) + Y.  (a) and (b) put that set inside
+Phi(C_lo), and (c) gives it p^(t+1) distinct words, as many as
+Phi(C_lo) has at most: the two sets are equal.  This generalizes the
+coset-of-kernel argument of Phelps, Rifà and Villanueva (IEEE Trans. IT
+52(1), 2006).
 
-T_hi is streamed a block at a time: its words are Gray-expanded, mapped
-by the witness (a column gather) and located in the lower member through
-``RegeneratedGray``, which rebuilds the word at a decoded odometer row
-from two span tables of its basis.  Distinctness modulo Y compares one
-exact integer digest of each word's residue, and the residues themselves
-wherever two digests are equal, so a PASS never rests on a hash.  The
-check costs |T_hi| lookups, not p^(t+1).  No image, permuted copy or
-additive matrix of either member is ever allocated whole;
-``set_check_bytes`` counts what the check allocates, the witness included.
-These two estimates are all the budget is compared with.
+Each mapped word and each y_j is decoded once, at the boundary, to the
+digit words of the lower ring (``gray._decode``).  A word with no Gray
+preimage is not in Phi(C_lo), and on the others the lower ring's Phi is
+an injective linear map of the digit words, so (a)-(c) may be checked
+on digit words.  T_hi is streamed a block at a time: its words are
+Gray-expanded, mapped by the witness (a column gather), decoded and
+located in the lower member through ``RegeneratedDigits``, which
+rebuilds the digit word at a decoded odometer row.  Distinctness modulo Y
+compares one exact integer digest of each word's residue, and the
+residues themselves wherever two digests are equal, so a PASS never
+rests on a hash.  The check costs |T_hi| lookups, not p^(t+1).  No
+image, permuted copy or additive matrix of either member is ever
+allocated whole; ``set_check_bytes`` counts what the check allocates,
+the witness included.  These two estimates are all the budget is
+compared with.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -62,19 +66,20 @@ import numpy as np
 from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
-    RegeneratedGray,
+    RegeneratedDigits,
     TypeSignature,
     _block_rows,
     _check_budget,
     _gray_blocks,
+    block_bytes,
     build_bytes,
-    gray_chunk_bytes,
+    order_p_split,
     phi_bytes,
     validate_type,
 )
 from .errors import InputError, NoSecondRow
-from .gray import Permutation, block_lift, gamma_extended, gray_matrix, identity_permutation, rho
-from .invariants import ReducedBasis, _float_dtype, _in_split_kernel, _split, _top_rows
+from .gray import Permutation, _decode_digits, block_lift, digit_table, gamma_extended, gray_matrix, identity_permutation, rho
+from .invariants import ReducedBasis, _float_dtype, _in_split_kernel
 
 
 def sigma(sig: TypeSignature) -> int:
@@ -175,35 +180,32 @@ def witness_bytes(length: int) -> int:
     return 8 * 8 * length + 2**16
 
 
-def _tables_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
-    """What ``set_check_bytes`` counts before the phi tables are built: the witness and the tables."""
-    return witness_bytes(lower.gray_length) + phi_bytes(lower.params) + phi_bytes(higher.params)
-
-
 def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     """Bytes the set-equality check of ``verify_equivalence`` allocates, all as held at once.
 
-    Each member is sized by the split ``_split`` takes, so this builds the
-    phi tables of both rings.  It counts the witness, composed and then
-    with its inverse image, and those tables (``_tables_bytes``); both
-    members' ``AdditiveCode.build`` (``build_bytes``); the lower member's
-    lookup (``RegeneratedGray.lookup_bytes``); the Y basis, twice while it
-    grows; and the larger of two streams.  The stream of T_hi holds one
-    block with its mapped copy (``gray_chunk_bytes``), three float copies
-    of the block while it is reduced modulo Y, the float64 copy its
-    digests are taken from, and three 8-byte entries per word of T_hi: the
-    digests, their sort order and the sorted digests.  The translate check
-    holds one block of T_lo (``gray_chunk_bytes``).
+    It counts the witness, composed and then with its inverse image; the
+    phi and digit tables and ``build_bytes`` of both members; the lower
+    member's lookup (``RegeneratedDigits.lookup_bytes``); the Y basis of
+    digit words, twice while it grows; and the larger of two streams.  The
+    stream of T_hi holds one Gray block with its mapped copy
+    (``block_bytes``), the decode's int64 residues with its 16-bit digit
+    reads, the re-encoded block and its comparison, then the digit words,
+    three float copies of them while they are reduced modulo Y, the
+    float64 copy their digests are taken from, and per word of T_hi its
+    digest, sort order and sorted digest.  The translate check holds one
+    block of digit words of T_lo (``block_bytes``).
     """
-    p, length = lower.p, lower.gray_length
-    top, span = _top_rows(higher), higher.t + 1 - _top_rows(higher)
-    lower_span = lower.t + 1 - _top_rows(lower)
-    itemsize = _float_dtype(p, length).itemsize
+    p, length, width = lower.p, lower.gray_length, lower.s * lower.n
+    top, span = higher.num_rows, higher.t + 1 - higher.num_rows
+    lower_span = lower.t + 1 - lower.num_rows
+    itemsize = _float_dtype(p, width).itemsize
     rows = _block_rows(higher, span)
-    higher_stream = gray_chunk_bytes(higher, span) + rows * length * (3 * itemsize + 8) + 3 * 8 * p**span
-    lookup = RegeneratedGray.lookup_bytes(lower, max(rows, _block_rows(lower, lower_span)))
-    held = lookup + 2 * top * length * itemsize + max(higher_stream, gray_chunk_bytes(lower, lower_span))
-    return _tables_bytes(lower, higher) + build_bytes(lower) + build_bytes(higher) + held
+    decode = 14 * lower.n + 2 * length + width * (3 * itemsize + 9)
+    higher_stream = block_bytes(higher, length, span) + rows * decode + 3 * 8 * p**span
+    lookup = RegeneratedDigits.lookup_bytes(lower, max(rows, _block_rows(lower, lower_span)))
+    held = lookup + 2 * top * width * itemsize + max(higher_stream, block_bytes(lower, width, lower_span))
+    tables = sum(phi_bytes(sig.params) + sig.params.modulus * sig.s for sig in (lower, higher))
+    return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held
 
 
 @dataclass(frozen=True)
@@ -243,9 +245,8 @@ def verify_equivalence(
     in the lower member's kernel and that the mapped words stay distinct
     modulo their span, so it holds neither Gray image (see the module
     docstring).  It runs when ``set_check_bytes`` fits the budget (with
-    check_sets=True, CapacityError otherwise); that estimate is asked only
-    once the witness and the phi tables fit, since it builds the tables.
-    It includes the witness, so a checked verdict always has one.
+    check_sets=True, CapacityError otherwise).  That estimate includes the
+    witness, so a checked verdict always has one.
     ``render_bytes``, what the caller will hold beside the returned witness
     (the command line's JSON of it), is added to both estimates.
     """
@@ -271,12 +272,7 @@ def verify_equivalence(
     lower_sig, higher_sig = (sig_a, sig_b) if ca.position <= cb.position else (sig_b, sig_a)
 
     length = sig_a.gray_length
-    cost = 0
-    if check_sets is not False:
-        # sizing the splits builds both phi tables, so it waits until they fit
-        cost = _tables_bytes(lower_sig, higher_sig) + render_bytes
-        if cost <= budget_bytes:
-            cost = set_check_bytes(lower_sig, higher_sig) + render_bytes
+    cost = 0 if check_sets is False else set_check_bytes(lower_sig, higher_sig) + render_bytes
     if check_sets is True:
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
@@ -293,13 +289,10 @@ def verify_equivalence(
     return EquivalenceReport("PASS", rep.ts, positions, witness, "algebra-only")
 
 
-def _mapped_blocks(
-    higher: TypeSignature, other: np.ndarray, witness: Permutation, basis: ReducedBasis
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(first index, mapped words, their residues modulo ``basis``) for each block of Phi(T_hi)."""
+def _mapped_digits(lower: TypeSignature, higher: TypeSignature, other: np.ndarray, witness: Permutation) -> Iterator:
+    """(first index, lower digit words, preimage mask) for each block of pi(Phi(T_hi)), decoded at the boundary."""
     for start, words in _gray_blocks(higher, other):
-        mapped = witness(words)
-        yield start, mapped, basis.reduce(mapped)
+        yield start, *_decode_digits(witness(words), lower.params)
 
 
 def _digest_weights(p: int, length: int) -> np.ndarray:
@@ -317,23 +310,25 @@ def _digest_weights(p: int, length: int) -> np.ndarray:
 
 def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) -> bool:
     """Does ``witness`` map Phi(higher) onto Phi(lower)?  Conditions (a)-(c) of the module docstring, exactly."""
-    p, length = lower.sig.p, lower.sig.gray_length
-    top, other = _split(higher)
-    lookup = RegeneratedGray(lower)
-    ys = witness(gray_matrix(higher.sig.params, top))
-    basis = ReducedBasis(p, length)
+    lo = lower.sig
+    p, width = lo.p, lo.s * lo.n
+    digit_table(higher.sig.params)  # Phi(C_hi) = Phi(T_hi) + span Phi(z_j) rests on the higher ring's check
+    top, other = order_p_split(higher)
+    lookup = RegeneratedDigits(lower)
+    ys, preimage = _decode_digits(witness(gray_matrix(higher.sig.params, top)), lo.params)
+    basis = ReducedBasis(p, width)
     basis.absorb(ys)
-    if basis.rank < len(top):  # (c): the y_j are dependent
+    if not preimage.all() or basis.rank < len(top):  # (b): a y_j outside Phi(C_lo); (c): the y_j are dependent
         return False
-    lower_other = _split(lower)[1]
+    lower_other = order_p_split(lower)[1]
     if not all(_in_split_kernel(lookup, lower_other, y) for y in ys):  # (b)
         return False
-    weights = _digest_weights(p, length)
+    weights = _digest_weights(p, width)
     digests = np.empty(p ** len(other))
-    for start, mapped, residues in _mapped_blocks(higher.sig, other, witness, basis):
-        if (lookup.locate(mapped) < 0).any():  # (a)
+    for start, digits, preimage in _mapped_digits(lo, higher.sig, other, witness):
+        if not preimage.all() or (lookup.locate(digits) < 0).any():  # (a)
             return False
-        digests[start : start + len(mapped)] = residues @ weights
+        digests[start : start + len(digits)] = basis.reduce(digits) @ weights
     # (c): equal residues have equal digests, so only words whose digests tie can be equal modulo Y
     order = np.argsort(digests)
     ranked = digests[order]
@@ -342,6 +337,7 @@ def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) 
         return True
     tied = np.unique(np.r_[order[1:][ties], order[:-1][ties]])
     rows = set()
-    for start, _, residues in _mapped_blocks(higher.sig, other, witness, basis):  # the same stream, once more
+    for start, digits, _ in _mapped_digits(lo, higher.sig, other, witness):  # the same stream, once more
+        residues = basis.reduce(digits)
         rows.update(residues[i - start].tobytes() for i in tied[(tied >= start) & (tied < start + len(residues))])
     return len(rows) == len(tied)

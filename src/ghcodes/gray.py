@@ -17,6 +17,11 @@ phi(u) for every u, and ``gray`` computes one row alone; ``gray_matrix``
 expands a batch of residue vectors and ``gray_inverse`` decodes one word.
 The rows ``gray`` and ``tau`` return are read-only.
 
+phi is GF(p)-linear and injective on the base-p digits of u.
+``digit_table`` holds the digits of every residue and checks that once
+per ring, so the rank, kernel and chain checks of the other modules run
+on digit words, s symbols a coordinate against the p^(s-1) of Gray words.
+
 Two families of coordinate permutations make Gray images of codes over
 neighbouring rings comparable:
 
@@ -41,12 +46,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InputError, NotAGrayImage
+from .errors import GHCodeError, InputError, NotAGrayImage
 from .ring import RingParams
 
 __all__ = [
     "Permutation",
     "block_lift",
+    "digit_table",
     "gamma",
     "gamma_extended",
     "gray",
@@ -215,47 +221,35 @@ def phi_table(params: RingParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def order_p_identity_holds(params: RingParams) -> bool:
-    """Does phi(v + p^(s-1) a) = phi(v) + phi(p^(s-1) a) (mod p) hold for every v in Z_{p^s} and a in Z_p?
+def digit_table(params: RingParams) -> np.ndarray:
+    """Rows = the base-p digits (u_0, ..., u_{s-1}) of u = 0..p^s-1; shape (p^s, s), uint8, read-only.
 
-    Checked once per ring on its phi table, for a = 1 and every v, with
-    phi(0) = 0; the other a follow by induction, since p^(s-1) a is a sum
-    of a copies of p^(s-1).  Phi acts coordinate by coordinate, so where the
-    identity holds, adding a word of the order-p subgroup p^(s-1) Z_{p^s}^n
-    to any word adds its Gray image to the image.
+    phi is GF(p)-linear in the digits, phi(u) = sum_i u_i phi(p^i) mod p,
+    and only u = 0 maps to the zero word, so Phi = A . psi with psi the
+    digit map and A injective: a set of codewords has the rank and kernel
+    dimension of its digit words.  The first build per ring checks both
+    facts on the phi table, a slab of residues at a time, and raises
+    GHCodeError naming the ring if either fails.
     """
-    p, top = params.p, params.modulus // params.p
-    blocks = phi_table(params).reshape(p, top, top)  # block k: the residues k p^(s-1) + [0, p^(s-1))
-    shift = blocks[1, 0].astype(np.int16)  # phi(p^(s-1))
-    # v + p^(s-1) is block k + 1 (block 0 after block p - 1) at the same place
-    steps = all(np.array_equal((blocks[k] + shift) % p, blocks[(k + 1) % p]) for k in range(p))
-    return steps and not blocks[0, 0].any()
+    p, s = params.p, params.s
+    u = np.arange(params.modulus)
+    table = (u[:, None] // p ** np.arange(s) % p).astype(np.uint8)
+    phi = phi_table(params)
+    units = phi[p ** np.arange(s)].astype(np.int32)  # phi(p^i), the rows of A
+    step = max(1, _PHI_SLAB // phi.shape[1])
+    for start in range(0, len(phi), step):
+        rows = phi[start : start + step]
+        linear = np.array_equal(table[start : start + step] @ units % p, rows)
+        if not linear or not np.array_equal(rows.any(axis=1), u[start : start + step] > 0):
+            raise GHCodeError(f"the Gray map of Z_{p}^{s} is not linear and injective on base-p digits")
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=None)
-def spanning_positions(params: RingParams) -> np.ndarray:
-    """Positions of a phi-block whose columns of the phi table span all its columns over GF(p).
-
-    Position 0 and the positions p^i (i < s-1), where every column j of
-    the table is phi[:, 0] + sum_i j_i (phi[:, p^i] - phi[:, 0]) mod p, j_i
-    being the base-p digits of j, as the Y matrix makes it; this is
-    checked on the table, a slab of rows at a time.  Every position where
-    the check fails.  A set of words then has the rank of its Gray images
-    read at these positions of each block only.
-    """
-    p, top = params.p, params.modulus // params.p
-    pinned = np.array([0, *(p**i for i in range(params.s - 1))])
-    digits = np.arange(top)[:, None] // p ** np.arange(params.s - 1) % p  # j_i of each position j
-    table = phi_table(params)
-    step = max(1, _PHI_SLAB // top)
-    for start in range(0, len(table), step):
-        read = table[start : start + step, pinned].astype(np.int32)
-        spanned = (read[:, :1] + (read[:, 1:] - read[:, :1]) @ digits.T) % p
-        if not np.array_equal(spanned, table[start : start + step]):
-            pinned = np.arange(top)
-            break
-    pinned.flags.writeable = False
-    return pinned
+def _digit_words(params: RingParams, rows: np.ndarray) -> np.ndarray:
+    """psi of a batch: (M, n) residues -> (M, n * s) uint8, the s digits of each coordinate in turn."""
+    m, n = rows.shape
+    return np.take(digit_table(params), rows, axis=0).reshape(m, n * params.s)
 
 
 def _residue(u: int, params: RingParams) -> int:
@@ -287,38 +281,46 @@ def gray_matrix(params: RingParams, rows: np.ndarray) -> np.ndarray:
     return np.take(table, rows, axis=0).reshape(m, n * table.shape[1])
 
 
-def _block_residues(params: RingParams, words: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The residue read off each listed p^(s-1)-block of each word: (len(words), len(blocks)) int64.
+def _block_residues(params: RingParams, words: np.ndarray, blocks) -> np.ndarray:
+    """The residue read off each listed p^(s-1)-block of each word: (len(words), blocks listed) int64.
 
     Column 0 of Y is zero and column p^i is e_i, so block[0] = u_{s-1} and
-    block[p^i] - block[0] = u_i (mod p).  A block with no phi-preimage still reads as some residue.
+    block[p^i] - block[0] = u_i (mod p).  ``blocks`` indexes the blocks of a
+    word (an index array, or a slice).  A block of symbols in [0, p) with no
+    phi-preimage still reads as a residue; other symbols read as some integer.
     """
     p, s = params.p, params.s
-    cols = np.asarray(blocks)[:, None] * p ** (s - 1) + np.array([0, *(p**i for i in range(s - 1))])
-    read = words[:, cols].astype(np.int64)
-    lead = read[..., 0]
-    return lead * p ** (s - 1) + (read[..., 1:] - lead[..., None]) % p @ p ** np.arange(s - 1)
-
-
-def _decode(words: np.ndarray, params: RingParams) -> np.ndarray:
-    """Phi^(-1) of each uint8 row: (len(words), blocks) int64 residues.
-
-    The residues are read by ``_block_residues``, then re-encoded and
-    compared; NotAGrayImage names the first block (counted across the rows)
-    that is not a phi-image.
-    """
-    width = params.p ** (params.s - 1)
-    blocks = words.reshape(-1, width)
-    out = _block_residues(params, words, np.arange(words.shape[1] // width))
-    bad = np.flatnonzero((phi_table(params)[out.reshape(-1)] != blocks).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise NotAGrayImage(f"block {i} = {blocks[i].tolist()} has no Gray preimage")
+    read = words.reshape(len(words), -1, p ** (s - 1))[:, blocks]
+    lead = read[..., 0].astype(np.uint16)
+    out = lead.astype(np.int64)
+    for i in reversed(range(s - 1)):  # Horner, from u_{s-2} down to u_0
+        digit = read[..., p**i].astype(np.uint16) - lead  # wraps below 0 ...
+        np.minimum(digit, digit + np.uint16(p), out=digit)  # ... and back: (a - b) mod p for a, b in [0, p)
+        out *= p
+        out += digit
     return out
 
 
+def _decode(words: np.ndarray, params: RingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Phi^(-1) of each uint8 row, (len(words), blocks) int64 residues, and the preimage mask.
+
+    The residues are read by ``_block_residues``, then re-encoded and
+    compared: the mask says which rows are the Gray images of their residues.
+    """
+    out = _block_residues(params, words, slice(None))
+    return out, (np.take(phi_table(params), out, axis=0).reshape(words.shape) == words).all(axis=1)
+
+
+def _decode_digits(words: np.ndarray, params: RingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The digit words of the residues ``_decode`` reads off uint8 rows, and which rows are Gray images."""
+    residues, preimage = _decode(words, params)
+    return _digit_words(params, residues), preimage
+
+
 def gray_inverse(w: np.ndarray, params: RingParams) -> np.ndarray:
-    """Phi^(-1) of one p-ary word: its int64 residues, one per p^(s-1)-block."""
+    """Phi^(-1) of one p-ary word: its int64 residues, one per p^(s-1)-block.
+
+    NotAGrayImage names the first block that is not a phi-image."""
     w = np.asarray(w)
     width = params.p ** (params.s - 1)
     if w.ndim != 1 or w.dtype.kind not in "iu":
@@ -327,7 +329,11 @@ def gray_inverse(w: np.ndarray, params: RingParams) -> np.ndarray:
         raise InputError(f"word length {w.size} is not a multiple of {width}")
     if w.size and (w.min() < 0 or w.max() >= params.p):
         raise InputError(f"symbols must lie in [0, {params.p})")
-    return _decode(w.astype(np.uint8)[None, :], params)[0]
+    out, preimage = _decode(w.astype(np.uint8)[None, :], params)
+    if not preimage[0]:
+        i = int(np.flatnonzero(phi_table(params)[out[0]].reshape(-1) != w)[0]) // width
+        raise NotAGrayImage(f"block {i} = {w[i * width : (i + 1) * width].tolist()} has no Gray preimage")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,8 @@ def rho(p: int, n: int) -> Permutation:
 def _tau_table(params: RingParams) -> np.ndarray:
     """Rows = tau(u) for u = 0..p^s-1; shape (p^s, p), int64."""
     unshuffled = gamma(params.p, params.s).apply_inverse(phi_table(params))
-    table = _decode(np.ascontiguousarray(unshuffled), RingParams(params.p, params.s - 1))
+    # the rows end to end are one word of p^s blocks: NotAGrayImage counts its blocks across the rows
+    table = gray_inverse(unshuffled.reshape(-1), RingParams(params.p, params.s - 1)).reshape(params.modulus, params.p)
     table.flags.writeable = False
     return table
 

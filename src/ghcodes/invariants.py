@@ -17,21 +17,22 @@ the chunk is then reduced against them by one more GEMM.
 
 ``rank``, ``kernel`` and ``invariant_pair`` read a held image and serve
 any code that contains 0.  ``structural_pair`` gives a type's pair without
-holding its image, from the split C = T + C[p] of ``order_p_split``: where
-the ring's Gray map satisfies ``order_p_identity_holds``, Phi(tau + z) =
-Phi(tau) + Phi(z) for tau in T and z in C[p], and Phi(C[p]) is the linear
-span L of the images of the top rows.  So Phi(C) = Phi(T) + L, which gives
+holding its image.  Phi = A . psi with psi the digit map and A injective
+and linear (checked by ``gray.digit_table``), so Phi(C) has the rank and
+kernel dimension of psi(C).  On digits the split C = T + C[p] of
+``order_p_split`` is exact: adding an order-p word p^(s-1) a changes only
+the top digit, with no carry, so psi(tau + z) = psi(tau) + psi(z) for tau
+in T and z in C[p], and psi(C[p]) is the span L of psi(top rows).  So
+psi(C) = psi(T) + L, which gives
 
-    rank = rank(Phi(top rows) and Phi(T)),
-    ker  = L + {Phi(tau) : tau in T, Phi(tau) + Phi(tau') in Phi(C) for every tau' in T},
+    rank = rank(psi(top rows) and psi(T)),
+    ker  = L + {psi(tau) : tau in T, psi(tau) + psi(tau') in psi(C) for every tau' in T},
 
 and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
-Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  Where the
-identity fails, the same formulas run on the trivial split: no top rows,
-L = 0 and T = C, a streamed scan of the whole code that needs no identity.
-The chain witnesses of ``equivalence`` are checked on the same split, with
-the same translate check (``_in_split_kernel``).
+Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  The chain
+witnesses of ``equivalence`` are checked on the same split, with the
+same translate check (``_in_split_kernel``).
 """
 
 from __future__ import annotations
@@ -48,19 +49,18 @@ from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     GrayCode,
-    RegeneratedGray,
+    RegeneratedDigits,
     TypeSignature,
     _block_exponent,
     _check_budget,
-    _gray_blocks,
+    _digit_blocks,
     _mod_p_diff,
-    _span_blocks,
-    gray_chunk_bytes,
+    block_bytes,
     order_p_split,
     phi_bytes,
 )
 from .errors import InputError
-from .gray import gray_matrix, order_p_identity_holds, phi_table, spanning_positions
+from .gray import _digit_words
 
 _PROBES = 24  # probe words spread over the code that filter the kernel candidates
 _PROBE_COORDS = 32  # additive coordinates (besides the pinned ones) on which structural_pair's probes compare
@@ -288,20 +288,21 @@ def invariant_pair(gc: GrayCode) -> tuple[int, int]:
 def structural_bytes(sig: TypeSignature) -> int:
     """Bytes ``structural_pair`` holds at once above the baseline, its reduced bases aside.
 
-    The phi table, one block of Phi(T) (``gray_chunk_bytes``), and the
-    larger working set of its two stages.  Rank's is five float chunks, as
-    in ``materialization_bytes``, each at least one block.  The kernel's is
-    a ``RegeneratedGray``'s span tables and one locate step, the probe
-    words, a few words of the candidate at hand and two 8-byte indices of
-    every word of T, for the split ``_split`` makes.  Each basis checks its
+    The phi and digit tables, one block of digit words of T
+    (``block_bytes``), and the larger working set of its two stages.
+    Rank's is five float chunks, as in ``materialization_bytes``, each at
+    least one block.  The kernel's is a ``RegeneratedDigits``'s span tables
+    and one locate step, the probe words, a few words of the candidate at
+    hand and two 8-byte indices of every word of T.  Each basis checks its
     own growth against what the budget leaves (see ``ReducedBasis``), so
     no rank is guessed here.
     """
-    p, length = sig.p, sig.gray_length
-    block = p ** _block_exponent(sig) * length * _float_dtype(p, length).itemsize
+    p, width = sig.p, sig.s * sig.n
+    block = p ** _block_exponent(sig) * width * _float_dtype(p, width).itemsize
     rank = 5 * max(_RANK_CHUNK_BYTES, block)
-    kernel = RegeneratedGray.lookup_bytes(sig) + (_PROBES + 8) * length + 16 * p ** (sig.t + 1 - _top_rows(sig))
-    return phi_bytes(sig.params) + gray_chunk_bytes(sig) + max(rank, kernel)
+    kernel = RegeneratedDigits.lookup_bytes(sig) + (_PROBES + 8) * width + 16 * p ** (sig.t + 1 - sig.num_rows)
+    tables = phi_bytes(sig.params) + sig.params.modulus * sig.s
+    return tables + block_bytes(sig, width) + max(rank, kernel)
 
 
 def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -310,35 +311,26 @@ def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.nda
     return digits @ rows.astype(np.int64) % sig.params.modulus
 
 
-def _split_rank(sig: TypeSignature, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
-    """rank(Phi(top) and Phi(T)), with Phi(T) streamed a block at a time.
-
-    The words are read at the ``spanning_positions`` of each phi-block
-    only: the other columns are combinations of those, so the rank is the
-    same (s of the p^(s-1) positions where the ring's phi table allows).
-    """
-    table = np.ascontiguousarray(phi_table(sig.params)[:, spanning_positions(sig.params)])
-    read = lambda rows: np.take(table, rows, axis=0).reshape(len(rows), -1)
-    tops = ((i, read(top[i : i + 1])) for i in range(len(top)))
-    basis = ReducedBasis(sig.p, sig.n * table.shape[1], budget_bytes=budget_bytes)
-    _absorb_stream(basis, itertools.chain(tops, ((start, read(block)) for start, block in _span_blocks(sig, other))))
+def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
+    """rank(``tops`` = psi(top) and psi(T)), with psi(T) streamed a block at a time."""
+    basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
+    _absorb_stream(basis, itertools.chain([(0, tops)], _digit_blocks(sig, other)))
     return basis.rank
 
 
 def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
-    """The indices i of T for which Phi(tau_i) + Phi(probe) is in Phi(C) on a sample of coordinates, for each probe.
+    """The indices i of T for which psi(tau_i) + psi(probe) is in psi(C) on a sample of coordinates, for each probe.
 
     Every kernel tau survives; the probes (words of T spread over its
     odometer order) and the coordinate sample only prune.
     """
     sig, p = code.sig, code.sig.p
     sample = np.unique(np.linspace(0, sig.n - 1, num=min(_PROBE_COORDS, sig.n), dtype=np.int64))
-    restricted = RegeneratedGray(code, sample)
+    restricted = RegeneratedDigits(code, sample)
     rows = other[:, restricted.coords]
-    probes = gray_matrix(sig.params, _span_words(sig, rows, _probe_indices(p ** len(other))))
-    negs = _negated(probes, p)
+    negs = _negated(_digit_words(sig.params, _span_words(sig, rows, _probe_indices(p ** len(other)))), p)
     survivors = []
-    for start, words in _regrouped(_gray_blocks(sig, rows), restricted.step):
+    for start, words in _regrouped(_digit_blocks(sig, rows), restricted.step):
         idx = np.arange(start, start + len(words))
         for neg in negs:
             if not len(idx):
@@ -349,70 +341,54 @@ def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
     return np.concatenate(survivors)
 
 
-def _split_kernel(code: AdditiveCode, top: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
-    """dim ker: L spanned by Phi(top), then each probe survivor tau checked against all of Phi(T).
+def _split_kernel(code: AdditiveCode, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
+    """dim ker: L spanned by ``tops`` = psi(top), then each probe survivor tau checked against all of psi(T).
 
-    The kernel is a subspace only where Phi(C) holds 0: as ``kernel``
-    does, a code without it raises InputError.  A survivor in the span of L
-    and the kernel images already found (0 among them) is in the kernel;
-    any other is checked exactly, block by block of Phi(T), with
-    ``RegeneratedGray.locate``.  The dimension is len(top) + log_p of the
-    number of kernel tau, 0 included.
+    A survivor in the span of L and the kernel words already found (0
+    among them) is in the kernel; any other is checked exactly, block by
+    block of psi(T), with ``RegeneratedDigits.locate``.  The dimension is
+    len(tops) + log_p of the number of kernel tau, 0 included.
     """
-    sig, p = code.sig, code.sig.p
+    sig = code.sig
     survivors = _probe_survivors(code, other)
-    lookup = RegeneratedGray(code)
-    if lookup.locate(np.zeros((1, sig.gray_length), dtype=np.uint8))[0] < 0:
-        raise InputError("kernel needs 0 in the code")
-    basis = ReducedBasis(p, sig.gray_length, budget_bytes=budget_bytes)
-    _absorb_stream(basis, ((i, gray_matrix(sig.params, top[i : i + 1])) for i in range(len(top))))
+    lookup = RegeneratedDigits(code)
+    basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
+    basis.absorb(tops)
     for i in survivors:
-        x = gray_matrix(sig.params, _span_words(sig, other, [i]))
+        x = _digit_words(sig.params, _span_words(sig, other, [i]))
         if not basis.contains(x[0]) and _in_split_kernel(lookup, other, x[0]):
             basis.absorb(x)
     return basis.rank
 
 
-def _in_split_kernel(lookup: RegeneratedGray, other: np.ndarray, x: np.ndarray) -> bool:
-    """Is x + Phi(tau') in Phi(C) for every tau' of T, the odometer span of ``other``?
+def _in_split_kernel(lookup: RegeneratedDigits, other: np.ndarray, x: np.ndarray) -> bool:
+    """Is x + psi(tau') in psi(C) for every tau' of T, the odometer span of ``other``?
 
-    With T from ``_split``, that is x in ker Phi(C): Phi(C) = Phi(T) + L,
-    and L lies in the kernel where the identity holds (and is 0 where it
-    does not).  Phi(T) is streamed a block at a time.
+    With T from ``order_p_split``, that is x in ker psi(C): psi(C) =
+    psi(T) + L, and L lies in the kernel.  psi(T) is streamed a block at a
+    time.
     """
     sig = lookup.sig
     neg = _negated(x, sig.p)
     # each block is fresh, so it can hold the sum
-    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in _gray_blocks(sig, other))
-
-
-def _top_rows(sig: TypeSignature) -> int:
-    """How many top rows ``_split`` takes: sum t_i where the ring satisfies the identity, else none."""
-    return sig.num_rows if order_p_identity_holds(sig.params) else 0
-
-
-def _split(code: AdditiveCode) -> tuple[np.ndarray, np.ndarray]:
-    """(top rows, rows of T): ``order_p_split`` where the ring's Gray map satisfies
-    ``order_p_identity_holds``, else the trivial split, no top rows and T = C."""
-    if _top_rows(code.sig):
-        return order_p_split(code)
-    return code.basis[:0], code.basis
+    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in _digit_blocks(sig, other))
 
 
 def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
-    """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p] of ``_split``, holding no image.
+    """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p] of ``order_p_split``
+    on digit words, holding no image.
 
-    See the module docstring.  Every ring takes this one path: where the
-    Gray map fails ``order_p_identity_holds``, the trivial split streams
-    the whole code.  The budget is checked against ``structural_bytes``;
-    what it leaves bounds each reduced basis.  Both raise CapacityError.
-    An image without the zero word has no kernel (InputError).
+    See the module docstring.  The budget is checked against
+    ``structural_bytes``; what it leaves bounds each reduced basis.  Both
+    raise CapacityError.  A ring whose Gray map fails the check of
+    ``gray.digit_table`` raises GHCodeError.
     """
     sig = code.sig
     need = structural_bytes(sig)
     _check_budget(f"rank and kernel of type {sig.ts} over Z_{sig.p}^{sig.s}", need, budget_bytes)
-    top, other = _split(code)
-    r = _split_rank(sig, top, other, budget_bytes - need)
+    top, other = order_p_split(code)
+    tops = _digit_words(sig.params, top)
+    r = _split_rank(sig, tops, other, budget_bytes - need)
     if r == sig.t + 1:
         return r, r
-    return r, _split_kernel(code, top, other, budget_bytes - need)
+    return r, _split_kernel(code, tops, other, budget_bytes - need)

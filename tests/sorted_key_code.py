@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ghcodes.construction import GrayCode, RegeneratedGray
+from ghcodes.construction import GrayCode, RegeneratedDigits
 
 
 def row_keys(words: np.ndarray) -> np.ndarray:
@@ -54,10 +54,10 @@ class SortedKeyCode(GrayCode):
         return bool(np.array_equal(counts, np.bincount(self.locate(self.words), minlength=len(self))))
 
 
-def same_multiset(code: "GrayCode | RegeneratedGray", hits: np.ndarray) -> bool:
+def same_multiset(code: "GrayCode | RegeneratedDigits", hits: np.ndarray) -> bool:
     """Are the rows that ``code.locate`` turned into ``hits`` the code's words, each as often as it holds them?
 
-    A ``GrayCode`` or ``RegeneratedGray`` of a type holds each word once, so each must be hit once."""
+    A ``GrayCode`` or ``RegeneratedDigits`` of a type holds each word once, so each must be hit once."""
     if isinstance(code, SortedKeyCode):
         return code.same_multiset(hits)
     return len(hits) == len(code) and bool((hits >= 0).all() and (np.bincount(hits, minlength=len(code)) == 1).all())

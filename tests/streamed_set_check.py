@@ -1,16 +1,21 @@
 """The streamed set-equality check, kept as the oracle of the library's witness check.
 
 It maps every one of the p^(t+1) Gray words of the higher member by the
-witness, locates each in the lower member with ``RegeneratedGray`` and
-asks whether the located rows hit every lower word exactly once.  The
-library checks the same claim on the order-p split with |T_hi| lookups
-(``equivalence._maps_onto``); the two must agree on every pair.
+witness and locates each in the lower member as a whole Gray word: the
+query's residues at the pinned coordinates decode its odometer row, and
+it is a hit when it equals the Gray word rebuilt there from the digit
+word of a ``RegeneratedDigits``, read back as residues.  It then asks
+whether the located rows hit every lower word exactly once.  It never
+goes through the boundary decode (``gray._decode``) of the library's
+check, which tests the same claim on the order-p split with |T_hi|
+lookups of decoded digit words (``equivalence._maps_onto``); the two
+must agree on every pair.
 """
 
 import numpy as np
 
-from ghcodes.construction import AdditiveCode, RegeneratedGray, TypeSignature, _gray_blocks
-from ghcodes.gray import Permutation
+from ghcodes.construction import AdditiveCode, RegeneratedDigits, TypeSignature, _decode_plan, _gray_blocks, _locate
+from ghcodes.gray import Permutation, _block_residues, gray_matrix
 
 from sorted_key_code import same_multiset
 
@@ -22,8 +27,14 @@ def gray_chunks(code: AdditiveCode):
 
 def streamed_set_equal(lower: TypeSignature, higher: TypeSignature, witness: Permutation) -> bool:
     """Does ``witness`` map the Gray image of ``higher`` onto that of ``lower``?  Every word is looked up."""
-    regen = RegeneratedGray(AdditiveCode.build(lower))
+    regen = RegeneratedDigits(AdditiveCode.build(lower))
+    digit = lower.p ** np.arange(lower.s)  # the place value of each digit
+    gray_at = lambda idx: gray_matrix(lower.params, regen.rows(idx).reshape(len(idx), lower.n, lower.s) @ digit)
+    plan = _decode_plan(lower)
     hits = np.empty(higher.size, dtype=np.int64)
     for start, words in gray_chunks(AdditiveCode.build(higher)):
-        hits[start : start + len(words)] = regen.locate(witness(words))
+        mapped = witness(words)
+        hits[start : start + len(words)] = _locate(
+            lower, plan, _block_residues, mapped, len(regen), gray_at, regen.step, lower.gray_length
+        )
     return same_multiset(regen, hits)

@@ -116,6 +116,15 @@ def test_verify_with_min_distance(capsys):
     assert lines[1] == "min_distance 6 expected 6"
 
 
+@pytest.mark.parametrize("option,value", [("--pairs", "0"), ("--pairs", "-4"), ("--seed", "-1")])
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_verify_refuses_pair_counts_and_seeds_that_check_nothing(capsys, option, value, mode):
+    # a sampled check of no pairs passed, and a negative seed crashed inside numpy with exit 1, a FAIL's code
+    code, out, err = run(capsys, "verify", "--p", "3", "--type", "2,1", "--mode", mode, option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option[2:]} must be {'>= 1' if option == '--pairs' else '>= 0'}, got {value}\n"
+
+
 @pytest.mark.parametrize(
     "mode,words,passes",
     [("exhaustive", None, 1), ("sampled", None, 1), ("exhaustive", "repeated", 2), ("sampled", "repeated", 1)],

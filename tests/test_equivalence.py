@@ -13,6 +13,7 @@ from ghcodes.construction import (
     build_gray_code,
     generator_matrix,
     materialize_additive,
+    order_p_split,
     row_orders,
     validate_type,
 )
@@ -26,9 +27,9 @@ from ghcodes.equivalence import (
     verify_equivalence,
     witness_bytes,
 )
-from ghcodes.errors import CapacityError, InputError, NoSecondRow
-from ghcodes.gray import Permutation, gray_matrix, identity_permutation, tau_tilde
-from ghcodes.invariants import _span_words, _split, _top_rows, kernel
+from ghcodes.errors import CapacityError, GHCodeError, InputError, NoSecondRow
+from ghcodes.gray import Permutation, gray_matrix, tau_tilde
+from ghcodes.invariants import _span_words, kernel
 from ghcodes.ring import RingParams
 
 from sorted_key_code import set_equal
@@ -37,7 +38,6 @@ from test_invariants import broken_phi, fresh_ring_caches  # noqa: F401 (a fixtu
 
 construction = importlib.import_module("ghcodes.construction")
 equivalence = importlib.import_module("ghcodes.equivalence")
-gray_module = importlib.import_module("ghcodes.gray")
 
 
 def sig(p, ts):
@@ -455,15 +455,15 @@ def test_a_top_image_outside_the_kernel_fails_set_equality(monkeypatch):
     # stays inside Phi(C_lo) and distinct modulo the new Y, but y_0 is no kernel word of Phi(C_lo)
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
     code = AdditiveCode.build(hi)
-    top, other = _split(code)
+    top, other = order_p_split(code)
     witness = verify_equivalence(lo, hi, check_sets=False).witness
     _, hi_kernel = kernel(build_gray_code(hi))
     taus = _span_words(hi, other, np.arange(3 ** len(other)))
     tau = next(w for w in taus if not hi_kernel.contains(gray_matrix(hi.params, w[None])[0]))
     wrong = top.copy()
     wrong[0] = (tau + top[0]) % hi.params.modulus
-    real = equivalence._split
-    monkeypatch.setattr(equivalence, "_split", lambda c: (wrong, other) if c.sig == hi else real(c))
+    real = equivalence.order_p_split
+    monkeypatch.setattr(equivalence, "order_p_split", lambda c: (wrong, other) if c.sig == hi else real(c))
 
     # the oracle, on the held images: (a) and (c) hold with the wrong Y, (b) fails
     lo_words = {row.tobytes() for row in build_gray_code(lo).words}
@@ -485,15 +485,15 @@ def test_dependent_top_images_fail_set_equality(monkeypatch):
     # condition (c), the rank of Y: with z_1 replaced by z_0, every check on words still holds, but
     # pi(Phi(T_hi)) + Y has p^(t+1) / p words, too few for Phi(C_lo)
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
-    top, other = _split(AdditiveCode.build(hi))
+    top, other = order_p_split(AdditiveCode.build(hi))
     twice = top.copy()
     twice[1] = top[0]
     witness = verify_equivalence(lo, hi, check_sets=False).witness
     mapped = witness(gray_matrix(hi.params, _span_words(hi, other, np.arange(3 ** len(other))))).astype(np.int64)
     y = witness(gray_matrix(hi.params, top[:1])).astype(np.int64)[0]
     assert len({((row + c * y) % 3).astype(np.uint8).tobytes() for row in mapped for c in range(3)}) == lo.size // 3
-    real = equivalence._split
-    monkeypatch.setattr(equivalence, "_split", lambda c: (twice, other) if c.sig == hi else real(c))
+    real = equivalence.order_p_split
+    monkeypatch.setattr(equivalence, "order_p_split", lambda c: (twice, other) if c.sig == hi else real(c))
     report = verify_equivalence(lo, hi, check_sets=True)
     assert (report.verdict, report.mode) == ("FAIL", "set-equality")
     assert report.detail == "composed witness failed set equality"
@@ -509,27 +509,35 @@ def test_tied_digests_are_settled_by_the_rows(monkeypatch):
     assert not verify_equivalence(lo, hi, check_sets=True).passed
 
 
+def off_the_pinned_positions(lo):
+    """The first two coordinates of the lower member's Gray words that lie off positions 0 and p^i of their
+    phi-blocks, where the boundary decode reads no residue."""
+    width = lo.p ** (lo.s - 1)
+    pinned = {0, *(lo.p**i for i in range(lo.s - 1))}
+    return [k for k in range(lo.gray_length) if k % width not in pinned][:2]
+
+
+@pytest.mark.parametrize("lo_ts,hi_ts", [((2, 2), (1, 0, 1, 0)), ((1, 1, 1), (1, 0, 1, 0)), ((3, 1), (1, 2, 0))])
+def test_a_transposition_off_the_pinned_positions_fails_set_equality(lo_ts, hi_ts):
+    # after the mapping, two lower coordinates that the decode never reads trade places: every mapped word
+    # still decodes to the residues of a member, but some blocks are no Gray image any more
+    lo, hi = sig(3, lo_ts), sig(3, hi_ts)
+    witness = verify_equivalence(lo, hi, check_sets=False).witness
+    swap = np.arange(lo.gray_length)
+    a, b = off_the_pinned_positions(lo)
+    swap[[a, b]] = [b, a]
+    bad = Permutation(swap).compose(witness)
+    assert _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), witness) and streamed_set_equal(lo, hi, witness)
+    assert not _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), bad)
+    assert not streamed_set_equal(lo, hi, bad)
+
+
 @pytest.mark.parametrize("p,lo_ts,hi_ts", [(3, (2, 2), (1, 0, 1, 0)), (3, (2, 1), (1, 1, 0)), (2, (2, 0, 2), (1, 1, 0, 1))])
-def test_a_gray_map_without_the_identity_takes_the_trivial_split(p, lo_ts, hi_ts, monkeypatch, fresh_ring_caches):
-    # no top rows and T = C: the check scans both codes whole, and agrees with the oracle.  Under the
-    # broken map the chain witness no longer carries one image onto the other (both say so); the identity
-    # carries each type's image onto itself, and a transposition spoils it
-    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
-    lo, hi = sig(p, lo_ts), sig(p, hi_ts)
-    assert _top_rows(lo) == _top_rows(hi) == 0
-    chain_witness = verify_equivalence(lo, hi, check_sets=False).witness
-    code_lo, code_hi = AdditiveCode.build(lo), AdditiveCode.build(hi)
-    assert not _maps_onto(code_lo, code_hi, chain_witness)
-    assert not streamed_set_equal(lo, hi, chain_witness)
-    for a, code in ((lo, code_lo), (hi, code_hi)):
-        report = verify_equivalence(a, a, check_sets=True)
-        assert (report.verdict, report.mode) == ("PASS", "set-equality")
-        assert streamed_set_equal(a, a, report.witness)
-        bad = spoiled(report.witness)
-        assert not _maps_onto(code, code, bad)
-        assert not streamed_set_equal(a, a, bad)
-    monkeypatch.setattr(equivalence, "_gray_blocks", with_a_repeated_word(equivalence._gray_blocks))
-    assert not _maps_onto(code_lo, code_lo, identity_permutation(lo.gray_length))
+def test_a_chain_check_refuses_a_gray_map_off_the_digits(p, lo_ts, hi_ts, monkeypatch, fresh_ring_caches):
+    # the split of the higher member rests on the ring check, so a broken map is refused, not scanned
+    monkeypatch.setattr(importlib.import_module("ghcodes.gray"), "_phi_table_cached", broken_phi)
+    with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(hi_ts)} "):
+        verify_equivalence(sig(p, lo_ts), sig(p, hi_ts), check_sets=True)
 
 
 def _check_peak(lo, hi):

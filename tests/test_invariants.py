@@ -16,8 +16,8 @@ from ghcodes.construction import (
     order_p_split,
     validate_type,
 )
-from ghcodes.errors import CapacityError, InputError
-from ghcodes.gray import Permutation, _phi_table_cached, order_p_identity_holds, phi_table, spanning_positions
+from ghcodes.errors import CapacityError, GHCodeError, InputError
+from ghcodes.gray import Permutation, _phi_table_cached, digit_table, gray, phi_table
 from ghcodes.invariants import (
     ReducedBasis,
     _float_dtype,
@@ -376,14 +376,25 @@ IDENTITY_RINGS = [(p, s) for p, t_max in STRUCTURAL_T_MAX.items() for s in range
 
 @pytest.mark.parametrize("p,s", IDENTITY_RINGS)
 def test_order_p_identity_holds_on_every_ring_of_the_differential_test(p, s):
-    # every ring a nonlinear type of the differential test lives over, every v and every a
-    params = RingParams(p, s)
-    table = phi_table(params).astype(np.int16)
+    # every ring a nonlinear type of the differential test lives over, every v and every a: on digit words
+    # this needs no check, and on Gray words it follows from the ring check below
+    table = phi_table(RingParams(p, s)).astype(np.int16)
     top = p ** (s - 1)
     v = np.arange(p**s)
     for a in range(p):
         assert np.array_equal(table[(v + a * top) % p**s], (table + table[a * top]) % p), a
-    assert order_p_identity_holds(params)
+
+
+@pytest.mark.parametrize("p,s", IDENTITY_RINGS)
+def test_the_ring_check_accepts_every_ring_of_the_differential_test(p, s):
+    # the digits are u's base-p digits, least significant first, and phi(u) = sum_i u_i phi(p^i) mod p
+    params = RingParams(p, s)
+    digits = digit_table(params)
+    u = np.arange(p**s)
+    assert digits.shape == (p**s, s) and not digits.flags.writeable
+    assert np.array_equal(digits.astype(np.int64) @ p ** np.arange(s), u)
+    units = np.stack([gray(p**i, params) for i in range(s)]).astype(np.int64)
+    assert np.array_equal(digits.astype(np.int64) @ units % p, phi_table(params))
 
 
 def broken_phi(p, s):
@@ -398,12 +409,10 @@ def broken_phi(p, s):
 
 @pytest.mark.parametrize("p,s", IDENTITY_RINGS)
 def test_the_decoded_positions_span_every_phi_column(p, s):
-    # rank is read at positions 0 and p^i of each block; on small rings their columns have the rank of all
-    params = RingParams(p, s)
+    # residues are decoded at positions 0 and p^i of each block; on small rings their columns have the rank of all
     pinned = [0, *(p**i for i in range(s - 1))]
-    assert spanning_positions(params).tolist() == pinned
     if p**s <= 729:
-        table = phi_table(params)
+        table = phi_table(RingParams(p, s))
         assert naive_rank(table, p) == naive_rank(table[:, pinned], p) == s
 
 
@@ -418,8 +427,16 @@ def skewed_phi(p, s):
     return table
 
 
+def zero_moved_phi(p, s):
+    """The phi table plus 1 at position 0 of every residue: phi(0) != 0, and 0 is found in no image."""
+    table = _phi_table_cached.__wrapped__(p, s).copy()
+    table[:, 0] = (table[:, 0] + 1) % p
+    table.flags.writeable = False
+    return table
+
+
 def clear_ring_caches():
-    for cached in (_phi_table_cached, order_p_identity_holds, spanning_positions):
+    for cached in (_phi_table_cached, digit_table):
         cached.cache_clear()
 
 
@@ -431,71 +448,40 @@ def fresh_ring_caches():
 
 
 BROKEN_IDENTITY_TYPES = [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (3, (1, 1, 0))]
+BROKEN_RINGS = sorted({(p, len(ts)) for p, ts in BROKEN_IDENTITY_TYPES} | {(5, 2)})
 
 
+@pytest.mark.parametrize("broken", [broken_phi, skewed_phi, zero_moved_phi])
+@pytest.mark.parametrize("p,s", BROKEN_RINGS)
+def test_the_ring_check_rejects_a_gray_map_off_the_digits(p, s, broken, monkeypatch, fresh_ring_caches):
+    # each broken table is still decoded as before, but it is no injective linear map of the digits
+    monkeypatch.setattr(gray_module, "_phi_table_cached", broken)
+    with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{s} ") as err:
+        digit_table(RingParams(p, s))
+    assert not isinstance(err.value, InputError)
+    clear_ring_caches()
+    monkeypatch.undo()
+    assert digit_table(RingParams(p, s)).shape == (p**s, s)
+
+
+@pytest.mark.parametrize("broken", [broken_phi, skewed_phi])
 @pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
-def test_a_gray_map_without_the_identity_falls_back_to_the_held_image(p, ts, monkeypatch, fresh_ring_caches):
-    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
-    sig = validate_type(p, ts)
-    assert not order_p_identity_holds(sig.params)
-    code = AdditiveCode.build(sig)
-    held = held_pair(code)
-    assert structural_pair(code) == held
-    # the split alone, which assumes the identity, gets this code wrong
-    top, other = order_p_split(code)
-    assert invariants._split_rank(sig, top, other, 2**30) != held[0]
-
-
-@pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
-def test_a_gray_map_without_the_identity_is_streamed_with_no_image_held(p, ts, monkeypatch, fresh_ring_caches):
-    # the trivial split (no top rows, T = C) scans the whole code a block at a time: no Gray image is built,
-    # the pair is the held oracle's, and the peak stays within structural_bytes plus the bases
-    monkeypatch.setattr(gray_module, "_phi_table_cached", broken_phi)
-    sig = validate_type(p, ts)
-    code = AdditiveCode.build(sig)
-    r, k = held_pair(code)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Gray image was materialized")
-
-    monkeypatch.setattr(construction, "materialize_gray", refuse)
-    monkeypatch.setattr(invariants, "materialize_gray", refuse, raising=False)
-    budget = structural_bytes(sig) + bases_bytes(sig, r, k)
-    tracemalloc.start()
-    try:
-        assert structural_pair(code, budget) == (r, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= budget, (peak, budget)
-
-
-def zero_moved_phi(p, s):
-    """The phi table plus 1 at position 0 of every residue: phi(0) != 0, and 0 is found in no image."""
-    table = _phi_table_cached.__wrapped__(p, s).copy()
-    table[:, 0] = (table[:, 0] + 1) % p
-    table.flags.writeable = False
-    return table
+def test_structural_pair_refuses_a_gray_map_off_the_digits(p, ts, broken, monkeypatch, fresh_ring_caches):
+    monkeypatch.setattr(gray_module, "_phi_table_cached", broken)
+    with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(ts)} "):
+        structural_pair(AdditiveCode.build(validate_type(p, ts)))
 
 
 @pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
 def test_an_image_without_the_zero_word_has_no_kernel(p, ts, monkeypatch, fresh_ring_caches):
+    # the held image has no kernel; the structural path refuses the ring before it looks for one
     monkeypatch.setattr(gray_module, "_phi_table_cached", zero_moved_phi)
     code = AdditiveCode.build(validate_type(p, ts))
     with pytest.raises(InputError):
         held_pair(code)
-    with pytest.raises(InputError):
+    with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(ts)} ") as err:
         structural_pair(code)
-
-
-@pytest.mark.parametrize("p,ts", [(3, (2, 1)), (3, (2, 0, 0)), (2, (2, 0, 0)), (2, (3, 0, 0)), (5, (2, 0))])
-def test_a_gray_map_whose_columns_need_every_position_is_ranked_on_all(p, ts, monkeypatch, fresh_ring_caches):
-    monkeypatch.setattr(gray_module, "_phi_table_cached", skewed_phi)
-    sig = validate_type(p, ts)
-    assert order_p_identity_holds(sig.params)
-    assert spanning_positions(sig.params).tolist() == list(range(p ** (sig.s - 1)))
-    code = AdditiveCode.build(sig)
-    assert structural_pair(code) == held_pair(code)
+    assert not isinstance(err.value, InputError)
 
 
 @pytest.mark.parametrize("probes,coords", [(1, 1), (2, 0)])
@@ -519,15 +505,15 @@ def test_structural_pair_across_block_and_chunk_seams(p, ts, monkeypatch):
     code = AdditiveCode.build(validate_type(p, ts))
     want = held_pair(code)
     monkeypatch.setattr(construction, "_CHUNK_BYTES", 1)  # blocks of one word, and one-word locate steps
-    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 3 * code.sig.gray_length * 4)  # rank chunks of 3 words
+    monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 3 * code.sig.s * code.sig.n * 4)  # rank chunks of 3 words
     assert structural_pair(code) == want
 
 
 def bases_bytes(sig, r, k):
-    """The larger of the two reduced bases of structural_pair, each held twice while it grows: rank's, of
-    words read at the spanning positions, and the kernel's, of whole Gray words."""
-    width, length = sig.n * len(spanning_positions(sig.params)), sig.gray_length
-    return 2 * max(r * width * _float_dtype(sig.p, width).itemsize, k * length * _float_dtype(sig.p, length).itemsize)
+    """The larger of the two reduced bases of structural_pair, each held twice while it grows: rank's and
+    the kernel's, both of digit words."""
+    width = sig.s * sig.n
+    return 2 * max(r, k) * width * _float_dtype(sig.p, width).itemsize
 
 
 @pytest.mark.parametrize("p,t", [(3, 6), (3, 7), (2, 10), (5, 5)])

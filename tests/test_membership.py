@@ -6,11 +6,12 @@ It is tested against ``SortedKeyCode``, the sorted byte-key index kept in
 with members, corruptions, words of other types, constant words, blocks
 with no Gray preimage and words of the wrong length as queries.
 
-``RegeneratedGray``, which holds no words and rebuilds the word at each
-decoded row from two span tables, is checked against ``GrayCode.locate``
-on the full image, with the same kinds of queries, over moduli whose sums
-widen the dtype (243) or fill it (256, 512), and with chunks of one word
-and of a few.
+``RegeneratedDigits``, which holds no words and rebuilds the digit word
+at each decoded row from two span tables, is checked against
+``GrayCode.locate`` on the full image: the same kinds of Gray queries go
+through the boundary decode (``gray._decode``, a miss where a word has no
+Gray preimage) to digit words, over moduli whose sums widen the dtype
+(243) or fill it (256, 512), and with chunks of one word and of a few.
 
 ``SortedKeyCode`` itself is checked against a Python set (or, for set
 equality, a multiset) of ``row.tobytes()``, on a random subset of a small
@@ -33,12 +34,12 @@ from ghcodes.classification import enumerate_types
 from ghcodes.construction import (
     AdditiveCode,
     GrayCode,
-    RegeneratedGray,
+    RegeneratedDigits,
     build_gray_code,
     materialize_gray,
     validate_type,
 )
-from ghcodes.gray import phi_table
+from ghcodes.gray import _decode_digits, gray_matrix, phi_table
 from ghcodes.ring import RingParams
 
 from goldens import PHI3
@@ -249,7 +250,7 @@ def test_locate_finds_every_word_at_its_odometer_index(p, ts):
 
 
 # ---------------------------------------------------------------------------
-# the regenerating lookup against the held image
+# the regenerating digit lookup against the held image
 # ---------------------------------------------------------------------------
 
 # beside the (p, t) of the decode cases, one type per modulus 243 (its sums
@@ -272,37 +273,48 @@ def regenerated_cases(draw):
     return full, mixed_queries(full, full_code(p, other), rng), draw(st.sampled_from([1, 2**12]))
 
 
+def through_the_boundary(lookup, queries):
+    """``lookup.locate`` of the digit words of Gray queries, decoded as the chain check decodes them: -1
+    where a query has no Gray preimage."""
+    digits, preimage = _decode_digits(np.ascontiguousarray(queries, dtype=np.uint8), lookup.sig.params)
+    return np.where(preimage, lookup.locate(digits), -1)
+
+
+def digits_at(digits, sig, coords):
+    """Digit words restricted to the s digits of each of ``coords``, in their order."""
+    return digits.reshape(len(digits), sig.n, sig.s)[:, coords].reshape(len(digits), -1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(regenerated_cases())
 def test_regenerated_locate_agrees_with_held_image(case):
     full, queries, chunk_bytes = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
-        regen = RegeneratedGray(AdditiveCode.build(full.sig))
-        got = regen.locate(queries)
-        assert np.array_equal(got, full.locate(queries))
-        assert same_multiset(regen, regen.locate(full.words[::-1]))
+        regen = RegeneratedDigits(AdditiveCode.build(full.sig))
+        assert np.array_equal(through_the_boundary(regen, queries), full.locate(queries))
+        assert same_multiset(regen, through_the_boundary(regen, full.words[::-1]))
         repeated = full.words.copy()
         repeated[0] = repeated[-1]
-        assert not same_multiset(regen, regen.locate(repeated))
-        for wrong in (queries[:, :-1], np.hstack([queries, queries[:, :1]])):
+        assert not same_multiset(regen, through_the_boundary(regen, repeated))
+        digits = regen.rows(np.arange(len(full)))
+        for wrong in (digits[:, :-1], np.hstack([digits, digits[:, :1]])):
             assert (regen.locate(wrong) == -1).all()
 
 
 @pytest.mark.parametrize("p,ts", [(2, (2, 3)), (3, (2, 2)), (3, (1, 0, 1, 0)), (5, (1, 1)), *WIDE])
 def test_regenerated_rows_equal_the_held_image(p, ts):
+    # the digit words, read back as residues and Gray-expanded, are the held words
     code = AdditiveCode.build(validate_type(p, ts))
+    sig = code.sig
     words = materialize_gray(code).words
     idx = np.random.default_rng(sum(ts) * p).integers(0, len(words), size=300)
-    regen = RegeneratedGray(code)
-    assert np.array_equal(regen.rows(idx), words[idx])
-    assert np.array_equal(regen.rows(np.arange(len(words))), words)
-
-
-def restricted_columns(regen, sig):
-    """The Gray columns of the blocks of a restricted RegeneratedGray's coordinates."""
-    width = sig.gray_length // sig.n
-    return (regen.coords[:, None] * width + np.arange(width)).ravel()
+    regen = RegeneratedDigits(code)
+    for rows in (idx, np.arange(len(words))):
+        digits = regen.rows(rows)
+        assert digits.shape == (len(rows), sig.s * sig.n) and digits.max() < p
+        residues = digits.reshape(len(rows), sig.n, sig.s).astype(np.int64) @ p ** np.arange(sig.s)
+        assert np.array_equal(gray_matrix(sig.params, residues), words[rows])
 
 
 @pytest.mark.parametrize("p,ts", [(2, (2, 3)), (3, (2, 2)), (3, (1, 0, 1, 0)), (5, (1, 1)), *WIDE])
@@ -315,40 +327,48 @@ def test_restricted_regenerated_gray_never_drops_a_member(p, ts):
     other = next(o for o in types_of(p, full.sig.t) if o != ts)
     queries = mixed_queries(full, full_code(p, other), rng)
     held = full.locate(queries)
+    digits, preimage = _decode_digits(queries, full.sig.params)
+    everything = RegeneratedDigits(code).rows(np.arange(len(full)))
     for sample in (np.arange(0, full.sig.n, 5), np.array([], dtype=np.int64), np.arange(full.sig.n)):
-        regen = RegeneratedGray(code, sample)
+        regen = RegeneratedDigits(code, sample)
         assert list(regen.coords[: code.sig.num_rows]) == list(construction._decode_plan(code.sig)[0])
-        cols = restricted_columns(regen, full.sig)
-        assert np.array_equal(regen.rows(np.arange(len(full))), full.words[:, cols])
-        got = regen.locate(queries[:, cols])
+        assert np.array_equal(regen.rows(np.arange(len(full))), digits_at(everything, full.sig, regen.coords))
+        got = regen.locate(digits_at(digits, full.sig, regen.coords))
         assert ((held < 0) | (got == held)).all()
         if len(sample) == full.sig.n:
-            assert np.array_equal(got, held)
+            assert np.array_equal(np.where(preimage, got, -1), held)
 
 
 @pytest.mark.parametrize("p,ts", [(3, (1, 1)), (2, (2, 1)), (5, (1, 0)), (3, (1, 0, 1))])
 def test_symbols_outside_the_alphabet_are_misses(p, ts):
     # int64 queries one symbol off a member by +-256 (the same byte) or set to p + k:
-    # a uint8 cast of the query would find the member
+    # a uint8 cast of the query would find the member; Gray queries for the held image and its oracle,
+    # digit words for the lookup
     full = full_code(p, ts)
-    regen = RegeneratedGray(AdditiveCode.build(full.sig))
+    regen = RegeneratedDigits(AdditiveCode.build(full.sig))
     oracle = SortedKeyCode(full.sig, full.words.copy())
     rng = np.random.default_rng(p * len(ts))
     rows = rng.integers(0, len(full), size=12)
-    cols = rng.integers(0, full.length, size=len(rows))
-    queries = full.words[rows].astype(np.int64)
-    sym = queries[np.arange(len(rows)), cols]
-    sym[0::4] += 256
-    sym[1::4] -= 256
-    sym[2::4] = p
-    sym[3::4] += p + 1  # p + k for k = the old symbol + 1
-    queries[np.arange(len(rows)), cols] = sym
-    assert ((queries < 0) | (queries >= p)).any(axis=1).all()
-    for code in (full, regen, oracle):
+
+    def off_the_alphabet(words):
+        queries = words.astype(np.int64)
+        cols = rng.integers(0, queries.shape[1], size=len(rows))
+        sym = queries[np.arange(len(rows)), cols]
+        sym[0::4] += 256
+        sym[1::4] -= 256
+        sym[2::4] = p
+        sym[3::4] += p + 1  # p + k for k = the old symbol + 1
+        queries[np.arange(len(rows)), cols] = sym
+        assert ((queries < 0) | (queries >= p)).any(axis=1).all()
+        return queries
+
+    queries = off_the_alphabet(full.words[rows])
+    for code in (full, oracle):
         assert (code.locate(queries) == -1).all()
+    assert (regen.locate(off_the_alphabet(regen.rows(rows))) == -1).all()
     assert not full.contains_rows(queries).any()
     assert not any(full.contains_row(q) for q in queries)
     # the members themselves, as int64 queries, are still found
-    for code in (full, regen, oracle):
+    for code in (full, oracle):
         assert np.array_equal(code.locate(full.words[rows].astype(np.int64)), rows)
-
+    assert np.array_equal(regen.locate(regen.rows(rows).astype(np.int64)), rows)
