@@ -46,6 +46,7 @@ from .construction import (
     AdditiveCode,
     TypeSignature,
     _check_budget,
+    _check_gh_options,
     additive_bytes,
     is_gh_code,
     materialization_bytes,
@@ -361,6 +362,7 @@ def cmd_tables(args: argparse.Namespace) -> Result:
 def cmd_verify(args: argparse.Namespace) -> Result:
     """GH difference property and minimum distance of one type"""
     sig = _sig(args)
+    _check_gh_options(args.mode, args.pairs, args.seed)  # before the image is built
     gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
     verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)
     ok = verdict.passed

@@ -645,6 +645,16 @@ def _failed(words: np.ndarray, mode: str, checked: int, u: int, v: int) -> GHVer
     return GHVerdict(False, mode, checked, f"pair ({u}, {v}) is {what}")
 
 
+def _check_gh_options(mode: str, pairs: int, seed: int) -> None:
+    """InputError unless ``is_gh_code`` takes these options, so callers can check them before building a code."""
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
+    if pairs < 1:
+        raise InputError(f"pairs must be >= 1, got {pairs}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+
+
 def is_gh_code(
     gc: GrayCode,
     mode: str = "auto",
@@ -668,12 +678,7 @@ def is_gh_code(
     failing pair keeps the minimum distance, n less the largest N_0 counted.
     ``pairs`` must be at least 1 and ``seed`` nonnegative (InputError).
     """
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
-    if pairs < 1:
-        raise InputError(f"pairs must be >= 1, got {pairs}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    _check_gh_options(mode, pairs, seed)
     m, n = gc.words.shape
     p = gc.sig.p
     if mode == "auto":

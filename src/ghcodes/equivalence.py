@@ -4,12 +4,24 @@ A type whose generator matrix has a second row of order p^(s+1-sigma)
 sits at position sigma of a unique chain.  The chain's representative is
 the member with t_1 >= 2 (lowest ring level); walking one level up sends
 (t_1, ..., t_s) to (1, t_1 - 1, t_2, ..., t_{s-1}, t_s - 1), and the
-corresponding Gray images differ by an explicit coordinate permutation
-built from gamma and rho.  Composing those step permutations between two
-positions of one chain yields a monomial-free equivalence witness that
-maps one Gray image exactly onto the other.  Each step is folded into the
-product as it is built, so the composition's peak, ``witness_bytes``, does
-not grow with the chain.
+corresponding Gray images differ by an explicit coordinate permutation.
+The witness between two positions of one chain is a single index
+shuffle, built in one step:
+
+The paper's step from Z_{p^(s+1)} down to Z_{p^s} on N = n' p^s
+coordinates is (gamma_ext . rho_lift)^(-1), with rho interleaving the p
+runs of n' blocks of width p^(s-1) and gamma acting inside each block of
+width p^s.  Write a coordinate as j N/p + r with j < p and r < N/p, so
+r = i p^(s-1) + c with i < n' and c < p^(s-1).  rho_lift moves it to
+i p^s + j p^(s-1) + c and gamma then to i p^s + c p + j = p r + j.  Its
+inverse, the step, is the p-shuffle: coordinate a p + b (b < p) moves to
+b N/p + a.  Every member of a chain has N = p^t, where the p-shuffle
+rotates the t base-p digits of a coordinate by one place, lowest to top;
+L of them rotate by L places, moving a q + b (b < q = p^L) to
+b p^t / q + a, the q-shuffle.  The steps are powers of one permutation,
+so their order does not matter, and the witness from position hi down
+to lo is the p^(hi-lo)-shuffle (the identity when hi = lo).  It maps one
+Gray image exactly onto the other, with no monomial part.
 
 That claim is checked on the order-p split C = T + C[p] that gives rank
 and kernel (``construction.order_p_split``), holding neither Gray image.
@@ -58,7 +70,6 @@ these types make up the linear Gray images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -78,8 +89,9 @@ from .construction import (
     validate_type,
 )
 from .errors import InputError, NoSecondRow
-from .gray import Permutation, _decode_digits, block_lift, digit_table, gamma_extended, gray_matrix, identity_permutation, rho
+from .gray import Permutation, _decode_digits, digit_table, gray_matrix
 from .invariants import ReducedBasis, _float_dtype, _in_split_kernel
+from .ring import RingParams
 
 
 def sigma(sig: TypeSignature) -> int:
@@ -145,45 +157,42 @@ def chain_members(rep: TypeSignature) -> EquivalenceChain:
     return EquivalenceChain(rep, tuple(members))
 
 
+def _shuffle(length: int, q: int) -> Permutation:
+    """The q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to b*length/q + a."""
+    return Permutation(np.arange(length).reshape(q, length // q).T.reshape(-1))
+
+
 def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
     """The permutation carrying Gray images one ring level down.
 
     For an additive code H over Z_{p^(s+1)} of length n_prime whose
     unmapping tau_tilde(H) has type one chain-position lower, the returned
-    pi in S_{n_prime * p^s} satisfies pi(Phi(H)) = Phi(tau_tilde(H)):
-    pi = (gamma_ext . rho_lift)^(-1), with gamma acting per phi-block and
-    rho interleaving the n_prime coordinate blocks of width p^(s-1).
+    pi in S_{n_prime * p^s} satisfies pi(Phi(H)) = Phi(tau_tilde(H)).  The
+    paper's pi = (gamma_ext . rho_lift)^(-1) is the p-shuffle of those
+    coordinates, for every n_prime (see the module docstring).
     """
-    if s < 1:
-        raise InputError("s must be >= 1")
-    # one expression, so gamma and the lifted rho are freed before the inverse is made
-    return gamma_extended(p, s + 1, n_prime).compose(block_lift(rho(p, n_prime), p ** (s - 1))).inverse()
-
-
-def _chain_steps(rep: TypeSignature, lo: int, hi: int, t: int) -> Iterator[Permutation]:
-    """Step permutations linking positions lo..hi of a chain (lo <= hi), built one at a time."""
-    p = rep.p
-    for j in range(lo, hi):
-        s_j = rep.s + j - 1
-        yield step_permutation(p, s_j, p ** (t - s_j))  # p^(t - s_j): length of the member at position j+1
+    RingParams(p, s)
+    if n_prime < 1:
+        raise InputError("n must be >= 1")
+    return _shuffle(n_prime * p**s, p)
 
 
 def witness_bytes(length: int) -> int:
-    """Bytes the composition of a witness of ``length`` coordinates holds at its peak.
+    """Bytes a witness of ``length`` coordinates holds at its peak: three int64 arrays of the length.
 
-    ``reduce`` folds in each step as it is built, so the peak does not grow
-    with the number of steps: the product, the last step and the arrays of
-    ``step_permutation`` make eight int64 arrays of the length under
-    tracemalloc (p = 2, t = 17 and p = 3, t = 10), plus a few KiB of short
-    ones.  That is more than the witness and its inverse image.
+    The shuffle holds its index range beside the one-line image it copies
+    out, and ``Permutation`` its image beside the bincount check and the
+    stored copy: two arrays.  The inverse image the check gathers through
+    is built beside the image and an index range: three, as tracemalloc
+    measured (p = 2, t = 17; p = 3, t = 10; p = 5, t = 7), plus a few KiB.
     """
-    return 8 * 8 * length + 2**16
+    return 3 * 8 * length + 2**16
 
 
 def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     """Bytes the set-equality check of ``verify_equivalence`` allocates, all as held at once.
 
-    It counts the witness, composed and then with its inverse image; the
+    It counts the witness, built and then with its inverse image; the
     phi and digit tables and ``build_bytes`` of both members; the lower
     member's lookup (``RegeneratedDigits.lookup_bytes``); the Y basis of
     digit words, twice while it grows; and the larger of two streams.  The
@@ -237,7 +246,7 @@ def verify_equivalence(
     check_sets=None the set equality is verified whenever the two codes
     fit the memory budget; True forces the check, False skips it.
 
-    The witness is composed when ``witness_bytes`` fits the budget, and is
+    The witness is built when ``witness_bytes`` fits the budget, and is
     None otherwise.  The check is exact and runs on the order-p splits of
     both members: it streams the |T_hi| words of the higher member's
     transversal through the witness in blocks of at most 256 KiB, looks
@@ -267,7 +276,6 @@ def verify_equivalence(
         )
 
     rep = ca.representative
-    t = sig_a.t
     lo, hi = min(positions), max(positions)
     lower_sig, higher_sig = (sig_a, sig_b) if ca.position <= cb.position else (sig_b, sig_a)
 
@@ -277,7 +285,7 @@ def verify_equivalence(
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
     if witness_bytes(length) + render_bytes <= budget_bytes:
-        witness = reduce(Permutation.compose, _chain_steps(rep, lo, hi, t), identity_permutation(length))
+        witness = _shuffle(length, rep.p ** (hi - lo))
 
     if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there
         if not _maps_onto(AdditiveCode.build(lower_sig), AdditiveCode.build(higher_sig), witness):

@@ -51,14 +51,11 @@ from .ring import RingParams
 
 __all__ = [
     "Permutation",
-    "block_lift",
     "digit_table",
     "gamma",
-    "gamma_extended",
     "gray",
     "gray_inverse",
     "gray_matrix",
-    "identity_permutation",
     "phi_table",
     "rho",
     "tau",
@@ -159,22 +156,6 @@ class Permutation:
         if not cycs:
             return "id"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(np.arange(n))
-
-
-def block_lift(perm: Permutation, width: int) -> Permutation:
-    """Lift a permutation of blocks to the coordinates of width-sized blocks.
-
-    Block b (coordinates b*width .. b*width+width-1) moves intact to block
-    perm(b).
-    """
-    if width < 1:
-        raise InputError("block width must be >= 1")
-    base = perm.image[:, None] * width + np.arange(width)[None, :]
-    return Permutation(base.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +335,6 @@ def gamma(p: int, s: int) -> Permutation:
     k = np.arange(p ** (s - 1))
     j, i = divmod(k, n)
     return Permutation(j + i * p)
-
-
-def gamma_extended(p: int, s: int, blocks: int) -> Permutation:
-    """gamma(p, s) applied inside each of `blocks` consecutive phi-blocks."""
-    g = gamma(p, s)
-    width = g.size
-    img = (np.arange(blocks)[:, None] * width + g.image[None, :]).reshape(-1)
-    return Permutation(img)
 
 
 def rho(p: int, n: int) -> Permutation:

@@ -35,7 +35,6 @@ from ghcodes import (
 )
 from ghcodes.classification import bound_types_reps
 from ghcodes.construction import GH_SAMPLE_PAIRS, materialize_additive, row_orders
-from ghcodes.gray import gamma_extended
 
 from goldens import (
     GAMMA3_CYCLES,
@@ -49,6 +48,7 @@ from goldens import (
     RK_TABLE_P3_T8,
     TAU3,
 )
+from paper_steps import gamma_extended
 from sorted_key_code import set_equal
 
 

@@ -119,10 +119,17 @@ def test_verify_with_min_distance(capsys):
 @pytest.mark.parametrize("option,value", [("--pairs", "0"), ("--pairs", "-4"), ("--seed", "-1")])
 @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
 def test_verify_refuses_pair_counts_and_seeds_that_check_nothing(capsys, option, value, mode):
-    # a sampled check of no pairs passed, and a negative seed crashed inside numpy with exit 1, a FAIL's code
-    code, out, err = run(capsys, "verify", "--p", "3", "--type", "2,1", "--mode", mode, option, value)
+    # a sampled check of no pairs passed, and a negative seed crashed inside numpy with exit 1, a FAIL's code;
+    # the refusal comes before the Gray image of (3,3) at t = 8, 129 MB, is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--p", "3", "--type", "3,3", "--mode", mode, option, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err == f"error: {option[2:]} must be {'>= 1' if option == '--pairs' else '>= 0'}, got {value}\n"
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from ghcodes.gray import Permutation, gray_matrix, tau_tilde
 from ghcodes.invariants import _span_words, kernel
 from ghcodes.ring import RingParams
 
+from paper_steps import paper_step, paper_witness
 from sorted_key_code import set_equal
 from streamed_set_check import streamed_set_equal
 from test_invariants import broken_phi, fresh_ring_caches  # noqa: F401 (a fixture)
@@ -207,6 +208,28 @@ def test_step_permutation_matches_gray_images(p, ts):
     pi = step_permutation(p, a.s, b.n)
     assert pi.size == gc_lo.length
     assert set_equal(gc_lo, pi(gc_hi.words))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_step_permutation_is_the_papers_step(p):
+    # (gamma_ext . rho_lift)^(-1) for s <= 4 and n' <= 29, n' that are not powers of p included
+    for s in range(1, 5):
+        for n_prime in range(1, 30):
+            assert step_permutation(p, s, n_prime) == paper_step(p, s, n_prime), (s, n_prime)
+
+
+@pytest.mark.parametrize("p,t_max,pairs", [(2, 13, 1573), (3, 9, 321), (5, 6, 69), (7, 4, 18)])
+def test_the_witness_is_the_papers_steps_composed(p, t_max, pairs):
+    # every pair of positions lo <= hi of every chain, identities and collapsed chains included
+    seen = 0
+    for t in range(1, t_max + 1):
+        for rep, members in chains_at(p, t).items():
+            for i, lo in enumerate(members):
+                for hi in members[i:]:
+                    report = verify_equivalence(lo, hi, check_sets=False)
+                    assert report.witness == paper_witness(p, len(rep), *report.positions, t), (lo.ts, hi.ts)
+                    seen += 1
+    assert seen == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +423,12 @@ def test_corrupted_witness_fails_set_equality(monkeypatch):
     swap[[0, 1]] = [1, 0]
     transposition = Permutation(swap)
     honest = verify_equivalence(lo, hi).witness
-    corrupt = honest.compose(transposition)  # the steps compose as acc after step, so it acts first
+    corrupt = honest.compose(transposition)  # the transposition acts first
     # the brute-force oracle: the corrupted witness does not map one image onto the other
     words_lo = {row.tobytes() for row in build_gray_code(lo).words}
     assert {row.tobytes() for row in corrupt(build_gray_code(hi).words)} != words_lo
-    steps = equivalence._chain_steps
-    monkeypatch.setattr(equivalence, "_chain_steps", lambda *a: [*steps(*a), transposition])
+    shuffle = equivalence._shuffle
+    monkeypatch.setattr(equivalence, "_shuffle", lambda *a: shuffle(*a).compose(transposition))
     report = verify_equivalence(lo, hi, check_sets=True)
     assert report.verdict == "FAIL"
     assert report.mode == "set-equality"

@@ -18,13 +18,10 @@ from ghcodes.errors import InputError, NotAGrayImage
 from ghcodes.gray import (
     Permutation,
     _phi_table_cached,
-    block_lift,
     gamma,
-    gamma_extended,
     gray,
     gray_inverse,
     gray_matrix,
-    identity_permutation,
     phi_table,
     rho,
     tau,
@@ -33,6 +30,7 @@ from ghcodes.gray import (
 from ghcodes.ring import RingParams
 
 from goldens import PHI3, TAU3
+from paper_steps import block_lift, gamma_extended, identity_permutation
 
 PS = RingParams(3, 3)
 
