@@ -321,7 +321,7 @@ def _tables_types(args: argparse.Namespace) -> Result:
     docs, cells = _census_rows(
         rows, ("p", "t", "s", "type", "r", "k", "skipped"), ("p", "t", "s", "type", "r", "k", "linear")
     )
-    return Result(lines, docs, cells, indent=2)
+    return Result(lines or ["none"], docs, cells, indent=2)
 
 
 def _tables_bounds(args: argparse.Namespace) -> Result:
@@ -362,6 +362,8 @@ def cmd_tables(args: argparse.Namespace) -> Result:
 def cmd_verify(args: argparse.Namespace) -> Result:
     """GH difference property and minimum distance of one type"""
     sig = _sig(args)
+    if sig.t < 1:  # a Gray image of length 1 has no expected distance p^(t-1) (p-1)
+        raise InputError(f"verify needs t >= 1, type {_label(sig.ts)} has t = {sig.t}")
     _check_gh_options(args.mode, args.pairs, args.seed)  # before the image is built
     gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
     verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)

@@ -12,12 +12,14 @@ p^(t-1) (p-1).
 
 Every producer of codewords reads one stream: the words in odometer
 order over the p-basis (the first basis vector's coefficient varies
-fastest), in blocks of at most 256 KiB.  ``materialize_additive`` copies
-the blocks into one matrix, ``materialize_gray`` Gray-expands each block
-straight into its image, and ``_gray_blocks`` and ``_digit_blocks`` hand
-out the Gray or digit words of one block at a time, of a code or of the
-span of some of its basis rows.  ``RegeneratedDigits`` holds no words: it
-rebuilds the digit word at any odometer row from two span tables.
+fastest), in blocks of p^a words that its consumer sizes by one rule,
+``_block_words``.  ``materialize_additive`` copies the blocks into one
+matrix, ``materialize_gray`` Gray-expands each block straight into its
+image, and ``_gray_blocks`` and ``_digit_blocks`` hand out the Gray words
+(256 KiB a block) or the digit words (a lookup step or a rank chunk) of
+one block at a time, of a code or of the span of some of its basis rows.
+``RegeneratedDigits`` holds no words: it rebuilds the digit word at any
+odometer row from two span tables.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def build_bytes(sig: TypeSignature) -> int:
 
 def additive_bytes(sig: TypeSignature) -> int:
     """Bytes ``materialize_additive`` holds: the matrix, and the low table and block of its stream."""
-    return sig.size * sig.n * sig.params.dtype().itemsize + _stream_bytes(sig)
+    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length))
+    return sig.size * sig.n * sig.params.dtype().itemsize + _stream_bytes(sig, words)
 
 
 def gray_bytes(sig: TypeSignature) -> int:
@@ -209,7 +212,7 @@ def materialization_bytes(sig: TypeSignature) -> int:
     comparison, the decode arrays) and three 8-byte indices of every word.
     The pair scans of ``is_gh_code`` and ``min_distance`` hold four
     ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  Each is above
-    the three ``_CHUNK_BYTES`` of the stream that builds the image.
+    the stream that builds the image, at most one ``_CHUNK_BYTES`` unless a block is one word.
     """
     rank = 2 * _BASIS_BYTES + 5 * _RANK_CHUNK_BYTES
     kernel = 4 * _LOOKUP_BYTES + 3 * 8 * sig.size
@@ -236,31 +239,22 @@ def _sum_dtype(sig: TypeSignature) -> np.dtype:
     return dtype
 
 
-def _chunk_rows(sig: TypeSignature, coords: "int | None" = None) -> int:
-    """Words per chunk: as many as fit _CHUNK_BYTES as Gray words or as the np.take index of their residues.
+def _block_words(p: int, span: int, word_bytes: int, budget: "int | None" = None, up: bool = False) -> int:
+    """Words per block: the largest power of p whose words of ``word_bytes`` fit ``budget`` bytes
+    (``_CHUNK_BYTES`` by default), or with ``up`` the smallest whose words reach it; at least 1, at most p^span.
 
-    The words are the code's, or their restriction to ``coords`` additive coordinates.
-    """
-    return max(1, _CHUNK_BYTES // ((coords or sig.n) * max(8, sig.gray_length // sig.n)))
-
-
-def _block_exponent(sig: TypeSignature) -> int:
-    """The a of ``_odometer_blocks``' blocks of p^a words: p^a is the largest power of p up to ``_chunk_rows``."""
-    rows, t = _chunk_rows(sig), sig.t
-    a = 0
-    while a <= t and sig.p ** (a + 1) <= rows:
-        a += 1
-    return a
+    Gray words take max(8, p^(s-1)) bytes a coordinate (the symbols, or the np.take index of their
+    residues), digit words max(8, s); a reduced basis absorbs float rows."""
+    rows = max(1, (_CHUNK_BYTES if budget is None else budget) // word_bytes)
+    words = 1
+    while words < p**span and (words < rows if up else words * p <= rows):
+        words *= p
+    return words
 
 
-def _block_rows(sig: TypeSignature, span: "int | None" = None) -> int:
-    """Words in a block of ``_span_blocks`` over ``span`` rows (all t + 1 rows of the code by default)."""
-    return sig.p ** min(_block_exponent(sig), sig.t + 1 if span is None else span)
-
-
-def _stream_bytes(sig: TypeSignature, span: "int | None" = None) -> int:
-    """Bytes of ``_span_blocks``' low span table and one of its blocks, over ``span`` rows."""
-    return 2 * _block_rows(sig, span) * sig.n * _sum_dtype(sig).itemsize
+def _stream_bytes(sig: TypeSignature, words: int) -> int:
+    """Bytes of ``_span_blocks``' low span table and one of its blocks, of ``words`` words."""
+    return 2 * words * sig.n * _sum_dtype(sig).itemsize
 
 
 def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
@@ -278,18 +272,18 @@ def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _span_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _span_blocks(sig: TypeSignature, rows: np.ndarray, words: int) -> Iterator[tuple[int, np.ndarray]]:
     """All p^len(rows) words of the odometer span of ``rows``, as consecutive blocks (first index, block).
 
     Word m is sum_j ((m // p^j) mod p) * rows[j] mod p^s; the coefficient of
-    rows[0] varies fastest.  Every block holds p^a words: the span table of
-    rows[:a], built once, plus one offset vector, the word of the high
-    digits over rows[a:], with a from ``_block_exponent`` (or all rows, if
-    fewer).  Blocks are in ``_sum_dtype``.  The yielded block is
-    overwritten by the next one.
+    rows[0] varies fastest.  Every block holds p^a words, the largest power
+    of p up to ``words`` (from ``_block_words``) and to p^len(rows): the span
+    table of rows[:a], built once, plus one offset vector, the word of the
+    high digits over rows[a:].  Blocks are in ``_sum_dtype``.  The yielded
+    block is overwritten by the next one.
     """
     p, modulus = sig.p, sig.params.modulus
-    a = min(_block_exponent(sig), len(rows))
+    a = max(a for a in range(len(rows) + 1) if p**a <= words)
     low = _span_table(sig, rows[:a])
     high = rows[a:].astype(np.int64)
     # the step to the next block adds high[j] and takes the p - 1 of each lower high digit off
@@ -307,8 +301,9 @@ def _span_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np
 
 
 def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
-    """All p^(t+1) codewords in odometer order over the p-basis, as ``_span_blocks`` yields them."""
-    return _span_blocks(code.sig, code.basis)
+    """All p^(t+1) codewords in odometer order over the p-basis, in the blocks of ``_gray_blocks``."""
+    sig = code.sig
+    return _span_blocks(sig, code.basis, _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length)))
 
 
 def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
@@ -437,24 +432,22 @@ def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES
 
 def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The Gray images of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
-    for start, block in _span_blocks(sig, rows):
+    words = _block_words(sig.p, len(rows), max(8 * sig.n, sig.gray_length))
+    for start, block in _span_blocks(sig, rows, words):
         yield start, gray_matrix(sig.params, block)
 
 
-def _digit_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The digit words of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
-    for start, block in _span_blocks(sig, rows):
+def _digit_blocks(sig: TypeSignature, rows: np.ndarray, words: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The digit words of the odometer span of ``rows``, one fresh block of ``words`` words at a time."""
+    for start, block in _span_blocks(sig, rows, words):
         yield start, _digit_words(sig.params, block)
 
 
-def block_bytes(sig: TypeSignature, width: int, span: "int | None" = None) -> int:
-    """Bytes held while a caller works on one block of ``_gray_blocks`` or ``_digit_blocks``, of ``width``
-    symbols a word: the low span table, the block, its np.take index and words, and the caller's copy of them
-    with an 8-byte index a word.
-
-    ``span`` is the number of rows streamed, if fewer than the code's t + 1: a block has at most p^span words.
-    """
-    return _stream_bytes(sig, span) + _block_rows(sig, span) * (8 * sig.n + 2 * width + 8)
+def block_bytes(sig: TypeSignature, width: int, words: int) -> int:
+    """Bytes held while a caller works on one block of ``words`` words of ``_gray_blocks`` or ``_digit_blocks``,
+    of ``width`` symbols a word: the low span table, the block, its np.take index and words, and the caller's
+    copy of them with an 8-byte index a word."""
+    return _stream_bytes(sig, words) + words * (8 * sig.n + 2 * width + 8)
 
 
 def _digit_residues(params: RingParams, words: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -493,7 +486,7 @@ class RegeneratedDigits:
         self.sig = sig
         self.plan = coords, divisors, weights
         self.width = basis.shape[1] * sig.s
-        self.step = _chunk_rows(sig, basis.shape[1])
+        self.step = _block_words(sig.p, sig.t + 1, basis.shape[1] * max(8, sig.s))
         self.split = sig.p**a
         self.low = _span_table(sig, basis[:a])
         self.high = _span_table(sig, basis[a:])
@@ -504,15 +497,16 @@ class RegeneratedDigits:
 
     @classmethod
     def lookup_bytes(cls, sig: TypeSignature, queries: "int | None" = None) -> int:
-        """Bytes of the two span tables and of one ``locate`` step of ``_chunk_rows`` queries (or of
+        """Bytes of the two span tables and of one ``locate`` step of an unrestricted lookup (or of
         ``queries``, if fewer are asked at once): the pinned digits and two int64 arrays of their residues,
         two gathered table rows, their np.take index, the rebuilt digit words and their comparison with
         the queries."""
         a = cls._low_rows(sig)
         entry = _sum_dtype(sig).itemsize
         tables = (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * entry
-        step = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.s * sig.n
-        return tables + min(_chunk_rows(sig), queries or _chunk_rows(sig)) * step
+        per_query = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.s * sig.n
+        step = _block_words(sig.p, sig.t + 1, sig.n * max(8, sig.s))
+        return tables + min(step, queries or step) * per_query
 
     def __len__(self) -> int:
         return self.sig.size
@@ -526,9 +520,9 @@ class RegeneratedDigits:
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """For each digit word, the index of the equal word of the code, or -1 if it is none.
 
-        Queries run ``_chunk_rows`` (of the words' coordinates) at a time, so
-        a rebuilt batch is never larger than a block of the code's odometer
-        stream may be.
+        Queries run ``step`` at a time: as many digit words of the held
+        coordinates as fit ``_CHUNK_BYTES`` (see ``_block_words``), so a
+        rebuilt batch is never larger than a block of a digit stream.
         """
         return _locate(self.sig, self.plan, _digit_residues, rows, len(self), self.rows, self.step, self.width)
 

@@ -79,7 +79,7 @@ from .construction import (
     AdditiveCode,
     RegeneratedDigits,
     TypeSignature,
-    _block_rows,
+    _block_words,
     _check_budget,
     _gray_blocks,
     block_bytes,
@@ -208,11 +208,12 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     top, span = higher.num_rows, higher.t + 1 - higher.num_rows
     lower_span = lower.t + 1 - lower.num_rows
     itemsize = _float_dtype(p, width).itemsize
-    rows = _block_rows(higher, span)
+    rows = _block_words(p, span, max(8 * higher.n, length))  # Gray words of T_hi, as ``_gray_blocks`` makes them
+    lower_rows = _block_words(p, lower_span, lower.n * max(8, lower.s))  # one locate step of digit words of T_lo
     decode = 14 * lower.n + 2 * length + width * (3 * itemsize + 9)
-    higher_stream = block_bytes(higher, length, span) + rows * decode + 3 * 8 * p**span
-    lookup = RegeneratedDigits.lookup_bytes(lower, max(rows, _block_rows(lower, lower_span)))
-    held = lookup + 2 * top * width * itemsize + max(higher_stream, block_bytes(lower, width, lower_span))
+    higher_stream = block_bytes(higher, length, rows) + rows * decode + 3 * 8 * p**span
+    lookup = RegeneratedDigits.lookup_bytes(lower, max(rows, lower_rows))
+    held = lookup + 2 * top * width * itemsize + max(higher_stream, block_bytes(lower, width, lower_rows))
     tables = sum(phi_bytes(sig.params) + sig.params.modulus * sig.s for sig in (lower, higher))
     return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held
 

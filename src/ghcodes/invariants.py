@@ -29,6 +29,10 @@ psi(C) = psi(T) + L, which gives
     ker  = L + {psi(tau) : tau in T, psi(tau) + psi(tau') in psi(C) for every tau' in T},
 
 and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
+psi(T) is streamed in blocks that each stage asks for in its own size
+(``construction._block_words``): rank absorbs chunks of the smallest power
+of p whose float rows reach _RANK_CHUNK_BYTES, and the kernel's probes and
+translate checks take one locate step of their ``RegeneratedDigits``.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
 Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  The chain
 witnesses of ``equivalence`` are checked on the same split, with the
@@ -37,7 +41,6 @@ same translate check (``_in_split_kernel``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -51,7 +54,7 @@ from .construction import (
     GrayCode,
     RegeneratedDigits,
     TypeSignature,
-    _block_exponent,
+    _block_words,
     _check_budget,
     _digit_blocks,
     _mod_p_diff,
@@ -174,39 +177,18 @@ class ReducedBasis:
         return not self.reduce(np.asarray(word)[None, :]).any()
 
 
-def _regrouped(blocks: Iterator[tuple[int, np.ndarray]], rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Consecutive blocks (first index, words) joined into chunks of at least ``rows`` words; the last may be short.
-
-    A block that is a chunk on its own is passed on as it is, not copied."""
-    held, first = [], 0
-    for start, words in blocks:
-        if not held:
-            first = start
-        held.append(words)
-        if sum(map(len, held)) >= rows:
-            yield first, held[0] if len(held) == 1 else np.concatenate(held)
-            held = []
-    if held:
-        yield first, held[0] if len(held) == 1 else np.concatenate(held)
-
-
-def _chunk_rows(basis: ReducedBasis) -> int:
-    """Words per chunk that ``basis`` absorbs: about _RANK_CHUNK_BYTES of its float rows."""
-    return max(1, _RANK_CHUNK_BYTES // (basis.length * basis.rows.itemsize))
-
-
 def _absorb_stream(basis: ReducedBasis, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
-    """Fold blocks of words into ``basis`` in chunks of at least ``_chunk_rows``, until it spans everything."""
-    for _, words in _regrouped(blocks, _chunk_rows(basis)):
+    """Fold blocks (first index, words) into ``basis`` one at a time, until it spans everything."""
+    for _, words in blocks:
         basis.absorb(words)
         if basis.rank == basis.length:
             return
 
 
 def reduced_basis(gc: GrayCode) -> ReducedBasis:
-    """Row-reduce the whole word matrix, streaming it in chunks of ``_chunk_rows`` words."""
+    """Row-reduce the whole word matrix, streaming it in chunks of about _RANK_CHUNK_BYTES of float rows."""
     basis = ReducedBasis(gc.sig.p, gc.length)
-    rows = _chunk_rows(basis)
+    rows = max(1, _RANK_CHUNK_BYTES // (basis.length * basis.rows.itemsize))
     _absorb_stream(basis, ((start, gc.words[start : start + rows]) for start in range(0, len(gc), rows)))
     return basis
 
@@ -285,24 +267,36 @@ def invariant_pair(gc: GrayCode) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _rank_words(sig: TypeSignature) -> int:
+    """Digit words of T per rank chunk: the smallest power of p whose float rows reach _RANK_CHUNK_BYTES.
+
+    Rounding up keeps every chunk at least as large as a chunk of the held
+    image's rank; rounding down made p = 5, t = 8 slower.
+    """
+    width = sig.s * sig.n
+    word_bytes = width * _float_dtype(sig.p, width).itemsize
+    return _block_words(sig.p, sig.t + 1 - sig.num_rows, word_bytes, _RANK_CHUNK_BYTES, up=True)
+
+
 def structural_bytes(sig: TypeSignature) -> int:
     """Bytes ``structural_pair`` holds at once above the baseline, its reduced bases aside.
 
-    The phi and digit tables, one block of digit words of T
-    (``block_bytes``), and the larger working set of its two stages.
-    Rank's is five float chunks, as in ``materialization_bytes``, each at
-    least one block.  The kernel's is a ``RegeneratedDigits``'s span tables
-    and one locate step, the probe words, a few words of the candidate at
-    hand and two 8-byte indices of every word of T.  Each basis checks its
-    own growth against what the budget leaves (see ``ReducedBasis``), so
-    no rank is guessed here.
+    The phi and digit tables, one rank chunk of digit words of T
+    (``block_bytes``; the kernel's blocks are no larger), and the larger
+    working set of its two stages.  Rank's is five float chunks, as in
+    ``materialization_bytes``, each one block of ``_rank_words`` words and
+    counted as at least _RANK_CHUNK_BYTES.  The kernel's is a
+    ``RegeneratedDigits``'s span tables and one locate step, the probe
+    words, a few words of the candidate at hand and two 8-byte indices of
+    every word of T.  Each basis checks its own growth against what the
+    budget leaves (see ``ReducedBasis``), so no rank is guessed here.
     """
     p, width = sig.p, sig.s * sig.n
-    block = p ** _block_exponent(sig) * width * _float_dtype(p, width).itemsize
-    rank = 5 * max(_RANK_CHUNK_BYTES, block)
+    words = _rank_words(sig)
+    rank = 5 * max(_RANK_CHUNK_BYTES, words * width * _float_dtype(p, width).itemsize)
     kernel = RegeneratedDigits.lookup_bytes(sig) + (_PROBES + 8) * width + 16 * p ** (sig.t + 1 - sig.num_rows)
     tables = phi_bytes(sig.params) + sig.params.modulus * sig.s
-    return tables + block_bytes(sig, width) + max(rank, kernel)
+    return tables + block_bytes(sig, width, words) + max(rank, kernel)
 
 
 def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -312,9 +306,10 @@ def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.nda
 
 
 def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
-    """rank(``tops`` = psi(top) and psi(T)), with psi(T) streamed a block at a time."""
+    """rank(``tops`` = psi(top) and psi(T)), with psi(T) streamed a rank chunk (``_rank_words``) at a time."""
     basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
-    _absorb_stream(basis, itertools.chain([(0, tops)], _digit_blocks(sig, other)))
+    basis.absorb(tops)
+    _absorb_stream(basis, _digit_blocks(sig, other, _rank_words(sig)))
     return basis.rank
 
 
@@ -330,7 +325,7 @@ def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
     rows = other[:, restricted.coords]
     negs = _negated(_digit_words(sig.params, _span_words(sig, rows, _probe_indices(p ** len(other)))), p)
     survivors = []
-    for start, words in _regrouped(_digit_blocks(sig, rows), restricted.step):
+    for start, words in _digit_blocks(sig, rows, restricted.step):
         idx = np.arange(start, start + len(words))
         for neg in negs:
             if not len(idx):
@@ -365,13 +360,14 @@ def _in_split_kernel(lookup: RegeneratedDigits, other: np.ndarray, x: np.ndarray
     """Is x + psi(tau') in psi(C) for every tau' of T, the odometer span of ``other``?
 
     With T from ``order_p_split``, that is x in ker psi(C): psi(C) =
-    psi(T) + L, and L lies in the kernel.  psi(T) is streamed a block at a
-    time.
+    psi(T) + L, and L lies in the kernel.  psi(T) is streamed one locate
+    step of ``lookup`` at a time.
     """
     sig = lookup.sig
     neg = _negated(x, sig.p)
+    blocks = _digit_blocks(sig, other, lookup.step)
     # each block is fresh, so it can hold the sum
-    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in _digit_blocks(sig, other))
+    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in blocks)
 
 
 def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:

@@ -35,6 +35,6 @@ def streamed_set_equal(lower: TypeSignature, higher: TypeSignature, witness: Per
     for start, words in gray_chunks(AdditiveCode.build(higher)):
         mapped = witness(words)
         hits[start : start + len(words)] = _locate(
-            lower, plan, _block_residues, mapped, len(regen), gray_at, regen.step, lower.gray_length
+            lower, plan, _block_residues, mapped, len(regen), gray_at, len(mapped), lower.gray_length
         )
     return same_multiset(regen, hits)

@@ -116,6 +116,13 @@ def test_verify_with_min_distance(capsys):
     assert lines[1] == "min_distance 6 expected 6"
 
 
+def test_verify_refuses_a_type_of_length_one(capsys):
+    # at t = 0 the expected distance p^(t-1) (p-1) was the float 2/3, so the one-word check exited 1, a FAIL
+    code, out, err = run(capsys, "verify", "--p", "3", "--type", "1", "--min-distance")
+    assert (code, out) == (2, "")
+    assert err == "error: verify needs t >= 1, type (1) has t = 0\n"
+
+
 @pytest.mark.parametrize("option,value", [("--pairs", "0"), ("--pairs", "-4"), ("--seed", "-1")])
 @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
 def test_verify_refuses_pair_counts_and_seeds_that_check_nothing(capsys, option, value, mode):
@@ -337,6 +344,12 @@ def test_tables_types_small_range(capsys):
         "t=4 s=2  (2,1) -> (6,3)",
         "t=4 s=3  (1,1,0) -> (6,3)",
     ]
+
+
+def test_tables_types_says_none_when_every_type_is_linear(capsys):
+    # every type up to t = 2 is linear, so there is no row: the table said so with one blank line
+    code, out, _ = run(capsys, "tables", "--kind", "types", "--p", "3", "--t-min", "1", "--t-max", "2")
+    assert (code, out) == (0, "none\n")
 
 
 def test_tables_types_csv(capsys):

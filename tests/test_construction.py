@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from ghcodes import construction
 from ghcodes.classification import enumerate_types, is_linear_type
 from ghcodes.construction import (
+    _CHUNK_BYTES,
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     GrayCode,
+    RegeneratedDigits,
     build_gray_code,
     generator_matrix,
     gray_bytes,
@@ -23,12 +25,14 @@ from ghcodes.construction import (
     materialize_additive,
     materialize_gray,
     min_distance,
+    order_p_split,
     p_basis,
     phi_bytes,
     row_orders,
     validate_type,
 )
-from ghcodes.construction import _mod_p_diff, _odometer_blocks, _pair_counts
+from ghcodes.construction import _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _pair_counts
+from ghcodes.invariants import _PROBE_COORDS, _float_dtype, _rank_words
 from ghcodes.errors import CapacityError, InputError
 from ghcodes.gray import _phi_table_cached, phi_table
 from ghcodes.ring import RingParams
@@ -236,6 +240,62 @@ def test_odometer_blocks_match_oracle(monkeypatch, p, ts, chunk_bytes):
     chunks = list(gray_chunks(code))
     assert [start for start, _ in chunks] == [start for start, _ in blocks]
     assert np.array_equal(np.vstack([words for _, words in chunks]), gray_want)
+
+
+def test_digit_streams_of_a_wide_ring_carry_many_words_a_block():
+    # at p = 3, s = 6 one Gray word of (2,0,0,0,0,0) is 729 x 243 symbols and fills a 256 KiB block alone,
+    # but its digit word takes 8 bytes a coordinate (the np.take index of its residues), so a lookup step
+    # and the digit blocks streamed through it hold 27 words
+    code = AdditiveCode.build(sig(3, (2, 0, 0, 0, 0, 0)))
+    a = code.sig
+    other = order_p_split(code)[1]
+    assert len(next(_gray_blocks(a, other))[1]) == 1
+    step = RegeneratedDigits(code).step
+    assert step == 27
+    start, words = next(_digit_blocks(a, other, step))
+    assert (start, words.shape) == (0, (27, a.s * a.n))
+
+
+@pytest.mark.parametrize(
+    "p,ts",
+    [
+        (2, (2, 1)),
+        (2, (1, 0, 0, 0, 0, 0, 0, 1)),  # s = 8: Gray words take 128 bytes a coordinate, digit words 8
+        (3, (2, 0, 1)),
+        (3, (1, 0, 0, 0, 2)),
+        (3, (2, 0, 0, 0, 0)),
+        (3, (2, 0, 0, 0, 0, 0)),
+        (5, (1, 1)),
+        (5, (2, 1, 1)),
+    ],
+)
+def test_every_stream_block_fits_its_byte_rule(p, ts):
+    # each stream's blocks are the largest power of p whose words fit its consumer's bytes (one word if
+    # none fits, all the span's if they all fit); rank chunks are the smallest power of p whose float rows
+    # reach _RANK_CHUNK_BYTES
+    code = AdditiveCode.build(sig(p, ts))
+    a = code.sig
+    other = order_p_split(code)[1]
+
+    def largest_fitting(blocks, rows, word_bytes):
+        words = len(next(blocks)[1])
+        assert words * word_bytes <= _CHUNK_BYTES or words == 1
+        assert words * p * word_bytes > _CHUNK_BYTES or words == p**rows
+
+    largest_fitting(_odometer_blocks(code), a.t + 1, max(8 * a.n, a.gray_length))
+    largest_fitting(_gray_blocks(a, other), len(other), max(8 * a.n, a.gray_length))
+    lookup = RegeneratedDigits(code)
+    largest_fitting(_digit_blocks(a, other, lookup.step), len(other), a.n * max(8, a.s))
+    sample = np.unique(np.linspace(0, a.n - 1, num=min(_PROBE_COORDS, a.n), dtype=np.int64))
+    restricted = RegeneratedDigits(code, sample)
+    restricted_bytes = len(restricted.coords) * max(8, a.s)
+    largest_fitting(_digit_blocks(a, other[:, restricted.coords], restricted.step), len(other), restricted_bytes)
+
+    width = a.s * a.n
+    chunk = max(1, construction._RANK_CHUNK_BYTES // (width * _float_dtype(p, width).itemsize))
+    words = len(next(_digit_blocks(a, other, _rank_words(a)))[1])
+    assert words >= chunk or words == p ** len(other)
+    assert words == 1 or words // p < chunk
 
 
 def test_gray_code_shape_and_distinctness():

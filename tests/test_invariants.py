@@ -509,6 +509,36 @@ def test_structural_pair_across_block_and_chunk_seams(p, ts, monkeypatch):
     assert structural_pair(code) == want
 
 
+class FirstBlockSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "p,ts", [(2, (2, 0, 0, 0, 0, 0, 0, 0)), (3, (2, 0, 0, 0)), (3, (3, 0, 0, 0)), (3, (2, 0, 0, 0, 0, 0)), (5, (2, 1, 1))]
+)
+def test_structural_rank_chunks_are_no_smaller_than_the_held_ranks(p, ts, monkeypatch):
+    # the first block of digit words of T that the structural rank absorbs has at least the rows of a
+    # held-image rank chunk (_RANK_CHUNK_BYTES of float rows), or all of T where T is smaller; the
+    # stream stops there
+    code = AdditiveCode.build(validate_type(p, ts))
+    a = code.sig
+    width = a.s * a.n
+    chunk = max(1, invariants._RANK_CHUNK_BYTES // (width * _float_dtype(p, width).itemsize))
+    size = p ** (a.t + 1 - a.num_rows)
+    seen = []
+    real = invariants._digit_blocks
+
+    def first_block(*args):
+        for _, words in real(*args):
+            seen.append(len(words))
+            raise FirstBlockSeen
+
+    monkeypatch.setattr(invariants, "_digit_blocks", first_block)
+    with pytest.raises(FirstBlockSeen):
+        structural_pair(code)
+    assert min(chunk, size) <= seen[0] <= size, (chunk, size, seen)
+
+
 def bases_bytes(sig, r, k):
     """The larger of the two reduced bases of structural_pair, each held twice while it grows: rank's and
     the kernel's, both of digit words."""
