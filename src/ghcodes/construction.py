@@ -133,24 +133,34 @@ def p_basis(sig: TypeSignature) -> np.ndarray:
     return np.stack(out)
 
 
+def _top_rows(sig: TypeSignature) -> np.ndarray:
+    """Which of the t + 1 p-basis rows are top rows p^(sigma_i - 1) w_i, as a bool mask in basis order."""
+    sigmas = []
+    for order in row_orders(sig):
+        sigma = 1
+        while sig.p**sigma < order:
+            sigma += 1
+        sigmas.append(sigma)
+    top = np.zeros(sig.t + 1, dtype=bool)
+    top[np.cumsum(sigmas) - 1] = True  # each row's powers p^0 .. p^(sigma_i - 1) are consecutive in the basis
+    return top
+
+
 def order_p_split(code: "AdditiveCode") -> tuple[np.ndarray, np.ndarray]:
     """The p-basis split into its top rows p^(sigma_i - 1) w_i and the other rows, both in basis order.
 
-    The sum t_i top rows have order p and span the order-p subgroup C[p]
-    over Z_p.  The odometer span T of the other t + 1 - sum t_i rows
-    meets C[p] in 0 only, so every codeword is one tau + z with tau in T
-    and z in C[p]: T is a transversal of C / C[p].
+    The sum t_i top rows (``_top_rows``) have order p and span the order-p
+    subgroup C[p] over Z_p.  The odometer span T of the other
+    t + 1 - sum t_i rows meets C[p] in 0 only, so every codeword is one
+    tau + z with tau in T and z in C[p]: T is a transversal of C / C[p].
     """
-    p = code.sig.p
-    sigmas = []
-    for order in row_orders(code.sig):
-        sigma = 1
-        while p**sigma < order:
-            sigma += 1
-        sigmas.append(sigma)
-    top = np.zeros(len(code.basis), dtype=bool)
-    top[np.cumsum(sigmas) - 1] = True  # each row's powers p^0 .. p^(sigma_i - 1) are consecutive in the basis
+    top = _top_rows(code.sig)
     return code.basis[top], code.basis[~top]
+
+
+def _odometer_digits(p: int, idx: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` base-p digits of each odometer index, lowest first: (len(idx), count) int64."""
+    return np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(count) % p
 
 
 @dataclass(frozen=True)

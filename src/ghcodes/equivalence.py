@@ -25,39 +25,47 @@ Gray image exactly onto the other, with no monomial part.
 
 That claim is checked on the order-p split C = T + C[p] that gives rank
 and kernel (``construction.order_p_split``), holding neither Gray image.
-Let z_j be the top rows of the higher member C_hi, y_j = pi(Phi(z_j))
-their mapped images and Y their span.  The witness pi passes when
+Mapped words are located in the lower member C_lo: m(x) is the odometer
+index of the word x, whose t+1 base-p digits are its coefficients on the
+p-basis of C_lo.  Some of those positions are top positions, those of the
+order-p rows that span C_lo[p] (``construction._top_rows``).  Let z_j be
+the top rows of the higher member C_hi and y_j = pi(Phi(z_j)).  The
+witness pi passes when
 
-(a) pi(Phi(tau)) is in Phi(C_lo) for every tau of T_hi;
-(b) every y_j is in the kernel of Phi(C_lo): y_j + Phi(tau') is in
-    Phi(C_lo) for every tau' of T_lo, the translate check of the
-    structural kernel;
-(c) the y_j are independent, and the |T_hi| words pi(Phi(tau)) are
-    distinct modulo Y.
+(a) every pi(Phi(tau)) with tau in T_hi is located, at m(tau);
+(b) every y_j is located at an index n_j whose digits are 0 off the top
+    positions, so y_j is in Phi(C_lo[p]);
+(c) the digit vectors n_j are independent over GF(p), and the |T_hi|
+    digit vectors m(tau) are distinct modulo their span N.
 
-The Gray map is linear on digits (``gray.digit_table`` checks it for
-both rings), so Phi(C_hi) = Phi(T_hi) + span Phi(z_j), and pi is linear,
-so pi(Phi(C_hi)) = pi(Phi(T_hi)) + Y.  (a) and (b) put that set inside
-Phi(C_lo), and (c) gives it p^(t+1) distinct words, as many as
-Phi(C_lo) has at most: the two sets are equal.  This generalizes the
-coset-of-kernel argument of Phelps, Rifà and Villanueva (IEEE Trans. IT
-52(1), 2006).
+By (b) the n_j are 0 off the top positions, and top rows have order p,
+so adding a.N to an index (digit by digit mod p) adds an order-p word to
+its codeword, which moves only top digits, with no carry: on digit
+words, the word at m + a.N is the word at m plus sum_j a_j y_j.  The
+Gray maps are linear on digits (``gray.digit_table`` checks it for both
+rings) and pi is linear, so that word is pi(Phi(tau + sum_j a_j z_j))
+when m = m(tau).
+Every word of C_hi is one such tau + sum_j a_j z_j, so pi(Phi(C_hi))
+lies in Phi(C_lo).  By (c) the |T_hi| p^(len z) indices m(tau) + a.N
+are distinct, so they are all p^(t+1) indices, and pi(Phi(C_hi)) is
+all of Phi(C_lo).  This generalizes the coset-of-kernel argument of
+Phelps, Rifà and Villanueva (IEEE Trans. IT 52(1), 2006).  A true
+witness passes (b): phi(p^(s-1) u) is the constant word u, so
+tau_tilde sends order-p words to order-p words.
 
 Each mapped word and each y_j is decoded once, at the boundary, to the
 digit words of the lower ring (``gray._decode``).  A word with no Gray
 preimage is not in Phi(C_lo), and on the others the lower ring's Phi is
-an injective linear map of the digit words, so (a)-(c) may be checked
-on digit words.  T_hi is streamed a block at a time: its words are
+an injective linear map of the digit words, so it is located by its
+digit word.  T_hi is streamed a block at a time: its words are
 Gray-expanded, mapped by the witness (a column gather), decoded and
 located in the lower member through ``RegeneratedDigits``, which
-rebuilds the digit word at a decoded odometer row.  Distinctness modulo Y
-compares one exact integer digest of each word's residue, and the
-residues themselves wherever two digests are equal, so a PASS never
-rests on a hash.  The check costs |T_hi| lookups, not p^(t+1).  No
-image, permuted copy or additive matrix of either member is ever
-allocated whole; ``set_check_bytes`` counts what the check allocates,
-the witness included.  These two estimates are all the budget is
-compared with.
+rebuilds the digit word at a decoded odometer row.  The reduced digit
+vectors of the m(tau) are distinct integer keys, so a PASS rests on no
+hash.  The check costs |T_hi| lookups, not p^(t+1).  No image, permuted
+copy or additive matrix of either member is ever allocated whole;
+``set_check_bytes`` counts what the check allocates, the witness
+included.  These two estimates are all the budget is compared with.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -70,7 +78,6 @@ these types make up the linear Gray images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -82,6 +89,8 @@ from .construction import (
     _block_words,
     _check_budget,
     _gray_blocks,
+    _odometer_digits,
+    _top_rows,
     block_bytes,
     build_bytes,
     order_p_split,
@@ -90,7 +99,7 @@ from .construction import (
 )
 from .errors import InputError, NoSecondRow
 from .gray import Permutation, _decode_digits, digit_table, gray_matrix
-from .invariants import ReducedBasis, _float_dtype, _in_split_kernel
+from .invariants import ReducedBasis
 from .ring import RingParams
 
 
@@ -194,28 +203,23 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
 
     It counts the witness, built and then with its inverse image; the
     phi and digit tables and ``build_bytes`` of both members; the lower
-    member's lookup (``RegeneratedDigits.lookup_bytes``); the Y basis of
-    digit words, twice while it grows; and the larger of two streams.  The
-    stream of T_hi holds one Gray block with its mapped copy
-    (``block_bytes``), the decode's int64 residues with its 16-bit digit
-    reads, the re-encoded block and its comparison, then the digit words,
-    three float copies of them while they are reduced modulo Y, the
-    float64 copy their digests are taken from, and per word of T_hi its
-    digest, sort order and sorted digest.  The translate check holds one
-    block of digit words of T_lo (``block_bytes``).
+    member's lookup (``RegeneratedDigits.lookup_bytes``); one block of
+    mapped words, either the top rows or a block of T_hi, whichever has
+    more words: the block with its mapped copy (``block_bytes``), the
+    decode's int64 residues with its 16-bit digit reads, the re-encoded
+    block and its comparison, the digit words, and the int64 and float
+    copies of the located indices' digits reduced modulo N; and per word
+    of T_hi its key and, once the keys are sorted in place, one byte of
+    their comparison.
     """
-    p, length, width = lower.p, lower.gray_length, lower.s * lower.n
-    top, span = higher.num_rows, higher.t + 1 - higher.num_rows
-    lower_span = lower.t + 1 - lower.num_rows
-    itemsize = _float_dtype(p, width).itemsize
-    rows = _block_words(p, span, max(8 * higher.n, length))  # Gray words of T_hi, as ``_gray_blocks`` makes them
-    lower_rows = _block_words(p, lower_span, lower.n * max(8, lower.s))  # one locate step of digit words of T_lo
-    decode = 14 * lower.n + 2 * length + width * (3 * itemsize + 9)
-    higher_stream = block_bytes(higher, length, rows) + rows * decode + 3 * 8 * p**span
-    lookup = RegeneratedDigits.lookup_bytes(lower, max(rows, lower_rows))
-    held = lookup + 2 * top * width * itemsize + max(higher_stream, block_bytes(lower, width, lower_rows))
+    length, width, digits = lower.gray_length, lower.s * lower.n, lower.t + 1
+    span = higher.t + 1 - higher.num_rows
+    rows = max(higher.num_rows, _block_words(lower.p, span, max(8 * higher.n, length)))
+    decode = 14 * lower.n + 2 * length + width + 40 * digits
+    held = RegeneratedDigits.lookup_bytes(lower, rows) + block_bytes(higher, length, rows) + rows * decode
     tables = sum(phi_bytes(sig.params) + sig.params.modulus * sig.s for sig in (lower, higher))
-    return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held
+    keys = 9 * lower.p**span
+    return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held + keys
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,12 @@ def verify_equivalence(
     None otherwise.  The check is exact and runs on the order-p splits of
     both members: it streams the |T_hi| words of the higher member's
     transversal through the witness in blocks of at most 256 KiB, looks
-    each one up in the lower member, checks that the mapped top rows lie
-    in the lower member's kernel and that the mapped words stay distinct
-    modulo their span, so it holds neither Gray image (see the module
-    docstring).  It runs when ``set_check_bytes`` fits the budget (with
-    check_sets=True, CapacityError otherwise).  That estimate includes the
-    witness, so a checked verdict always has one.
+    each one up in the lower member, checks that the mapped top rows are
+    found on the lower member's order-p rows and that the found indices
+    stay distinct modulo theirs, so it holds neither Gray image (see the
+    module docstring).  It runs when ``set_check_bytes`` fits the budget
+    (with check_sets=True, CapacityError otherwise).  That estimate
+    includes the witness, so a checked verdict always has one.
     ``render_bytes``, what the caller will hold beside the returned witness
     (the command line's JSON of it), is added to both estimates.
     """
@@ -298,55 +302,32 @@ def verify_equivalence(
     return EquivalenceReport("PASS", rep.ts, positions, witness, "algebra-only")
 
 
-def _mapped_digits(lower: TypeSignature, higher: TypeSignature, other: np.ndarray, witness: Permutation) -> Iterator:
-    """(first index, lower digit words, preimage mask) for each block of pi(Phi(T_hi)), decoded at the boundary."""
-    for start, words in _gray_blocks(higher, other):
-        yield start, *_decode_digits(witness(words), lower.params)
-
-
-def _digest_weights(p: int, length: int) -> np.ndarray:
-    """Integer weights small enough that a residue's weighted sum is exact in float64, in any order.
-
-    Each is the splitmix64 mix of its index, so the weights look random
-    without numpy.random, whose first use maps about 5 MB of modules.
-    """
-    z = np.arange(1, length + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mul)
-    z ^= z >> np.uint64(31)
-    return (z % np.uint64(2**53 // (length * (p - 1)))).astype(np.float64)  # a residue has entries up to p - 1
+def _located(lookup: RegeneratedDigits, mapped: np.ndarray) -> np.ndarray:
+    """The odometer index of each mapped Gray word in the lower member, decoded at the boundary, or -1 if none."""
+    digits, preimage = _decode_digits(mapped, lookup.sig.params)
+    return np.where(preimage, lookup.locate(digits), -1)
 
 
 def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) -> bool:
     """Does ``witness`` map Phi(higher) onto Phi(lower)?  Conditions (a)-(c) of the module docstring, exactly."""
-    lo = lower.sig
-    p, width = lo.p, lo.s * lo.n
+    p, digits = lower.sig.p, lower.sig.t + 1
     digit_table(higher.sig.params)  # Phi(C_hi) = Phi(T_hi) + span Phi(z_j) rests on the higher ring's check
     top, other = order_p_split(higher)
     lookup = RegeneratedDigits(lower)
-    ys, preimage = _decode_digits(witness(gray_matrix(higher.sig.params, top)), lo.params)
-    basis = ReducedBasis(p, width)
-    basis.absorb(ys)
-    if not preimage.all() or basis.rank < len(top):  # (b): a y_j outside Phi(C_lo); (c): the y_j are dependent
+    tops = _located(lookup, witness(gray_matrix(higher.sig.params, top)))
+    if (tops < 0).any():  # (b): a y_j outside Phi(C_lo)
         return False
-    lower_other = order_p_split(lower)[1]
-    if not all(_in_split_kernel(lookup, lower_other, y) for y in ys):  # (b)
+    ns = _odometer_digits(p, tops, digits)
+    span = ReducedBasis(p, digits)
+    span.absorb(ns)
+    if ns[:, ~_top_rows(lower.sig)].any() or span.rank < len(top):  # (b): a y_j outside Phi(C_lo[p]); (c): dependent
         return False
-    weights = _digest_weights(p, width)
-    digests = np.empty(p ** len(other))
-    for start, digits, preimage in _mapped_digits(lo, higher.sig, other, witness):
-        if not preimage.all() or (lookup.locate(digits) < 0).any():  # (a)
+    place = p ** np.arange(digits)
+    keys = np.empty(p ** len(other), dtype=np.int64)
+    for start, words in _gray_blocks(higher.sig, other):
+        located = _located(lookup, witness(words))
+        if (located < 0).any():  # (a)
             return False
-        digests[start : start + len(digits)] = basis.reduce(digits) @ weights
-    # (c): equal residues have equal digests, so only words whose digests tie can be equal modulo Y
-    order = np.argsort(digests)
-    ranked = digests[order]
-    ties = ranked[1:] == ranked[:-1]
-    if not ties.any():
-        return True
-    tied = np.unique(np.r_[order[1:][ties], order[:-1][ties]])
-    rows = set()
-    for start, digits, _ in _mapped_digits(lo, higher.sig, other, witness):  # the same stream, once more
-        residues = basis.reduce(digits)
-        rows.update(residues[i - start].tobytes() for i in tied[(tied >= start) & (tied < start + len(residues))])
-    return len(rows) == len(tied)
+        keys[start : start + len(located)] = span.reduce(_odometer_digits(p, located, digits)).astype(np.int64) @ place
+    keys.sort()  # in place, not np.unique, whose first call imports numpy.ma (about 14 ms)
+    return not (keys[1:] == keys[:-1]).any()  # (c): the m(tau) distinct modulo N

@@ -35,8 +35,8 @@ of p whose float rows reach _RANK_CHUNK_BYTES, and the kernel's probes and
 translate checks take one locate step of their ``RegeneratedDigits``.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
 Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  The chain
-witnesses of ``equivalence`` are checked on the same split, with the
-same translate check (``_in_split_kernel``).
+witnesses of ``equivalence`` are checked on the same split, on the
+odometer indices of the located words rather than by translate checks.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .construction import (
     _check_budget,
     _digit_blocks,
     _mod_p_diff,
+    _odometer_digits,
     block_bytes,
     order_p_split,
     phi_bytes,
@@ -301,8 +302,7 @@ def structural_bytes(sig: TypeSignature) -> int:
 
 def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The words at odometer indices ``idx`` of the span of ``rows``, as int64 residues."""
-    digits = np.asarray(idx, dtype=np.int64)[:, None] // sig.p ** np.arange(len(rows)) % sig.p
-    return digits @ rows.astype(np.int64) % sig.params.modulus
+    return _odometer_digits(sig.p, idx, len(rows)) @ rows.astype(np.int64) % sig.params.modulus
 
 
 def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:

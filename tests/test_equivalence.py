@@ -39,6 +39,7 @@ from test_invariants import broken_phi, fresh_ring_caches  # noqa: F401 (a fixtu
 
 construction = importlib.import_module("ghcodes.construction")
 equivalence = importlib.import_module("ghcodes.equivalence")
+streamed_set_check = importlib.import_module("streamed_set_check")
 
 
 def sig(p, ts):
@@ -363,17 +364,6 @@ def spoiled(witness):
     return witness.compose(Permutation(swap))
 
 
-def with_a_repeated_word(real):
-    """A stand-in for the stream ``real`` that yields it as one block, with word 3 in place of word 7."""
-
-    def blocks(code_sig, rows):
-        words = np.vstack([words for _, words in real(code_sig, rows)])
-        words[7] = words[3]
-        yield 0, words
-
-    return blocks
-
-
 def agree_with_the_oracle(lo, hi):
     """The check and the streamed oracle agree on the composed witness of lo and hi and on a spoiled copy."""
     report = verify_equivalence(lo, hi, check_sets=True)
@@ -475,7 +465,8 @@ def test_a_word_off_the_lower_image_fails_set_equality(monkeypatch):
 
 def test_a_top_image_outside_the_kernel_fails_set_equality(monkeypatch):
     # condition (b) alone: z_0 replaced by tau + z_0, a word of C_hi outside its kernel.  The mapped T_hi
-    # stays inside Phi(C_lo) and distinct modulo the new Y, but y_0 is no kernel word of Phi(C_lo)
+    # stays inside Phi(C_lo) and distinct modulo the new Y, but y_0 is no kernel word of Phi(C_lo), so no word
+    # of Phi(C_lo[p]): its index has nonzero digits off the top positions
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
     code = AdditiveCode.build(hi)
     top, other = order_p_split(code)
@@ -505,8 +496,8 @@ def test_a_top_image_outside_the_kernel_fails_set_equality(monkeypatch):
 
 
 def test_dependent_top_images_fail_set_equality(monkeypatch):
-    # condition (c), the rank of Y: with z_1 replaced by z_0, every check on words still holds, but
-    # pi(Phi(T_hi)) + Y has p^(t+1) / p words, too few for Phi(C_lo)
+    # condition (c), independence: with z_1 replaced by z_0, n_1 = n_0 and every check on words still holds,
+    # but pi(Phi(T_hi)) + Y has p^(t+1) / p words, too few for Phi(C_lo)
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
     top, other = order_p_split(AdditiveCode.build(hi))
     twice = top.copy()
@@ -522,14 +513,37 @@ def test_dependent_top_images_fail_set_equality(monkeypatch):
     assert report.detail == "composed witness failed set equality"
 
 
-def test_tied_digests_are_settled_by_the_rows(monkeypatch):
-    # with every digest 0, distinctness modulo Y rests on the rows alone: a true pair passes and a
-    # repeated word in T_hi fails
-    monkeypatch.setattr(equivalence, "_digest_weights", lambda p, length: np.zeros(length))
+def test_a_word_equal_to_another_modulo_Y_fails_set_equality(monkeypatch):
+    # condition (c), distinctness: word 7 of T_hi replaced by Phi(tau_3 + z_0).  Every mapped word is a distinct
+    # member of Phi(C_lo), but two are equal modulo Y, so the coset of tau_7 is never reached
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
-    assert verify_equivalence(lo, hi, check_sets=True).passed
-    monkeypatch.setattr(equivalence, "_gray_blocks", with_a_repeated_word(equivalence._gray_blocks))
-    assert not verify_equivalence(lo, hi, check_sets=True).passed
+    top, other = order_p_split(AdditiveCode.build(hi))
+    witness = verify_equivalence(lo, hi, check_sets=False).witness
+    taus = _span_words(hi, other, np.arange(3 ** len(other)))
+    taus[7] = (taus[3] + top[0]) % hi.params.modulus
+
+    # on the held images: the mapped words are distinct members of Phi(C_lo), and words 7 and 3 differ by y_0
+    lo_words = {row.tobytes() for row in build_gray_code(lo).words}
+    mapped = witness(gray_matrix(hi.params, taus))
+    assert len({row.tobytes() for row in mapped}) == len(taus)
+    assert all(row.tobytes() in lo_words for row in mapped)
+    y0 = witness(gray_matrix(hi.params, top[:1]))[0]
+    assert np.array_equal((mapped[7].astype(np.int64) - mapped[3]) % 3, y0)
+
+    def changed_transversal(code_sig, rows):
+        assert code_sig == hi and np.array_equal(rows, other)
+        yield 0, gray_matrix(hi.params, taus)
+
+    monkeypatch.setattr(equivalence, "_gray_blocks", changed_transversal)
+    report = verify_equivalence(lo, hi, check_sets=True)
+    assert (report.verdict, report.mode) == ("FAIL", "set-equality")
+    assert report.detail == "composed witness failed set equality"
+
+    # the streamed oracle on the code T' + C_hi[p] that the changed stream stands for
+    zs = _span_words(hi, top, np.arange(3 ** len(top)))
+    words = gray_matrix(hi.params, ((taus[:, None] + zs[None]) % hi.params.modulus).reshape(-1, hi.n))
+    monkeypatch.setattr(streamed_set_check, "gray_chunks", lambda code: iter([(0, words)]))
+    assert not streamed_set_equal(lo, hi, report.witness)
 
 
 def off_the_pinned_positions(lo):
