@@ -10,16 +10,16 @@ Z_{p^s}-span of the rows; its Gray image is a (generally nonlinear)
 p-ary code of length p^t with p^(t+1) words and minimum distance
 p^(t-1) (p-1).
 
-Every producer of codewords reads one stream: the words in odometer
-order over the p-basis (the first basis vector's coefficient varies
-fastest), in blocks of p^a words that its consumer sizes by one rule,
-``_block_words``.  ``materialize_additive`` copies the blocks into one
-matrix, ``materialize_gray`` Gray-expands each block straight into its
-image, and ``_gray_blocks`` and ``_digit_blocks`` hand out the Gray words
-(256 KiB a block) or the digit words (a lookup step or a rank chunk) of
-one block at a time, of a code or of the span of some of its basis rows.
-``RegeneratedDigits`` holds no words: it rebuilds the digit word at any
-odometer row from two span tables.
+Every codeword comes from one generator, ``OdometerSpan``: the span of
+some p-basis rows in odometer order (the first row's coefficient varies
+fastest), held as two span tables whose sum is any word.  It gives words
+at any indices, or all of them in blocks of p^b words that each consumer
+sizes by one rule, ``_block_words``: ``materialize_additive`` and
+``materialize_gray`` fill a code's matrix or Gray image from its blocks,
+and ``_gray_blocks`` and ``_digit_blocks`` hand out the Gray words (256 KiB
+a block) or the digit words (a lookup step or a rank chunk) of a span one
+block at a time.  ``RegeneratedDigits`` holds no words: it rebuilds the
+digit word at any odometer row from the span of its basis.
 """
 
 from __future__ import annotations
@@ -187,9 +187,9 @@ def build_bytes(sig: TypeSignature) -> int:
 
 
 def additive_bytes(sig: TypeSignature) -> int:
-    """Bytes ``materialize_additive`` holds: the matrix, and the low table and block of its stream."""
+    """Bytes ``materialize_additive`` holds: the matrix, and the span and block of its stream."""
     words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length))
-    return sig.size * sig.n * sig.params.dtype().itemsize + _stream_bytes(sig, words)
+    return sig.size * sig.n * sig.params.dtype().itemsize + span_bytes(sig, sig.t + 1, words)
 
 
 def gray_bytes(sig: TypeSignature) -> int:
@@ -221,8 +221,8 @@ def materialization_bytes(sig: TypeSignature) -> int:
     lookup steps (the translates, the words located for them, their
     comparison, the decode arrays) and three 8-byte indices of every word.
     The pair scans of ``is_gh_code`` and ``min_distance`` hold four
-    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  Each is above
-    the stream that builds the image, at most one ``_CHUNK_BYTES`` unless a block is one word.
+    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  Each is above the stream
+    that builds the image (``span_bytes``, at most 20.6 MiB where the image fits 4 GiB).
     """
     rank = 2 * _BASIS_BYTES + 5 * _RANK_CHUNK_BYTES
     kernel = 4 * _LOOKUP_BYTES + 3 * 8 * sig.size
@@ -262,11 +262,6 @@ def _block_words(p: int, span: int, word_bytes: int, budget: "int | None" = None
     return words
 
 
-def _stream_bytes(sig: TypeSignature, words: int) -> int:
-    """Bytes of ``_span_blocks``' low span table and one of its blocks, of ``words`` words."""
-    return 2 * words * sig.n * _sum_dtype(sig).itemsize
-
-
 def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
     """All p^len(rows) words sum_j c_j rows[j] mod p^s, c_j in [0, p), in odometer order.
 
@@ -282,38 +277,55 @@ def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _span_blocks(sig: TypeSignature, rows: np.ndarray, words: int) -> Iterator[tuple[int, np.ndarray]]:
-    """All p^len(rows) words of the odometer span of ``rows``, as consecutive blocks (first index, block).
+class OdometerSpan:
+    """The odometer span of some rows: word m is sum_j ((m // p^j) mod p) rows[j] mod p^s, in ``_sum_dtype``.
 
-    Word m is sum_j ((m // p^j) mod p) * rows[j] mod p^s; the coefficient of
-    rows[0] varies fastest.  Every block holds p^a words, the largest power
-    of p up to ``words`` (from ``_block_words``) and to p^len(rows): the span
-    table of rows[:a], built once, plus one offset vector, the word of the
-    high digits over rows[a:].  Blocks are in ``_sum_dtype``.  The yielded
-    block is overwritten by the next one.
+    It holds the span tables ``low`` of the first a = ceil(len(rows)/2) rows and ``high`` of the rest,
+    and word m is (low[m mod p^a] + high[m div p^a]) mod p^s.
     """
-    p, modulus = sig.p, sig.params.modulus
-    a = max(a for a in range(len(rows) + 1) if p**a <= words)
-    low = _span_table(sig, rows[:a])
-    high = rows[a:].astype(np.int64)
-    # the step to the next block adds high[j] and takes the p - 1 of each lower high digit off
-    steps = ((high - (p - 1) * (np.cumsum(high, axis=0) - high)) % modulus).astype(low.dtype)
-    offset = np.zeros(rows.shape[1], dtype=low.dtype)
-    block = np.empty_like(low)
-    for h in range(p ** len(high)):
-        if h:
-            j = 0  # the lowest nonzero digit of h is the one that moved
-            while h % p ** (j + 1) == 0:
-                j += 1
-            _add_mod(offset, steps[j], modulus, out=offset)
-        _add_mod(low, offset, modulus, out=block)
-        yield h * p**a, block
+
+    def __init__(self, sig: TypeSignature, rows: np.ndarray):
+        a = (len(rows) + 1) // 2
+        self.sig = sig
+        self.split = sig.p**a
+        self.low = _span_table(sig, rows[:a])
+        self.high = _span_table(sig, rows[a:])
+
+    def __len__(self) -> int:
+        return len(self.low) * len(self.high)
+
+    def words(self, idx: np.ndarray) -> np.ndarray:
+        """The fresh words at odometer indices ``idx`` (each in [0, len(self)))."""
+        out = self.low[idx % self.split]
+        _add_mod(out, self.high[idx // self.split], self.sig.params.modulus, out=out)
+        return out
+
+    def blocks(self, words: int) -> Iterator[tuple[int, np.ndarray]]:
+        """All words as consecutive blocks (first index, block) of min(``words``, len(self)) words, ``words``
+        a power of p (``_block_words``); each overwrites the last.  A block is a slice of ``low`` plus one
+        high word, or all of ``low`` plus each of a run of high words."""
+        size = min(words, len(self))
+        block = np.empty((size, self.low.shape[1]), dtype=self.low.dtype)
+        view = block.reshape(-1, min(size, self.split), block.shape[1])  # runs of high words x low words
+        for start in range(0, len(self), size):
+            h, lo = divmod(start, self.split)
+            low, high = self.low[lo : lo + view.shape[1]], self.high[h : h + len(view), None]
+            _add_mod(low, high, self.sig.params.modulus, out=view)
+            yield start, block
+
+
+def span_bytes(sig: TypeSignature, k: int, words: int = 0) -> int:
+    """Bytes an ``OdometerSpan`` of k rows of ``sig.n`` symbols holds: its tables, the ``_add_mod`` temporary
+    of the p^(k//2 - 1) rows the second fills last and its cast rows, and a block of ``words`` words twice."""
+    p, a = sig.p, (k + 1) // 2
+    rows = p**a + p ** (k - a) + p ** (k // 2) // p + k + 2 * words
+    return rows * sig.n * _sum_dtype(sig).itemsize
 
 
 def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     """All p^(t+1) codewords in odometer order over the p-basis, in the blocks of ``_gray_blocks``."""
     sig = code.sig
-    return _span_blocks(sig, code.basis, _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length)))
+    return OdometerSpan(sig, code.basis).blocks(_block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length)))
 
 
 def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
@@ -441,23 +453,23 @@ def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES
 
 
 def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The Gray images of the odometer span of ``rows``, one fresh block of ``_span_blocks`` at a time."""
+    """The Gray images of the odometer span of ``rows``, one fresh block of 256 KiB at a time."""
     words = _block_words(sig.p, len(rows), max(8 * sig.n, sig.gray_length))
-    for start, block in _span_blocks(sig, rows, words):
+    for start, block in OdometerSpan(sig, rows).blocks(words):
         yield start, gray_matrix(sig.params, block)
 
 
-def _digit_blocks(sig: TypeSignature, rows: np.ndarray, words: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The digit words of the odometer span of ``rows``, one fresh block of ``words`` words at a time."""
-    for start, block in _span_blocks(sig, rows, words):
-        yield start, _digit_words(sig.params, block)
+def _digit_blocks(span: OdometerSpan, words: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The digit words of ``span``, one fresh block of ``OdometerSpan.blocks(words)`` at a time."""
+    for start, block in span.blocks(words):
+        yield start, _digit_words(span.sig.params, block)
 
 
-def block_bytes(sig: TypeSignature, width: int, words: int) -> int:
-    """Bytes held while a caller works on one block of ``words`` words of ``_gray_blocks`` or ``_digit_blocks``,
-    of ``width`` symbols a word: the low span table, the block, its np.take index and words, and the caller's
-    copy of them with an 8-byte index a word."""
-    return _stream_bytes(sig, words) + words * (8 * sig.n + 2 * width + 8)
+def block_bytes(sig: TypeSignature, k: int, width: int, words: int) -> int:
+    """Bytes held while a caller works on one block of ``words`` words of ``_gray_blocks`` or ``_digit_blocks``
+    of a span of k rows, of ``width`` symbols a word: the span and its block (``span_bytes``), the block's
+    np.take index and words, and the caller's copy of them with an 8-byte index a word."""
+    return span_bytes(sig, k, words) + words * (8 * sig.n + 2 * width + 8)
 
 
 def _digit_residues(params: RingParams, words: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -469,63 +481,52 @@ def _digit_residues(params: RingParams, words: np.ndarray, coords: np.ndarray) -
 class RegeneratedDigits:
     """A code's digit words psi(c) that holds no words: it rebuilds the digit word at any odometer row.
 
-    The t+1 p-basis rows split into a low part of a = ceil((t+1)/2) rows and
-    a high part of the rest, whose span tables ``low`` (p^a words) and
-    ``high`` (p^(t+1-a) words) are all that is held.  Word m is
-    psi((low[m mod p^a] + high[m div p^a]) mod p^s).  ``locate`` reads the
-    residues at the pinned coordinates of ``_decode_plan`` straight off the
-    digits, decodes each query's odometer row as ``GrayCode.locate`` does
-    and compares the query with the word rebuilt there.
+    It holds only ``span``, the ``OdometerSpan`` of the p-basis: word m is
+    psi of its word m.  ``locate`` reads the residues at the pinned
+    coordinates of ``_decode_plan`` straight off the digits, decodes each
+    query's odometer row as ``GrayCode.locate`` does and compares the query
+    with the word rebuilt there.
 
-    Given ``sample``, additive coordinates, it is restricted to the digits
-    of ``coords``: the pinned coordinates first, then the sampled ones not
-    among them.  A restricted query is found when it equals the restriction
-    of the word its pinned coordinates decode to, as every member's does.
+    Given ``sample``, additive coordinates, it and its span are restricted
+    to ``coords``: the pinned coordinates, then the sampled ones not among
+    them, increasing.  A restricted query is found when it equals the
+    restriction of the word its pinned coordinates decode to, as every
+    member's does.
     """
 
     def __init__(self, code: AdditiveCode, sample: "np.ndarray | None" = None):
         sig = code.sig
-        a = self._low_rows(sig)
         coords, divisors, weights = _decode_plan(sig)
         self.coords = np.arange(sig.n)  # the additive coordinates of the words, in their order
         basis = code.basis
         if sample is not None:
-            self.coords = np.r_[coords, np.setdiff1d(sample, coords)]
+            rest = np.bincount(sample, minlength=sig.n).astype(bool)  # not np.setdiff1d, which imports numpy.ma
+            rest[coords] = False
+            self.coords = np.r_[coords, np.flatnonzero(rest)]
             basis = basis[:, self.coords]
             coords = np.arange(len(coords))
         self.sig = sig
         self.plan = coords, divisors, weights
         self.width = basis.shape[1] * sig.s
         self.step = _block_words(sig.p, sig.t + 1, basis.shape[1] * max(8, sig.s))
-        self.split = sig.p**a
-        self.low = _span_table(sig, basis[:a])
-        self.high = _span_table(sig, basis[a:])
+        self.span = OdometerSpan(sig, basis)
 
     @staticmethod
-    def _low_rows(sig: TypeSignature) -> int:
-        return (sig.t + 2) // 2  # ceil((t+1)/2)
-
-    @classmethod
-    def lookup_bytes(cls, sig: TypeSignature, queries: "int | None" = None) -> int:
-        """Bytes of the two span tables and of one ``locate`` step of an unrestricted lookup (or of
+    def lookup_bytes(sig: TypeSignature, queries: "int | None" = None) -> int:
+        """Bytes of the span of an unrestricted lookup (``span_bytes``) and of one ``locate`` step (or of
         ``queries``, if fewer are asked at once): the pinned digits and two int64 arrays of their residues,
         two gathered table rows, their np.take index, the rebuilt digit words and their comparison with
         the queries."""
-        a = cls._low_rows(sig)
-        entry = _sum_dtype(sig).itemsize
-        tables = (sig.p**a + sig.p ** (sig.t + 1 - a)) * sig.n * entry
-        per_query = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * entry + 8) + 2 * sig.s * sig.n
+        per_query = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * _sum_dtype(sig).itemsize + 8) + 2 * sig.s * sig.n
         step = _block_words(sig.p, sig.t + 1, sig.n * max(8, sig.s))
-        return tables + min(step, queries or step) * per_query
+        return span_bytes(sig, sig.t + 1) + min(step, queries or step) * per_query
 
     def __len__(self) -> int:
         return self.sig.size
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """The digit words at odometer rows ``idx`` (each in [0, p^(t+1)))."""
-        words = self.low[idx % self.split]
-        _add_mod(words, self.high[idx // self.split], self.sig.params.modulus, out=words)
-        return _digit_words(self.sig.params, words)
+        return _digit_words(self.sig.params, self.span.words(idx))
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """For each digit word, the index of the equal word of the code, or -1 if it is none.

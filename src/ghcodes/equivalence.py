@@ -216,7 +216,7 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     span = higher.t + 1 - higher.num_rows
     rows = max(higher.num_rows, _block_words(lower.p, span, max(8 * higher.n, length)))
     decode = 14 * lower.n + 2 * length + width + 40 * digits
-    held = RegeneratedDigits.lookup_bytes(lower, rows) + block_bytes(higher, length, rows) + rows * decode
+    held = RegeneratedDigits.lookup_bytes(lower, rows) + block_bytes(higher, span, length, rows) + rows * decode
     tables = sum(phi_bytes(sig.params) + sig.params.modulus * sig.s for sig in (lower, higher))
     keys = 9 * lower.p**span
     return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held + keys

@@ -29,10 +29,12 @@ psi(C) = psi(T) + L, which gives
     ker  = L + {psi(tau) : tau in T, psi(tau) + psi(tau') in psi(C) for every tau' in T},
 
 and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
-psi(T) is streamed in blocks that each stage asks for in its own size
+psi(T) is generated by one ``construction.OdometerSpan`` of the other
+rows, in blocks that each stage asks for in its own size
 (``construction._block_words``): rank absorbs chunks of the smallest power
 of p whose float rows reach _RANK_CHUNK_BYTES, and the kernel's probes and
-translate checks take one locate step of their ``RegeneratedDigits``.
+translate checks take one locate step of their ``RegeneratedDigits``,
+from one span that also gives the probe and candidate words.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
 Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  The chain
 witnesses of ``equivalence`` are checked on the same split, on the
@@ -52,13 +54,13 @@ from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     GrayCode,
+    OdometerSpan,
     RegeneratedDigits,
     TypeSignature,
     _block_words,
     _check_budget,
     _digit_blocks,
     _mod_p_diff,
-    _odometer_digits,
     block_bytes,
     order_p_split,
     phi_bytes,
@@ -209,9 +211,10 @@ def _negated(x: np.ndarray, p: int) -> np.ndarray:
     return ((p - x.astype(np.int16)) % p).astype(np.uint8)
 
 
-def _probe_indices(m: int) -> np.ndarray:
-    idx = np.unique(np.linspace(0, m - 1, num=min(_PROBES, m), dtype=np.int64))
-    return idx[idx > 0]
+def _spread(m: int, count: int) -> np.ndarray:
+    """Up to ``count`` distinct indices spread evenly over [0, m), increasing, 0 and m - 1 among them."""
+    idx = np.linspace(0, m - 1, num=min(count, m), dtype=np.int64)
+    return idx[np.diff(idx, prepend=-1) > 0]  # not np.unique, whose first call imports numpy.ma
 
 
 def kernel(gc: GrayCode) -> tuple[int, ReducedBasis]:
@@ -228,7 +231,7 @@ def kernel(gc: GrayCode) -> tuple[int, ReducedBasis]:
         raise InputError("kernel needs 0 in the code")
 
     surv = np.arange(m)
-    for pi in _probe_indices(m):
+    for pi in _spread(m, _PROBES)[1:]:  # probe 0 prunes nothing
         if surv.size <= 1:
             break
         surv = surv[np.concatenate(list(_translates_inside(gc, surv, words[pi])))]
@@ -287,7 +290,7 @@ def structural_bytes(sig: TypeSignature) -> int:
     working set of its two stages.  Rank's is five float chunks, as in
     ``materialization_bytes``, each one block of ``_rank_words`` words and
     counted as at least _RANK_CHUNK_BYTES.  The kernel's is a
-    ``RegeneratedDigits``'s span tables and one locate step, the probe
+    ``RegeneratedDigits``'s span and one locate step, the probe
     words, a few words of the candidate at hand and two 8-byte indices of
     every word of T.  Each basis checks its own growth against what the
     budget leaves (see ``ReducedBasis``), so no rank is guessed here.
@@ -297,19 +300,14 @@ def structural_bytes(sig: TypeSignature) -> int:
     rank = 5 * max(_RANK_CHUNK_BYTES, words * width * _float_dtype(p, width).itemsize)
     kernel = RegeneratedDigits.lookup_bytes(sig) + (_PROBES + 8) * width + 16 * p ** (sig.t + 1 - sig.num_rows)
     tables = phi_bytes(sig.params) + sig.params.modulus * sig.s
-    return tables + block_bytes(sig, width, words) + max(rank, kernel)
-
-
-def _span_words(sig: TypeSignature, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The words at odometer indices ``idx`` of the span of ``rows``, as int64 residues."""
-    return _odometer_digits(sig.p, idx, len(rows)) @ rows.astype(np.int64) % sig.params.modulus
+    return tables + block_bytes(sig, sig.t + 1 - sig.num_rows, width, words) + max(rank, kernel)
 
 
 def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
     """rank(``tops`` = psi(top) and psi(T)), with psi(T) streamed a rank chunk (``_rank_words``) at a time."""
     basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
     basis.absorb(tops)
-    _absorb_stream(basis, _digit_blocks(sig, other, _rank_words(sig)))
+    _absorb_stream(basis, _digit_blocks(OdometerSpan(sig, other), _rank_words(sig)))
     return basis.rank
 
 
@@ -320,12 +318,11 @@ def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
     odometer order) and the coordinate sample only prune.
     """
     sig, p = code.sig, code.sig.p
-    sample = np.unique(np.linspace(0, sig.n - 1, num=min(_PROBE_COORDS, sig.n), dtype=np.int64))
-    restricted = RegeneratedDigits(code, sample)
-    rows = other[:, restricted.coords]
-    negs = _negated(_digit_words(sig.params, _span_words(sig, rows, _probe_indices(p ** len(other)))), p)
+    restricted = RegeneratedDigits(code, _spread(sig.n, _PROBE_COORDS))
+    span = OdometerSpan(sig, other[:, restricted.coords])
+    negs = _negated(_digit_words(sig.params, span.words(_spread(len(span), _PROBES)[1:])), p)
     survivors = []
-    for start, words in _digit_blocks(sig, rows, restricted.step):
+    for start, words in _digit_blocks(span, restricted.step):
         idx = np.arange(start, start + len(words))
         for neg in negs:
             if not len(idx):
@@ -347,17 +344,18 @@ def _split_kernel(code: AdditiveCode, tops: np.ndarray, other: np.ndarray, budge
     sig = code.sig
     survivors = _probe_survivors(code, other)
     lookup = RegeneratedDigits(code)
+    span = OdometerSpan(sig, other)
     basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
     basis.absorb(tops)
     for i in survivors:
-        x = _digit_words(sig.params, _span_words(sig, other, [i]))
-        if not basis.contains(x[0]) and _in_split_kernel(lookup, other, x[0]):
+        x = _digit_words(sig.params, span.words(np.array([i])))
+        if not basis.contains(x[0]) and _in_split_kernel(lookup, span, x[0]):
             basis.absorb(x)
     return basis.rank
 
 
-def _in_split_kernel(lookup: RegeneratedDigits, other: np.ndarray, x: np.ndarray) -> bool:
-    """Is x + psi(tau') in psi(C) for every tau' of T, the odometer span of ``other``?
+def _in_split_kernel(lookup: RegeneratedDigits, span: OdometerSpan, x: np.ndarray) -> bool:
+    """Is x + psi(tau') in psi(C) for every tau' of T, the words of ``span``?
 
     With T from ``order_p_split``, that is x in ker psi(C): psi(C) =
     psi(T) + L, and L lies in the kernel.  psi(T) is streamed one locate
@@ -365,7 +363,7 @@ def _in_split_kernel(lookup: RegeneratedDigits, other: np.ndarray, x: np.ndarray
     """
     sig = lookup.sig
     neg = _negated(x, sig.p)
-    blocks = _digit_blocks(sig, other, lookup.step)
+    blocks = _digit_blocks(span, lookup.step)
     # each block is fresh, so it can hold the sum
     return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in blocks)
 

@@ -16,6 +16,7 @@ from ghcodes.construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
     GrayCode,
+    OdometerSpan,
     RegeneratedDigits,
     build_gray_code,
     generator_matrix,
@@ -31,7 +32,7 @@ from ghcodes.construction import (
     row_orders,
     validate_type,
 )
-from ghcodes.construction import _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _pair_counts
+from ghcodes.construction import _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _odometer_digits, _pair_counts
 from ghcodes.invariants import _PROBE_COORDS, _float_dtype, _rank_words
 from ghcodes.errors import CapacityError, InputError
 from ghcodes.gray import _phi_table_cached, phi_table
@@ -192,17 +193,9 @@ def test_module_size_is_p_to_t_plus_one(p, ts):
     assert module_size(gen, a.params) == a.size
 
 
-def odometer_oracle(code):
-    """Word m = sum_j ((m // p^j) mod p) * basis[j] mod p^s, one Python loop per word."""
-    p, modulus = code.sig.p, code.sig.params.modulus
-    basis = code.basis.astype(np.int64)
-    words = np.zeros((code.sig.size, code.sig.n), dtype=np.int64)
-    for m in range(code.sig.size):
-        rest = m
-        for row in basis:
-            words[m] += rest % p * row
-            rest //= p
-    return words % modulus
+def span_oracle(a, rows, idx):
+    """Word m of the odometer span of ``rows``: the base-p digits of m, lowest first, times the rows, mod p^s."""
+    return _odometer_digits(a.p, idx, len(rows)) @ rows.astype(np.int64) % a.params.modulus
 
 
 @pytest.mark.parametrize(
@@ -223,7 +216,7 @@ def odometer_oracle(code):
 def test_odometer_blocks_match_oracle(monkeypatch, p, ts, chunk_bytes):
     code = AdditiveCode.build(sig(p, ts))
     a = code.sig
-    want = odometer_oracle(code)
+    want = span_oracle(a, code.basis, np.arange(a.size))
     monkeypatch.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
     blocks = [(start, block.copy()) for start, block in _odometer_blocks(code)]
     assert [start for start, _ in blocks] == np.cumsum([0] + [len(b) for _, b in blocks[:-1]]).tolist()
@@ -241,6 +234,21 @@ def test_odometer_blocks_match_oracle(monkeypatch, p, ts, chunk_bytes):
     assert [start for start, _ in chunks] == [start for start, _ in blocks]
     assert np.array_equal(np.vstack([words for _, words in chunks]), gray_want)
 
+    # the span of no row, of one row, of an odd and of every basis row: words at any indices, and blocks of
+    # one word, of some words or of all (more than the low table holds) against the oracle
+    for k in sorted({0, 1, 3, a.t + 1}):
+        rows = code.basis[:k]
+        span = OdometerSpan(a, rows)
+        idx = np.arange(p**k)
+        words = span.words(idx[::-1])
+        assert words.dtype == construction._sum_dtype(a) and np.array_equal(words, span_oracle(a, rows, idx[::-1]))
+        w = construction._block_words(p, k, a.n)
+        blocks = [(start, block.copy()) for start, block in span.blocks(w)]
+        assert [start for start, _ in blocks] == list(range(0, p**k, len(blocks[0][1])))
+        assert np.array_equal(np.vstack([block for _, block in blocks]), span_oracle(a, rows, idx))
+        if chunk_bytes == 2**40:
+            assert len(blocks) == 1 and (k < 2 or len(blocks[0][1]) > span.split)
+
 
 def test_digit_streams_of_a_wide_ring_carry_many_words_a_block():
     # at p = 3, s = 6 one Gray word of (2,0,0,0,0,0) is 729 x 243 symbols and fills a 256 KiB block alone,
@@ -252,8 +260,22 @@ def test_digit_streams_of_a_wide_ring_carry_many_words_a_block():
     assert len(next(_gray_blocks(a, other))[1]) == 1
     step = RegeneratedDigits(code).step
     assert step == 27
-    start, words = next(_digit_blocks(a, other, step))
+    start, words = next(_digit_blocks(OdometerSpan(a, other), step))
     assert (start, words.shape) == (0, (27, a.s * a.n))
+
+
+def test_lookup_estimate_bounds_building_its_span():
+    # the lower member of the t = 10 chain pair: filling the high span table beside the low one makes an
+    # _add_mod temporary of the rows filled last (1.6 MB beside 19.1 MB of tables), which lookup_bytes counts
+    a = sig(3, (3, 5))
+    code = AdditiveCode.build(a)
+    tracemalloc.start()
+    try:
+        RegeneratedDigits(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RegeneratedDigits.lookup_bytes(a), peak
 
 
 @pytest.mark.parametrize(
@@ -285,15 +307,16 @@ def test_every_stream_block_fits_its_byte_rule(p, ts):
     largest_fitting(_odometer_blocks(code), a.t + 1, max(8 * a.n, a.gray_length))
     largest_fitting(_gray_blocks(a, other), len(other), max(8 * a.n, a.gray_length))
     lookup = RegeneratedDigits(code)
-    largest_fitting(_digit_blocks(a, other, lookup.step), len(other), a.n * max(8, a.s))
+    largest_fitting(_digit_blocks(OdometerSpan(a, other), lookup.step), len(other), a.n * max(8, a.s))
     sample = np.unique(np.linspace(0, a.n - 1, num=min(_PROBE_COORDS, a.n), dtype=np.int64))
     restricted = RegeneratedDigits(code, sample)
     restricted_bytes = len(restricted.coords) * max(8, a.s)
-    largest_fitting(_digit_blocks(a, other[:, restricted.coords], restricted.step), len(other), restricted_bytes)
+    span = OdometerSpan(a, other[:, restricted.coords])
+    largest_fitting(_digit_blocks(span, restricted.step), len(other), restricted_bytes)
 
     width = a.s * a.n
     chunk = max(1, construction._RANK_CHUNK_BYTES // (width * _float_dtype(p, width).itemsize))
-    words = len(next(_digit_blocks(a, other, _rank_words(a)))[1])
+    words = len(next(_digit_blocks(OdometerSpan(a, other), _rank_words(a)))[1])
     assert words >= chunk or words == p ** len(other)
     assert words == 1 or words // p < chunk
 

@@ -10,6 +10,7 @@ import pytest
 from ghcodes.classification import enumerate_types
 from ghcodes.construction import (
     AdditiveCode,
+    OdometerSpan,
     build_gray_code,
     generator_matrix,
     materialize_additive,
@@ -29,7 +30,7 @@ from ghcodes.equivalence import (
 )
 from ghcodes.errors import CapacityError, GHCodeError, InputError, NoSecondRow
 from ghcodes.gray import Permutation, gray_matrix, tau_tilde
-from ghcodes.invariants import _span_words, kernel
+from ghcodes.invariants import kernel
 from ghcodes.ring import RingParams
 
 from paper_steps import paper_step, paper_witness
@@ -472,7 +473,7 @@ def test_a_top_image_outside_the_kernel_fails_set_equality(monkeypatch):
     top, other = order_p_split(code)
     witness = verify_equivalence(lo, hi, check_sets=False).witness
     _, hi_kernel = kernel(build_gray_code(hi))
-    taus = _span_words(hi, other, np.arange(3 ** len(other)))
+    taus = OdometerSpan(hi, other).words(np.arange(3 ** len(other)))
     tau = next(w for w in taus if not hi_kernel.contains(gray_matrix(hi.params, w[None])[0]))
     wrong = top.copy()
     wrong[0] = (tau + top[0]) % hi.params.modulus
@@ -503,7 +504,7 @@ def test_dependent_top_images_fail_set_equality(monkeypatch):
     twice = top.copy()
     twice[1] = top[0]
     witness = verify_equivalence(lo, hi, check_sets=False).witness
-    mapped = witness(gray_matrix(hi.params, _span_words(hi, other, np.arange(3 ** len(other))))).astype(np.int64)
+    mapped = witness(gray_matrix(hi.params, OdometerSpan(hi, other).words(np.arange(3 ** len(other))))).astype(np.int64)
     y = witness(gray_matrix(hi.params, top[:1])).astype(np.int64)[0]
     assert len({((row + c * y) % 3).astype(np.uint8).tobytes() for row in mapped for c in range(3)}) == lo.size // 3
     real = equivalence.order_p_split
@@ -519,7 +520,7 @@ def test_a_word_equal_to_another_modulo_Y_fails_set_equality(monkeypatch):
     lo, hi = sig(3, (2, 2)), sig(3, (1, 0, 1, 0))
     top, other = order_p_split(AdditiveCode.build(hi))
     witness = verify_equivalence(lo, hi, check_sets=False).witness
-    taus = _span_words(hi, other, np.arange(3 ** len(other)))
+    taus = OdometerSpan(hi, other).words(np.arange(3 ** len(other)))
     taus[7] = (taus[3] + top[0]) % hi.params.modulus
 
     # on the held images: the mapped words are distinct members of Phi(C_lo), and words 7 and 3 differ by y_0
@@ -540,7 +541,7 @@ def test_a_word_equal_to_another_modulo_Y_fails_set_equality(monkeypatch):
     assert report.detail == "composed witness failed set equality"
 
     # the streamed oracle on the code T' + C_hi[p] that the changed stream stands for
-    zs = _span_words(hi, top, np.arange(3 ** len(top)))
+    zs = OdometerSpan(hi, top).words(np.arange(3 ** len(top)))
     words = gray_matrix(hi.params, ((taus[:, None] + zs[None]) % hi.params.modulus).reshape(-1, hi.n))
     monkeypatch.setattr(streamed_set_check, "gray_chunks", lambda code: iter([(0, words)]))
     assert not streamed_set_equal(lo, hi, report.witness)

@@ -1,7 +1,11 @@
 """Rank and kernel of Gray images, against brute-force oracles."""
 
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,7 +368,7 @@ def test_order_p_split_is_a_transversal_of_the_order_p_subgroup(p, ts):
     assert len(top) == sig.num_rows and len(other) == sig.t + 1 - sig.num_rows
     assert not (p * top % sig.params.modulus).any()  # order p
     # every codeword is one tau + z, with tau from the odometer span of the other rows and z from that of the top rows
-    span = lambda rows: construction._span_table(sig, rows).astype(np.int64)
+    span = lambda rows: construction.OdometerSpan(sig, rows).words(np.arange(p ** len(rows))).astype(np.int64)
     sums = (span(other)[:, None, :] + span(top)[None, :, :]) % sig.params.modulus
     codewords = construction.materialize_additive(code).astype(np.int64)
     as_set = lambda words: {row.tobytes() for row in words}
@@ -580,3 +584,19 @@ def test_structural_pair_bounds_the_p2_t15_basis():
     finally:
         tracemalloc.stop()
     assert peak <= budget, (peak, budget)
+
+
+def test_structural_invariants_leave_numpy_ma_unimported():
+    # the first np.unique or np.setdiff1d of a process imports numpy.ma (about 12 ms); the structural kernel's
+    # probe indices, coordinate sample and restricted lookup use none, so a fresh command never pays for it
+    script = (
+        "import sys\n"
+        "from ghcodes import cli\n"
+        "assert cli.main(['invariants', '--p', '3', '--type', '2,1']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = str(Path(invariants.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "r=6 k=3 linear=false"
