@@ -512,14 +512,12 @@ class RegeneratedDigits:
         self.span = OdometerSpan(sig, basis)
 
     @staticmethod
-    def lookup_bytes(sig: TypeSignature, queries: "int | None" = None) -> int:
-        """Bytes of the span of an unrestricted lookup (``span_bytes``) and of one ``locate`` step (or of
-        ``queries``, if fewer are asked at once): the pinned digits and two int64 arrays of their residues,
-        two gathered table rows, their np.take index, the rebuilt digit words and their comparison with
-        the queries."""
+    def lookup_bytes(sig: TypeSignature) -> int:
+        """Bytes of the span of an unrestricted lookup (``span_bytes``) and of one ``locate`` step: the
+        pinned digits and two int64 arrays of their residues, two gathered table rows, their np.take index,
+        the rebuilt digit words and their comparison with the queries."""
         per_query = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * _sum_dtype(sig).itemsize + 8) + 2 * sig.s * sig.n
-        step = _block_words(sig.p, sig.t + 1, sig.n * max(8, sig.s))
-        return span_bytes(sig, sig.t + 1) + min(step, queries or step) * per_query
+        return span_bytes(sig, sig.t + 1) + _block_words(sig.p, sig.t + 1, sig.n * max(8, sig.s)) * per_query
 
     def __len__(self) -> int:
         return self.sig.size
@@ -582,16 +580,17 @@ def _gh_pairs_ok(counts: np.ndarray, n: int, p: int) -> np.ndarray:
     return balanced | constant
 
 
-def _pair_rows_ok(diffs: np.ndarray, p: int) -> np.ndarray:
+def _pair_rows_ok(diffs: np.ndarray, p: int, mask: np.ndarray) -> np.ndarray:
     """Per-row GH test of difference words.
 
-    Each symbol d < p - 1 is counted in one pass, reducing the uint8 view of
-    the (diffs == d) mask into the narrowest unsigned type that holds the length.
+    Each symbol d < p - 1 is counted in one pass, writing (diffs == d) into ``mask``, a bool buffer
+    of their shape, and reducing its uint8 view into the narrowest unsigned type that holds the length.
     """
     m, n = diffs.shape
     counts = np.empty((p - 1, m), dtype=np.min_scalar_type(n))
     for d in range(p - 1):
-        np.add.reduce((diffs == d).view(np.uint8), axis=1, dtype=counts.dtype, out=counts[d])
+        np.equal(diffs, d, out=mask)
+        np.add.reduce(mask.view(np.uint8), axis=1, dtype=counts.dtype, out=counts[d])
     return _gh_pairs_ok(counts, n, p)
 
 
@@ -706,14 +705,12 @@ def is_gh_code(
         return GHVerdict(True, mode, m * (m - 1) // 2, _distance=n - same)
 
     rng = np.random.default_rng(seed)
-    checked = 0
-    remaining = pairs
-    chunk = 8192
-    step = max(1, _GATHER_BYTES // n)
+    checked, remaining, step = 0, pairs, max(1, _GATHER_BYTES // n)
+    left, right = np.empty((2, step, n), dtype=np.uint8)  # made once: a fresh array a step costs mmap calls
+    mask = np.empty((step, n), dtype=bool)
     while remaining > 0:
-        k = min(chunk, remaining)
-        u = rng.integers(0, m, size=k)
-        v = rng.integers(0, m, size=k)
+        k = min(8192, remaining)
+        u, v = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
         keep = u != v
         u, v = u[keep], v[keep]
         if u.size == 0:
@@ -722,7 +719,9 @@ def is_gh_code(
         remaining -= int(u.size)
         for s0 in range(0, u.size, step):
             us, vs = u[s0 : s0 + step], v[s0 : s0 + step]
-            ok = _pair_rows_ok(_mod_p_diff(words[us], words[vs], p), p)
+            a = np.take(words, us, axis=0, out=left[: len(us)], mode="clip")  # in range; "raise" would buffer out
+            b = np.take(words, vs, axis=0, out=right[: len(us)], mode="clip")
+            ok = _pair_rows_ok(_mod_p_diff(a, b, p), p, mask[: len(us)])
             if not ok.all():
                 bad = int(np.flatnonzero(~ok)[0])
                 return _failed(words, mode, checked, int(us[bad]), int(vs[bad]))

@@ -53,19 +53,18 @@ Phelps, Rifà and Villanueva (IEEE Trans. IT 52(1), 2006).  A true
 witness passes (b): phi(p^(s-1) u) is the constant word u, so
 tau_tilde sends order-p words to order-p words.
 
-Each mapped word and each y_j is decoded once, at the boundary, to the
-digit words of the lower ring (``gray._decode``).  A word with no Gray
-preimage is not in Phi(C_lo), and on the others the lower ring's Phi is
-an injective linear map of the digit words, so it is located by its
-digit word.  T_hi is streamed a block at a time: its words are
-Gray-expanded, mapped by the witness (a column gather), decoded and
-located in the lower member through ``RegeneratedDigits``, which
-rebuilds the digit word at a decoded odometer row.  The reduced digit
-vectors of the m(tau) are distinct integer keys, so a PASS rests on no
-hash.  The check costs |T_hi| lookups, not p^(t+1).  No image, permuted
-copy or additive matrix of either member is ever allocated whole;
-``set_check_bytes`` counts what the check allocates, the witness
-included.  These two estimates are all the budget is compared with.
+Each mapped word and each y_j is located as ``GrayCode.locate`` locates
+one: the residues at the lower member's pinned coordinates decode an
+odometer index, and the word is a hit when it equals, whole, the Gray
+word rebuilt there from the ``OdometerSpan`` of the lower member's basis,
+so a hit is a word of Phi(C_lo).  T_hi is streamed a block at a time:
+its words are Gray-expanded, mapped by the witness (a column gather) and
+located.  The reduced digit vectors of the m(tau) are distinct integer
+keys, so a PASS rests on no hash.  The check costs |T_hi| lookups, not
+p^(t+1).  No image, permuted copy or additive matrix of either member is
+ever allocated whole; ``set_check_bytes`` counts what the check
+allocates, the witness included.  These two estimates are all the budget
+is compared with.
 
 Degenerate corner: types (1, 0, ..., 0, m) have sigma = s and their
 representative collapses to the single-entry type (m + s - 1) over Z_p.
@@ -84,21 +83,25 @@ import numpy as np
 from .construction import (
     DEFAULT_BUDGET_BYTES,
     AdditiveCode,
-    RegeneratedDigits,
+    OdometerSpan,
     TypeSignature,
     _block_words,
     _check_budget,
+    _decode_plan,
     _gray_blocks,
+    _locate,
     _odometer_digits,
+    _sum_dtype,
     _top_rows,
     block_bytes,
     build_bytes,
     order_p_split,
     phi_bytes,
+    span_bytes,
     validate_type,
 )
 from .errors import InputError, NoSecondRow
-from .gray import Permutation, _decode_digits, digit_table, gray_matrix
+from .gray import Permutation, _block_residues, digit_table, gray_matrix
 from .invariants import ReducedBasis
 from .ring import RingParams
 
@@ -203,20 +206,21 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
 
     It counts the witness, built and then with its inverse image; the
     phi and digit tables and ``build_bytes`` of both members; the lower
-    member's lookup (``RegeneratedDigits.lookup_bytes``); one block of
-    mapped words, either the top rows or a block of T_hi, whichever has
-    more words: the block with its mapped copy (``block_bytes``), the
-    decode's int64 residues with its 16-bit digit reads, the re-encoded
-    block and its comparison, the digit words, and the int64 and float
-    copies of the located indices' digits reduced modulo N; and per word
-    of T_hi its key and, once the keys are sorted in place, one byte of
-    their comparison.
+    member's span tables (``span_bytes``); one block of mapped words, the
+    top rows or a block of T_hi, whichever has more words: the block with
+    its mapped copy (``block_bytes``), its pinned blocks with two int64
+    and two 16-bit arrays of their residues, the lower words rebuilt at
+    the decoded indices (two gathers, an ``_add_mod`` temporary and their
+    np.take index), their Gray words and the comparison, and the int64 and
+    float copies of the located digits reduced modulo N; and per word of
+    T_hi its key and a byte to compare the sorted keys.
     """
-    length, width, digits = lower.gray_length, lower.s * lower.n, lower.t + 1
+    length, digits = lower.gray_length, lower.t + 1
     span = higher.t + 1 - higher.num_rows
     rows = max(higher.num_rows, _block_words(lower.p, span, max(8 * higher.n, length)))
-    decode = 14 * lower.n + 2 * length + width + 40 * digits
-    held = RegeneratedDigits.lookup_bytes(lower, rows) + block_bytes(higher, span, length, rows) + rows * decode
+    read = lower.num_rows * (lower.p ** (lower.s - 1) + 20)
+    locate = read + lower.n * (3 * _sum_dtype(lower).itemsize + 8) + 2 * length + 40 * digits
+    held = span_bytes(lower, digits) + block_bytes(higher, span, length, rows) + rows * locate
     tables = sum(phi_bytes(sig.params) + sig.params.modulus * sig.s for sig in (lower, higher))
     keys = 9 * lower.p**span
     return witness_bytes(length) + tables + build_bytes(lower) + build_bytes(higher) + held + keys
@@ -302,19 +306,21 @@ def verify_equivalence(
     return EquivalenceReport("PASS", rep.ts, positions, witness, "algebra-only")
 
 
-def _located(lookup: RegeneratedDigits, mapped: np.ndarray) -> np.ndarray:
-    """The odometer index of each mapped Gray word in the lower member, decoded at the boundary, or -1 if none."""
-    digits, preimage = _decode_digits(mapped, lookup.sig.params)
-    return np.where(preimage, lookup.locate(digits), -1)
+def _gray_locator(code: AdditiveCode):
+    """Locate a block of Gray words in Phi(code) as ``GrayCode.locate`` does, rebuilding words from the basis."""
+    sig, span, plan = code.sig, OdometerSpan(code.sig, code.basis), _decode_plan(code.sig)
+    gray_at = lambda idx: gray_matrix(sig.params, span.words(idx))
+    return lambda words: _locate(sig, plan, _block_residues, words, sig.size, gray_at, len(words), sig.gray_length)
 
 
 def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) -> bool:
     """Does ``witness`` map Phi(higher) onto Phi(lower)?  Conditions (a)-(c) of the module docstring, exactly."""
     p, digits = lower.sig.p, lower.sig.t + 1
     digit_table(higher.sig.params)  # Phi(C_hi) = Phi(T_hi) + span Phi(z_j) rests on the higher ring's check
+    digit_table(lower.sig.params)  # and the indices located in C_lo add as digit words on the lower ring's
     top, other = order_p_split(higher)
-    lookup = RegeneratedDigits(lower)
-    tops = _located(lookup, witness(gray_matrix(higher.sig.params, top)))
+    locate = _gray_locator(lower)
+    tops = locate(witness(gray_matrix(higher.sig.params, top)))
     if (tops < 0).any():  # (b): a y_j outside Phi(C_lo)
         return False
     ns = _odometer_digits(p, tops, digits)
@@ -325,7 +331,7 @@ def _maps_onto(lower: AdditiveCode, higher: AdditiveCode, witness: Permutation) 
     place = p ** np.arange(digits)
     keys = np.empty(p ** len(other), dtype=np.int64)
     for start, words in _gray_blocks(higher.sig, other):
-        located = _located(lookup, witness(words))
+        located = locate(witness(words))
         if (located < 0).any():  # (a)
             return False
         keys[start : start + len(located)] = span.reduce(_odometer_digits(p, located, digits)).astype(np.int64) @ place

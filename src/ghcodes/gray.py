@@ -292,12 +292,6 @@ def _decode(words: np.ndarray, params: RingParams) -> tuple[np.ndarray, np.ndarr
     return out, (np.take(phi_table(params), out, axis=0).reshape(words.shape) == words).all(axis=1)
 
 
-def _decode_digits(words: np.ndarray, params: RingParams) -> tuple[np.ndarray, np.ndarray]:
-    """The digit words of the residues ``_decode`` reads off uint8 rows, and which rows are Gray images."""
-    residues, preimage = _decode(words, params)
-    return _digit_words(params, residues), preimage
-
-
 def gray_inverse(w: np.ndarray, params: RingParams) -> np.ndarray:
     """Phi^(-1) of one p-ary word: its int64 residues, one per p^(s-1)-block.
 

@@ -5,11 +5,13 @@ witness and locates each in the lower member as a whole Gray word: the
 query's residues at the pinned coordinates decode its odometer row, and
 it is a hit when it equals the Gray word rebuilt there from the digit
 word of a ``RegeneratedDigits``, read back as residues.  It then asks
-whether the located rows hit every lower word exactly once.  It never
-goes through the boundary decode (``gray._decode``) of the library's
-check, which tests the same claim on the order-p split with |T_hi|
-lookups of decoded digit words (``equivalence._maps_onto``); the two
-must agree on every pair.
+whether the located rows hit every lower word exactly once.  The
+library's check (``equivalence._maps_onto``) locates words the same way
+but tests the claim on the order-p split: it looks up only the |T_hi|
+words of the higher member's transversal and checks that their indices
+stay distinct modulo those of the mapped top rows, where the oracle looks
+up all p^(t+1) words and checks a multiset.  The two must agree on every
+pair.
 """
 
 import numpy as np

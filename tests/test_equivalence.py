@@ -547,35 +547,41 @@ def test_a_word_equal_to_another_modulo_Y_fails_set_equality(monkeypatch):
     assert not streamed_set_equal(lo, hi, report.witness)
 
 
-def off_the_pinned_positions(lo):
+def off_the_pinned_positions(lo, blocks=False):
     """The first two coordinates of the lower member's Gray words that lie off positions 0 and p^i of their
-    phi-blocks, where the boundary decode reads no residue."""
+    phi-blocks, where the locate reads no residue; with ``blocks``, in phi-blocks it reads nothing of."""
     width = lo.p ** (lo.s - 1)
     pinned = {0, *(lo.p**i for i in range(lo.s - 1))}
-    return [k for k in range(lo.gray_length) if k % width not in pinned][:2]
+    read = set(construction._decode_plan(lo)[0].tolist()) if blocks else set()
+    return [k for k in range(lo.gray_length) if k % width not in pinned and k // width not in read][:2]
 
 
 @pytest.mark.parametrize("lo_ts,hi_ts", [((2, 2), (1, 0, 1, 0)), ((1, 1, 1), (1, 0, 1, 0)), ((3, 1), (1, 2, 0))])
 def test_a_transposition_off_the_pinned_positions_fails_set_equality(lo_ts, hi_ts):
-    # after the mapping, two lower coordinates that the decode never reads trade places: every mapped word
-    # still decodes to the residues of a member, but some blocks are no Gray image any more
+    # after the mapping, two lower coordinates that the locate never reads trade places, in the blocks it reads
+    # or in others: every mapped word still decodes to the index of a member, but some are not its Gray word
     lo, hi = sig(3, lo_ts), sig(3, hi_ts)
     witness = verify_equivalence(lo, hi, check_sets=False).witness
-    swap = np.arange(lo.gray_length)
-    a, b = off_the_pinned_positions(lo)
-    swap[[a, b]] = [b, a]
-    bad = Permutation(swap).compose(witness)
     assert _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), witness) and streamed_set_equal(lo, hi, witness)
-    assert not _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), bad)
-    assert not streamed_set_equal(lo, hi, bad)
+    for blocks in (False, True):
+        swap = np.arange(lo.gray_length)
+        a, b = off_the_pinned_positions(lo, blocks)
+        swap[[a, b]] = [b, a]
+        bad = Permutation(swap).compose(witness)
+        assert not _maps_onto(AdditiveCode.build(lo), AdditiveCode.build(hi), bad)
+        assert not streamed_set_equal(lo, hi, bad)
 
 
 @pytest.mark.parametrize("p,lo_ts,hi_ts", [(3, (2, 2), (1, 0, 1, 0)), (3, (2, 1), (1, 1, 0)), (2, (2, 0, 2), (1, 1, 0, 1))])
 def test_a_chain_check_refuses_a_gray_map_off_the_digits(p, lo_ts, hi_ts, monkeypatch, fresh_ring_caches):
-    # the split of the higher member rests on the ring check, so a broken map is refused, not scanned
-    monkeypatch.setattr(importlib.import_module("ghcodes.gray"), "_phi_table_cached", broken_phi)
-    with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(hi_ts)} "):
-        verify_equivalence(sig(p, lo_ts), sig(p, hi_ts), check_sets=True)
+    # the split of the higher member rests on its ring check and the located indices on the lower one's, so a
+    # broken map is refused, not scanned: with both rings broken the higher is named, checked first; then the lower
+    gray_module = importlib.import_module("ghcodes.gray")
+    real = gray_module._phi_table_cached
+    for broken in ((len(lo_ts), len(hi_ts)), (len(lo_ts),)):
+        monkeypatch.setattr(gray_module, "_phi_table_cached", lambda q, s: (broken_phi if s in broken else real)(q, s))
+        with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{max(broken)} "):
+            verify_equivalence(sig(p, lo_ts), sig(p, hi_ts), check_sets=True)
 
 
 def _check_peak(lo, hi):

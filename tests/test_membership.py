@@ -12,6 +12,8 @@ at each decoded row from two span tables, is checked against
 through the boundary decode (``gray._decode``, a miss where a word has no
 Gray preimage) to digit words, over moduli whose sums widen the dtype
 (243) or fill it (256, 512), and with chunks of one word and of a few.
+So does the chain check's locate (``equivalence._gray_locator``), which
+compares each Gray query whole with the Gray word rebuilt from the span.
 
 ``SortedKeyCode`` itself is checked against a Python set (or, for set
 equality, a multiset) of ``row.tobytes()``, on a random subset of a small
@@ -39,7 +41,8 @@ from ghcodes.construction import (
     materialize_gray,
     validate_type,
 )
-from ghcodes.gray import _decode_digits, gray_matrix, phi_table
+from ghcodes.equivalence import _gray_locator
+from ghcodes.gray import _decode, _digit_words, gray_matrix, phi_table
 from ghcodes.ring import RingParams
 
 from goldens import PHI3
@@ -273,10 +276,16 @@ def regenerated_cases(draw):
     return full, mixed_queries(full, full_code(p, other), rng), draw(st.sampled_from([1, 2**12]))
 
 
+def decode_digits(words, params):
+    """The digit words of the residues ``gray._decode`` reads off uint8 rows, and which rows are Gray images."""
+    residues, preimage = _decode(words, params)
+    return _digit_words(params, residues), preimage
+
+
 def through_the_boundary(lookup, queries):
-    """``lookup.locate`` of the digit words of Gray queries, decoded as the chain check decodes them: -1
-    where a query has no Gray preimage."""
-    digits, preimage = _decode_digits(np.ascontiguousarray(queries, dtype=np.uint8), lookup.sig.params)
+    """``lookup.locate`` of the digit words of Gray queries, decoded at the boundary: -1 where a query has no
+    Gray preimage."""
+    digits, preimage = decode_digits(np.ascontiguousarray(queries, dtype=np.uint8), lookup.sig.params)
     return np.where(preimage, lookup.locate(digits), -1)
 
 
@@ -291,12 +300,14 @@ def test_regenerated_locate_agrees_with_held_image(case):
     full, queries, chunk_bytes = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
-        regen = RegeneratedDigits(AdditiveCode.build(full.sig))
-        assert np.array_equal(through_the_boundary(regen, queries), full.locate(queries))
-        assert same_multiset(regen, through_the_boundary(regen, full.words[::-1]))
+        code = AdditiveCode.build(full.sig)
+        regen, chain_locate = RegeneratedDigits(code), _gray_locator(code)
         repeated = full.words.copy()
         repeated[0] = repeated[-1]
-        assert not same_multiset(regen, through_the_boundary(regen, repeated))
+        for locate in (lambda q: through_the_boundary(regen, q), chain_locate):
+            assert np.array_equal(locate(queries), full.locate(queries))
+            assert same_multiset(regen, locate(full.words[::-1]))
+            assert not same_multiset(regen, locate(repeated))
         digits = regen.rows(np.arange(len(full)))
         for wrong in (digits[:, :-1], np.hstack([digits, digits[:, :1]])):
             assert (regen.locate(wrong) == -1).all()
@@ -327,7 +338,7 @@ def test_restricted_regenerated_gray_never_drops_a_member(p, ts):
     other = next(o for o in types_of(p, full.sig.t) if o != ts)
     queries = mixed_queries(full, full_code(p, other), rng)
     held = full.locate(queries)
-    digits, preimage = _decode_digits(queries, full.sig.params)
+    digits, preimage = decode_digits(queries, full.sig.params)
     everything = RegeneratedDigits(code).rows(np.arange(len(full)))
     for sample in (np.arange(0, full.sig.n, 5), np.array([], dtype=np.int64), np.arange(full.sig.n)):
         regen = RegeneratedDigits(code, sample)
