@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .construction import DEFAULT_BUDGET_BYTES, AdditiveCode, validate_type
+from .construction import DEFAULT_BUDGET_BYTES, validate_type
 from .errors import CapacityError, InputError, NoSecondRow
 from .equivalence import chain_of
 from .invariants import structural_pair
@@ -162,7 +162,7 @@ def _locate(p: int, ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, 
 def _invariants_for_rep(p: int, rep: tuple[int, ...], budget_bytes: int) -> "tuple[int, int] | None":
     """(rank, kernel dimension) of the representative, or None where it is over the budget."""
     try:
-        return structural_pair(AdditiveCode.build(validate_type(p, rep)), budget_bytes)
+        return structural_pair(validate_type(p, rep), budget_bytes)
     except CapacityError:
         return None
 

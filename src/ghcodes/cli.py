@@ -48,6 +48,8 @@ from .construction import (
     _check_budget,
     _check_gh_options,
     additive_bytes,
+    build_bytes,
+    build_gray_code,
     is_gh_code,
     materialization_bytes,
     materialize_additive,
@@ -165,18 +167,22 @@ def _label(ts) -> str:
 def cmd_construct(args: argparse.Namespace) -> Result:
     """descriptor and generator matrix (or codeword dump) of one type"""
     sig = _sig(args)
+    kind, modulus = args.codewords, sig.params.modulus
+    lines, width, top, held = {
+        None: (sig.num_rows, sig.n, modulus - 1, 0),
+        "additive": (sig.size, sig.n, modulus - 1, additive_bytes(sig)),
+        "gray": (sig.size, sig.gray_length, sig.p - 1, materialization_bytes(sig)),
+    }[kind]
+    # a line is its symbols, each with a space or newline, plus 64 bytes of str header and list slot; the
+    # text is held three times over: as lines, joined, and joined with its last newline (or encoded)
+    text = lines * (width * (len(str(top)) + 1) + 64)
+    what = "generator" if kind is None else "codeword dump"
+    _check_budget(f"{what} of type {sig.ts}", build_bytes(sig) + held + 3 * text, args.budget_bytes)
     code = AdditiveCode.build(sig)
-    if args.codewords is None:
+    if kind is None:
         rows = code.generator
     else:
-        additive = args.codewords == "additive"
-        width, top = (sig.n, sig.params.modulus - 1) if additive else (sig.gray_length, sig.p - 1)
-        # a line is its symbols, each with a space or newline, plus 64 bytes of str header and list slot; the
-        # text is held three times over: as lines, joined, and joined with its last newline (or encoded)
-        text = sig.size * (width * (len(str(top)) + 1) + 64)
-        held = additive_bytes(sig) if additive else materialization_bytes(sig)
-        _check_budget(f"codeword dump of type {sig.ts}", held + 3 * text, args.budget_bytes)
-        rows = materialize_additive(code, args.budget_bytes) if additive else materialize_gray(code, args.budget_bytes).words
+        rows = materialize_additive(code, args.budget_bytes) if kind == "additive" else materialize_gray(code, args.budget_bytes).words
     descriptor = {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
     return Result([_json(descriptor), *_words(rows)])
 
@@ -189,7 +195,7 @@ def cmd_gray(args: argparse.Namespace) -> Result:
 def cmd_invariants(args: argparse.Namespace) -> Result:
     """rank, kernel dimension and linearity of one type"""
     sig = _sig(args)
-    r, k = structural_pair(AdditiveCode.build(sig), args.budget_bytes)
+    r, k = structural_pair(sig, args.budget_bytes)
     linear = r == sig.t + 1  # p^rank = |C| = p^(t+1)
     return Result(
         lines=[f"r={r} k={k} linear={str(linear).lower()}"],
@@ -365,7 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     if sig.t < 1:  # a Gray image of length 1 has no expected distance p^(t-1) (p-1)
         raise InputError(f"verify needs t >= 1, type {_label(sig.ts)} has t = {sig.t}")
     _check_gh_options(args.mode, args.pairs, args.seed)  # before the image is built
-    gc = materialize_gray(AdditiveCode.build(sig), args.budget_bytes)
+    gc = build_gray_code(sig, args.budget_bytes)
     verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)
     ok = verdict.passed
     lines = [

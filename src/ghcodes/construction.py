@@ -1,14 +1,13 @@
 """Additive generalized Hadamard codes over Z_{p^s} and their Gray images.
 
-A type (t_1, ..., t_s) fixes a generator matrix over Z_{p^s} whose rows
-comprise an all-ones row followed by t_1 - 1 further rows of order p^s,
-then t_i rows of order p^(s-i+1) for i = 2..s.  Columns are pinned by a
-product construction: starting from the single column (1), each new row
-of order p^(s-i+1) replicates the current block p^(s-i+1) times and
-appends the coordinate run (0, p^(i-1), 2 p^(i-1), ...).  The code is the
-Z_{p^s}-span of the rows; its Gray image is a (generally nonlinear)
-p-ary code of length p^t with p^(t+1) words and minimum distance
-p^(t-1) (p-1).
+A type (t_1, ..., t_s) fixes a generator matrix over Z_{p^s}: an all-ones
+row, t_1 - 1 more rows of order p^s, then t_i rows of order p^(s-i+1) for
+i = 2..s.  It is a product construction unrolled: a row of order p^sigma
+(``_sigmas``) is appended at width w, the product of the orders before it
+(``_widths``), and holds (j // w mod p^sigma) p^(s - sigma) at coordinate
+j.  The code is the Z_{p^s}-span of the rows; its Gray image is a
+(generally nonlinear) p-ary code of length p^t with p^(t+1) words and
+minimum distance p^(t-1) (p-1).
 
 Every codeword comes from one generator, ``OdometerSpan``: the span of
 some p-basis rows in odometer order (the first row's coefficient varies
@@ -94,55 +93,37 @@ def validate_type(p: int, ts: Sequence[int]) -> TypeSignature:
     return TypeSignature(RingParams(p, len(ts)), ts)
 
 
+def _sigmas(sig: TypeSignature) -> np.ndarray:
+    """sigma of each generator row, of order p^sigma: s for the t_1 rows of slot 1, s - i + 1 for the t_i of slot i."""
+    return np.repeat(np.arange(sig.s, 0, -1), sig.ts)
+
+
+def _widths(sig: TypeSignature) -> np.ndarray:
+    """The coordinate at which each row after the all-ones row is appended: the product of the orders before it."""
+    sigmas = _sigmas(sig)[1:]
+    return sig.p ** (np.cumsum(sigmas) - sigmas)
+
+
 def generator_matrix(sig: TypeSignature) -> np.ndarray:
-    """Canonical generator matrix, one row per t_i slot, shape (sum t_i, n)."""
-    p, s = sig.p, sig.s
-    modulus = sig.params.modulus
-    mat = np.ones((1, 1), dtype=np.int64)
-    for i in range(1, s + 1):
-        new_rows = sig.ts[i - 1] - (1 if i == 1 else 0)
-        reps = p ** (s - i + 1)
-        step = p ** (i - 1)
-        for _ in range(new_rows):
-            width = mat.shape[1]
-            tiled = np.tile(mat, (1, reps))
-            fresh = np.repeat(np.arange(reps, dtype=np.int64) * step, width)[None, :]
-            mat = np.vstack([tiled, fresh]) % modulus
-    return mat.astype(sig.params.dtype())
+    """Canonical generator matrix in the closed form of the module docstring, shape (sum t_i, n), in the ring's dtype."""
+    sigmas = _sigmas(sig)[1:, None]
+    rows = np.arange(sig.n) // _widths(sig)[:, None]
+    rows %= sig.p**sigmas
+    rows *= sig.p ** (sig.s - sigmas)
+    gen = np.ones((sig.num_rows, sig.n), dtype=sig.params.dtype())
+    gen[1:] = rows
+    return gen
 
 
 def row_orders(sig: TypeSignature) -> tuple[int, ...]:
     """Additive order of each generator row, non-increasing down the matrix."""
-    p, s = sig.p, sig.s
-    out = []
-    for i in range(1, s + 1):
-        out.extend([p ** (s - i + 1)] * (sig.ts[i - 1] - (1 if i == 1 else 0)))
-    return (p**s, *out)
-
-
-def p_basis(sig: TypeSignature) -> np.ndarray:
-    """The t+1 vectors p^q * w_i (0 <= q < sigma_i) spanning the code over Z_p, as int64 rows."""
-    gen = generator_matrix(sig).astype(np.int64)
-    modulus = sig.params.modulus
-    out = []
-    for row, order in zip(gen, row_orders(sig)):
-        q = 1
-        while q < order:  # powers p^0 .. p^(sigma_i - 1)
-            out.append(row * q % modulus)
-            q *= sig.p
-    return np.stack(out)
+    return tuple(sig.p ** int(sigma) for sigma in _sigmas(sig))
 
 
 def _top_rows(sig: TypeSignature) -> np.ndarray:
     """Which of the t + 1 p-basis rows are top rows p^(sigma_i - 1) w_i, as a bool mask in basis order."""
-    sigmas = []
-    for order in row_orders(sig):
-        sigma = 1
-        while sig.p**sigma < order:
-            sigma += 1
-        sigmas.append(sigma)
     top = np.zeros(sig.t + 1, dtype=bool)
-    top[np.cumsum(sigmas) - 1] = True  # each row's powers p^0 .. p^(sigma_i - 1) are consecutive in the basis
+    top[np.cumsum(_sigmas(sig)) - 1] = True  # each row's powers p^0 .. p^(sigma_i - 1) are consecutive in the basis
     return top
 
 
@@ -173,17 +154,25 @@ class AdditiveCode:
 
     @classmethod
     def build(cls, sig: TypeSignature) -> "AdditiveCode":
+        """The generator, and from it the t + 1 vectors p^q w_i (0 <= q < sigma_i) spanning the code over
+        Z_p, each row's powers consecutive, as int64 rows."""
         gen = generator_matrix(sig)
-        basis = p_basis(sig)
+        sigmas = _sigmas(sig)
+        powers = sig.p ** (np.arange(sig.t + 1) - np.repeat(np.cumsum(sigmas) - sigmas, sigmas))
+        # p^q x mod p^s is p^q (x mod p^(s-q)), which never leaves int64
+        basis = np.repeat(gen, sigmas, axis=0).astype(np.int64)
+        basis %= sig.params.modulus // powers[:, None]
+        basis *= powers[:, None]
         gen.flags.writeable = False
         basis.flags.writeable = False
         return cls(sig, gen, basis)
 
 
 def build_bytes(sig: TypeSignature) -> int:
-    """Bytes ``AdditiveCode.build`` holds at its peak, at most four int64 matrices of t + 1 rows:
-    the generator's last stacking and its reduction, then the p-basis, its rows and the int64 generator."""
-    return 4 * 8 * (sig.t + 1) * sig.n
+    """Bytes ``AdditiveCode.build`` holds at its peak: of t + 1 rows at most, the generator, its rows
+    repeated and the int64 basis made from them (the generator's int64 rows are no more), and two
+    numpy ufunc buffers of 8192 int64 for the columns broadcast over them."""
+    return (sig.t + 1) * sig.n * (8 + 2 * sig.params.dtype().itemsize) + 2**17
 
 
 def additive_bytes(sig: TypeSignature) -> int:
@@ -344,16 +333,14 @@ _LOOKUP_BYTES = 2**22  # rows gathered per step by GrayCode.locate and the kerne
 def _decode_plan(sig: TypeSignature) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """(pinned coordinates, divisors, weights) that read a Gray word's odometer row.
 
-    Additive coordinate 0 is e_1, and a generator row of order p^sigma
-    appended at width w is the only row besides the all-ones row that is
-    nonzero at coordinate w, where it is p^(s - sigma).  So row r of order
-    p^sigma reads ((c_w - c_0) mod p^s) // p^(s - sigma) at its coordinate
+    By the closed form of the module docstring, coordinate 0 is e_1, and a
+    row of order p^sigma appended at width w is the only row besides the
+    all-ones row that is nonzero at coordinate w, where it is p^(s - sigma).
+    So row r reads ((c_w - c_0) mod p^s) // p^(s - sigma) at its coordinate
     w, weighted by p^s w; row 0 reads c_0, weight 1.
     """
-    orders = np.array(row_orders(sig), dtype=np.int64)
-    widths = np.cumprod(orders[1:]) // orders[1:]  # w_r: the product of the orders before row r
-    modulus = sig.params.modulus
-    return np.r_[0, widths], modulus // orders, np.r_[1, modulus * widths]
+    widths = _widths(sig)
+    return np.r_[0, widths], sig.p ** (sig.s - _sigmas(sig)), np.r_[1, sig.params.modulus * widths]
 
 
 def _locate(sig: TypeSignature, plan, read, rows: np.ndarray, held: int, held_at, step: int, width: int) -> np.ndarray:
@@ -449,6 +436,8 @@ def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTE
 
 
 def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
+    """The Gray image of a type's code, checked against the budget with its build before anything is built."""
+    _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", build_bytes(sig) + materialization_bytes(sig), budget_bytes)
     return materialize_gray(AdditiveCode.build(sig), budget_bytes)
 
 

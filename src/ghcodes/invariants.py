@@ -62,6 +62,7 @@ from .construction import (
     _digit_blocks,
     _mod_p_diff,
     block_bytes,
+    build_bytes,
     order_p_split,
     phi_bytes,
 )
@@ -285,9 +286,9 @@ def _rank_words(sig: TypeSignature) -> int:
 def structural_bytes(sig: TypeSignature) -> int:
     """Bytes ``structural_pair`` holds at once above the baseline, its reduced bases aside.
 
-    The phi and digit tables, one rank chunk of digit words of T
-    (``block_bytes``; the kernel's blocks are no larger), and the larger
-    working set of its two stages.  Rank's is five float chunks, as in
+    The build of the code (``build_bytes``), the phi and digit tables, one
+    rank chunk of digit words of T (``block_bytes``; the kernel's blocks
+    are no larger), and the larger working set of its two stages.  Rank's is five float chunks, as in
     ``materialization_bytes``, each one block of ``_rank_words`` words and
     counted as at least _RANK_CHUNK_BYTES.  The kernel's is a
     ``RegeneratedDigits``'s span and one locate step, the probe
@@ -300,7 +301,7 @@ def structural_bytes(sig: TypeSignature) -> int:
     rank = 5 * max(_RANK_CHUNK_BYTES, words * width * _float_dtype(p, width).itemsize)
     kernel = RegeneratedDigits.lookup_bytes(sig) + (_PROBES + 8) * width + 16 * p ** (sig.t + 1 - sig.num_rows)
     tables = phi_bytes(sig.params) + sig.params.modulus * sig.s
-    return tables + block_bytes(sig, sig.t + 1 - sig.num_rows, width, words) + max(rank, kernel)
+    return build_bytes(sig) + tables + block_bytes(sig, sig.t + 1 - sig.num_rows, width, words) + max(rank, kernel)
 
 
 def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
@@ -368,18 +369,18 @@ def _in_split_kernel(lookup: RegeneratedDigits, span: OdometerSpan, x: np.ndarra
     return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in blocks)
 
 
-def structural_pair(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
+def structural_pair(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:
     """(rank, kernel dimension) of a type's Gray image, from the split C = T + C[p] of ``order_p_split``
     on digit words, holding no image.
 
     See the module docstring.  The budget is checked against
-    ``structural_bytes``; what it leaves bounds each reduced basis.  Both
-    raise CapacityError.  A ring whose Gray map fails the check of
-    ``gray.digit_table`` raises GHCodeError.
+    ``structural_bytes`` before the code is built; what it leaves bounds
+    each reduced basis.  Both raise CapacityError.  A ring whose Gray map
+    fails the check of ``gray.digit_table`` raises GHCodeError.
     """
-    sig = code.sig
     need = structural_bytes(sig)
     _check_budget(f"rank and kernel of type {sig.ts} over Z_{sig.p}^{sig.s}", need, budget_bytes)
+    code = AdditiveCode.build(sig)
     top, other = order_p_split(code)
     tops = _digit_words(sig.params, top)
     r = _split_rank(sig, tops, other, budget_bytes - need)

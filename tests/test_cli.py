@@ -154,7 +154,7 @@ def test_verify_counts_pairs_once_when_the_exhaustive_pass_completes(capsys, mon
     if words == "repeated":  # a repeated word: the GH pass fails and the distance is 0
         gc = build_gray_code(validate_type(3, (1, 1)))
         broken = np.vstack([gc.words[:-1], gc.words[:1]])
-        monkeypatch.setattr(cli, "materialize_gray", lambda *a: construction.GrayCode(gc.sig, broken))
+        monkeypatch.setattr(cli, "build_gray_code", lambda *a: construction.GrayCode(gc.sig, broken))
     code, out, _ = run(capsys, "verify", "--p", "3", "--type", "1,1", "--mode", mode, "--pairs", "500", "--min-distance")
     assert out.splitlines()[1] == ("min_distance 6 expected 6" if words is None else "min_distance 0 expected 6")
     assert code == (0 if words is None else 1)
@@ -243,6 +243,35 @@ def test_capacity_exit_code_on_construct(capsys):
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (("invariants", "--type", "2,8"), 3),
+        (("verify", "--type", "2,8"), 3),
+        (("construct", "--type", "2,8"), 3),
+        (("construct", "--type", "2,8", "--codewords", "additive"), 3),
+        (("classify", "--t", "11", "--invariants", "--format", "json"), 0),
+    ],
+    ids=["invariants", "verify", "construct", "construct-additive", "classify"],
+)
+def test_an_over_budget_command_builds_nothing(capsys, argv, status):
+    # every estimate counts the build of the code and is checked before it: the build of (2,8) at
+    # p = 3, t = 11 alone peaked at about 17 MB, and a census built each representative it then skipped
+    budget = 2**20
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv[0], "--p", "3", *argv[1:], "--budget-bytes", str(budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == status, err
+    assert peak <= budget, peak
+    if status == 0:
+        doc = json.loads(out)
+        assert doc["skipped_representatives"]
+        assert all(row["skipped"] for row in doc["rows"] if not row["linear"])
 
 
 def dump_estimate_and_peak(ts, kind):

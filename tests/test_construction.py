@@ -18,6 +18,7 @@ from ghcodes.construction import (
     GrayCode,
     OdometerSpan,
     RegeneratedDigits,
+    build_bytes,
     build_gray_code,
     generator_matrix,
     gray_bytes,
@@ -27,7 +28,6 @@ from ghcodes.construction import (
     materialize_gray,
     min_distance,
     order_p_split,
-    p_basis,
     phi_bytes,
     row_orders,
     validate_type,
@@ -38,6 +38,7 @@ from ghcodes.errors import CapacityError, InputError
 from ghcodes.gray import _phi_table_cached, phi_table
 from ghcodes.ring import RingParams
 
+import product_oracle
 from sorted_key_code import set_equal
 from streamed_set_check import gray_chunks
 
@@ -106,7 +107,7 @@ def test_row_orders():
 
 
 def test_p_basis_1_1_0():
-    basis = p_basis(sig(3, (1, 1, 0))).tolist()
+    basis = AdditiveCode.build(sig(3, (1, 1, 0))).basis.tolist()
     assert basis == [
         [1] * 9,
         [3] * 9,
@@ -118,7 +119,76 @@ def test_p_basis_1_1_0():
 
 def test_p_basis_counts_match_t_plus_one():
     for a in [sig(3, (2, 1)), sig(3, (1, 1, 0)), sig(2, (3, 2)), sig(5, (1, 1))]:
-        assert p_basis(a).shape == (a.t + 1, a.n)
+        assert AdditiveCode.build(a).basis.shape == (a.t + 1, a.n)
+
+
+ORACLE_TYPES = [
+    (p, ts)
+    for p, t_max in [(2, 12), (3, 8), (5, 6), (7, 5)]
+    for t in range(1, t_max + 1)
+    for s in range(1, t + 2)
+    for ts in enumerate_types(t, s)
+]
+
+
+def test_the_row_schedule_matches_the_product_construction():
+    # the closed form against the step-by-step product construction on 537 types: generator (values and
+    # dtype), p-basis, row orders, top-row mask and decode plan
+    assert len(ORACLE_TYPES) == 537
+    for p, ts in ORACLE_TYPES:
+        a = sig(p, ts)
+        code = AdditiveCode.build(a)
+        assert row_orders(a) == product_oracle.row_orders(a), ts
+        pairs = [
+            (code.generator, product_oracle.generator(a)),
+            (code.basis, product_oracle.basis(a)),
+            (construction._top_rows(a), product_oracle.top_rows(a)),
+            *zip(construction._decode_plan(a), product_oracle.decode_plan(a)),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want), ts
+
+
+def test_a_build_makes_its_generator_once(monkeypatch):
+    calls = []
+    real = construction.generator_matrix
+    monkeypatch.setattr(construction, "generator_matrix", lambda a: calls.append(a) or real(a))
+    AdditiveCode.build(sig(3, (2, 1, 1)))
+    assert len(calls) == 1
+
+
+def test_p_basis_is_exact_near_the_word_limit():
+    # over Z_{3^39} the row of order 9 holds 8 * 3^37, and 3 times that is over 2^63: the product wrapped
+    # in int64 before its reduction, where the row reduced mod 3^38 first stays below 3^39
+    a = sig(3, (1,) + (0,) * 36 + (1, 0))
+    code = AdditiveCode.build(a)
+    modulus, rows = a.params.modulus, code.generator.tolist()
+    want = [[v * a.p**q % modulus for v in row] for row, sigma in zip(rows, construction._sigmas(a)) for q in range(sigma)]
+    assert code.basis.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "p,ts",
+    [
+        (3, (11,)),  # s = 1: every row is its own basis row, and the generator is as many rows as the basis
+        (2, (16,)),
+        (3, (2, 0, 0, 0, 0, 0)),  # uint16 residues, t + 1 = 12 basis rows from 2 generator rows
+        (2, (2, 0, 0, 0, 0, 0, 0, 0, 0)),
+        (5, (2, 1, 1)),
+        (3, (2, 8)),
+        (7, (2, 2)),
+    ],
+)
+def test_build_estimate_bounds_the_build_within_four_times(p, ts):
+    a = sig(p, ts)
+    AdditiveCode.build(a)
+    tracemalloc.start()
+    try:
+        AdditiveCode.build(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= build_bytes(a) <= 4 * peak, (peak, build_bytes(a))
 
 
 # ---------------------------------------------------------------------------

@@ -351,13 +351,13 @@ def test_the_differential_test_covers_96_nonlinear_types():
 def test_structural_pair_matches_the_held_image_on_every_nonlinear_type(p):
     for ts in nonlinear_types(p, STRUCTURAL_T_MAX[p]):
         code = AdditiveCode.build(validate_type(p, ts))
-        assert structural_pair(code) == held_pair(code), ts
+        assert structural_pair(code.sig) == held_pair(code), ts
 
 
 @pytest.mark.parametrize("p,ts", [(3, (3,)), (3, (1, 0, 2)), (2, (2, 2)), (2, (1, 1, 2)), (2, (1, 0, 1, 1)), (5, (1, 1))])
 def test_structural_pair_of_a_linear_type_is_full(p, ts):
     sig = validate_type(p, ts)
-    assert structural_pair(AdditiveCode.build(sig)) == (sig.t + 1, sig.t + 1)
+    assert structural_pair(sig) == (sig.t + 1, sig.t + 1)
 
 
 @pytest.mark.parametrize("p,ts", [(2, (3, 0, 1)), (3, (2, 0, 1)), (3, (1, 1, 1, 0)), (5, (2, 0)), (7, (1, 1, 0))])
@@ -473,7 +473,7 @@ def test_the_ring_check_rejects_a_gray_map_off_the_digits(p, s, broken, monkeypa
 def test_structural_pair_refuses_a_gray_map_off_the_digits(p, ts, broken, monkeypatch, fresh_ring_caches):
     monkeypatch.setattr(gray_module, "_phi_table_cached", broken)
     with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(ts)} "):
-        structural_pair(AdditiveCode.build(validate_type(p, ts)))
+        structural_pair(validate_type(p, ts))
 
 
 @pytest.mark.parametrize("p,ts", BROKEN_IDENTITY_TYPES)
@@ -484,7 +484,7 @@ def test_an_image_without_the_zero_word_has_no_kernel(p, ts, monkeypatch, fresh_
     with pytest.raises(InputError):
         held_pair(code)
     with pytest.raises(GHCodeError, match=f"Gray map of Z_{p}\\^{len(ts)} ") as err:
-        structural_pair(code)
+        structural_pair(code.sig)
     assert not isinstance(err.value, InputError)
 
 
@@ -499,7 +499,7 @@ def test_structural_kernel_checks_every_probe_survivor(probes, coords, monkeypat
     monkeypatch.setattr(invariants, "_PROBE_COORDS", coords)
     spurious = 0
     for code, (r, k) in zip(codes, pairs):
-        assert structural_pair(code) == (r, k), code.sig.ts
+        assert structural_pair(code.sig) == (r, k), code.sig.ts
         spurious += len(_probe_survivors(code, order_p_split(code)[1])) - code.sig.p ** (k - code.sig.num_rows)
     assert spurious > 0
 
@@ -510,7 +510,7 @@ def test_structural_pair_across_block_and_chunk_seams(p, ts, monkeypatch):
     want = held_pair(code)
     monkeypatch.setattr(construction, "_CHUNK_BYTES", 1)  # blocks of one word, and one-word locate steps
     monkeypatch.setattr(invariants, "_RANK_CHUNK_BYTES", 3 * code.sig.s * code.sig.n * 4)  # rank chunks of 3 words
-    assert structural_pair(code) == want
+    assert structural_pair(code.sig) == want
 
 
 class FirstBlockSeen(Exception):
@@ -539,7 +539,7 @@ def test_structural_rank_chunks_are_no_smaller_than_the_held_ranks(p, ts, monkey
 
     monkeypatch.setattr(invariants, "_digit_blocks", first_block)
     with pytest.raises(FirstBlockSeen):
-        structural_pair(code)
+        structural_pair(code.sig)
     assert min(chunk, size) <= seen[0] <= size, (chunk, size, seen)
 
 
@@ -562,15 +562,15 @@ def test_structural_estimate_and_basis_budget_bound_the_peak(p, t, fresh_ring_ca
         clear_ring_caches()
         tracemalloc.start()
         try:
-            assert structural_pair(code, budget) == (r, k)
+            assert structural_pair(sig, budget) == (r, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= budget, (rep, peak, budget)
         with pytest.raises(CapacityError):
-            structural_pair(code, budget - 1)
+            structural_pair(sig, budget - 1)
         with pytest.raises(CapacityError):
-            structural_pair(code, structural_bytes(sig) - 1)
+            structural_pair(sig, structural_bytes(sig) - 1)
 
 
 def test_structural_pair_bounds_the_p2_t15_basis():
@@ -579,7 +579,7 @@ def test_structural_pair_bounds_the_p2_t15_basis():
     budget = structural_bytes(sig) + bases_bytes(sig, 178, 3)
     tracemalloc.start()
     try:
-        assert structural_pair(AdditiveCode.build(sig), budget) == (178, 3)
+        assert structural_pair(sig, budget) == (178, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
