@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .construction import DEFAULT_BUDGET_BYTES, validate_type
 from .errors import CapacityError, InputError, NoSecondRow
-from .equivalence import chain_of
+from .equivalence import _chain_location
 from .invariants import structural_pair
 from .ring import RingParams
 
@@ -147,16 +147,14 @@ class Census:
     skipped_reps: tuple[tuple[int, ...], ...]
 
 
-def _locate(p: int, ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, int]:
-    """(representative, position, chain length) for one type."""
-    sig = validate_type(p, ts)
+def _locate(ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, int]:
+    """(representative, position, chain length) for one type, by type algebra alone."""
     try:
-        cp = chain_of(sig)
+        rep, position = _chain_location(ts)
     except NoSecondRow:
         # (1, 0, ..., 0): tail of the linear family's chain
         return (t,), len(ts), t + 1
-    rep = cp.representative
-    return rep.ts, cp.position, rep.ts[-1] + 1
+    return rep, position, rep[-1] + 1
 
 
 def _invariants_for_rep(p: int, rep: tuple[int, ...], budget_bytes: int) -> "tuple[int, int] | None":
@@ -188,7 +186,7 @@ def census(
         if not 1 <= lvl <= t + 1:
             raise InputError(f"level s={lvl} impossible for t={t}")
         for ts in enumerate_types(t, lvl):
-            rep, pos, clen = _locate(p, ts, t)
+            rep, pos, clen = _locate(ts, t)
             located.append((ts, lvl, rep, pos, clen, is_linear_type(p, ts)))
 
     class_ids = {("linear",) if lin else rep for _, _, rep, _, _, lin in located}

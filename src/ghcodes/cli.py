@@ -123,8 +123,55 @@ class Result:
 
 
 def _json(doc, indent: "int | None" = None) -> str:
-    # key order as inserted
-    return json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+    """``doc`` as ``json.dumps`` writes it, keys in insertion order: compact on one line, or indented.
+
+    Python's C encoder serves only compact documents, so an indented one is
+    joined here from the scalar encoders json uses, byte for byte as its
+    pure-Python encoder writes it, and faster.
+    """
+    if not indent:
+        return json.dumps(doc, separators=(",", ":"))
+    return _indented(doc, "\n", " " * indent)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _indented(value, pad: str, step: str) -> str:
+    """``value`` as ``json.dumps(value, indent=len(step))`` writes it at the depth where lines start with ``pad``.
+
+    Ints inside a container are written in place, the commonest leaf, to
+    save a call each.  Every int test is ``type(v) is int``, never
+    ``isinstance``: a bool is an int, and ``int.__repr__(True)`` is "1".
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + step
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [int.__repr__(v) if type(v) is int else _indented(v, inner, step) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = [
+            _encode_str(k) + ": " + (int.__repr__(v) if type(v) is int else _indented(v, inner, step))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # floats, non-str keys and every other type: json's own encoder, moved to this depth (JSON text
+    # holds no raw newline, so every newline in it starts a line)
+    return json.dumps(value, indent=len(step)).replace("\n", pad)
 
 
 def _cell(value):
@@ -225,13 +272,17 @@ def cmd_chain(args: argparse.Namespace) -> Result:
 def _witness_json_bytes(length: int) -> int:
     """Bytes the rendered witness of ``length`` coordinates holds at most.
 
-    Per coordinate 56 bytes of Python objects: a 32-byte int and the slots
-    of ``one_based()``'s list and tuple and of the document's list, with its
-    int64 temporary.  Then its JSON text, at most five times over: the
-    encoder's pieces, the joined text, the text with its last newline and
-    its encoding on the way out.
+    Per coordinate 104 bytes of Python objects: the document's list of
+    ints, a 32-byte int and an 8-byte slot each, and, while the C encoder
+    writes them, the str of each int with its slot (64 bytes; the encoder
+    joins them in batches, so this share falls beyond about 60 000
+    coordinates).  Then its JSON text, at most three times over: the
+    joined text, the text with its last newline and its encoding on the
+    way out.  Under tracemalloc the whole command peaked at 104, 88 and
+    71 bytes a coordinate at p = 3, 5 and 2 (lengths 3^10, 5^7 and 2^17),
+    its witness included.
     """
-    return length * (56 + 5 * (len(str(length)) + 1))
+    return length * (104 + 3 * (len(str(length)) + 1))
 
 
 def cmd_equiv_check(args: argparse.Namespace) -> Result:
@@ -246,7 +297,7 @@ def cmd_equiv_check(args: argparse.Namespace) -> Result:
         "verdict": report.verdict,
         "representative": list(report.representative) if report.representative else None,
         "positions": list(report.positions),
-        "witness": list(report.witness.one_based()) if report.witness is not None else None,
+        "witness": (report.witness.image + 1).tolist() if report.witness is not None else None,  # 1-based
         "mode": report.mode,
     }
     if report.detail:

@@ -115,11 +115,6 @@ def generator_matrix(sig: TypeSignature) -> np.ndarray:
     return gen
 
 
-def row_orders(sig: TypeSignature) -> tuple[int, ...]:
-    """Additive order of each generator row, non-increasing down the matrix."""
-    return tuple(sig.p ** int(sigma) for sigma in _sigmas(sig))
-
-
 def _top_rows(sig: TypeSignature) -> np.ndarray:
     """Which of the t + 1 p-basis rows are top rows p^(sigma_i - 1) w_i, as a bool mask in basis order."""
     top = np.zeros(sig.t + 1, dtype=bool)

@@ -106,14 +106,27 @@ from .invariants import ReducedBasis
 from .ring import RingParams
 
 
+def _chain_location(ts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(representative, 1-based position) of the type ``ts`` in its chain, by type algebra alone.
+
+    The position is sigma: 1 when t_1 >= 2, else the slot (1-based) of the
+    first nonzero entry after t_1.  Raises ``NoSecondRow`` for (1, 0, ..., 0),
+    which has a single generator row.
+    """
+    s = len(ts)
+    if ts[0] >= 2:
+        return ts, 1
+    for sg in range(2, s + 1):
+        if ts[sg - 1] > 0:
+            if sg < s:
+                return (ts[sg - 1] + 1, *ts[sg : s - 1], ts[s - 1] + sg - 1), sg
+            return (ts[s - 1] + s - 1,), s  # a single-entry representative over Z_p
+    raise NoSecondRow(f"type {ts} has a single generator row")
+
+
 def sigma(sig: TypeSignature) -> int:
     """Ring level of the second generator row: its order is p^(s+1-sigma)."""
-    if sig.ts[0] >= 2:
-        return 1
-    for i in range(1, sig.s):
-        if sig.ts[i] > 0:
-            return i + 1
-    raise NoSecondRow(f"type {sig.ts} has a single generator row")
+    return _chain_location(sig.ts)[1]
 
 
 @dataclass(frozen=True)
@@ -139,15 +152,8 @@ class EquivalenceChain:
 
 def chain_of(sig: TypeSignature) -> ChainPosition:
     """Locate a type inside its chain: (representative, 1-based position)."""
-    s = sig.s
-    sg = sigma(sig)
-    if sg == 1:
-        return ChainPosition(sig, 1)
-    if sg < s:
-        rep = (sig.ts[sg - 1] + 1, *sig.ts[sg : s - 1], sig.ts[s - 1] + sg - 1)
-        return ChainPosition(validate_type(sig.p, rep), sg)
-    # sigma == s: single-entry representative over Z_p
-    return ChainPosition(validate_type(sig.p, (sig.ts[s - 1] + s - 1,)), s)
+    rep, position = _chain_location(sig.ts)
+    return ChainPosition(sig if position == 1 else validate_type(sig.p, rep), position)
 
 
 def chain_members(rep: TypeSignature) -> EquivalenceChain:
@@ -170,8 +176,13 @@ def chain_members(rep: TypeSignature) -> EquivalenceChain:
 
 
 def _shuffle(length: int, q: int) -> Permutation:
-    """The q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to b*length/q + a."""
-    return Permutation(np.arange(length).reshape(q, length // q).T.reshape(-1))
+    """The q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to b*length/q + a.
+
+    The image is written in place, beside two index ranges of length/q and q.
+    """
+    image = np.empty(length, dtype=np.int64)
+    np.add(np.arange(length // q)[:, None], np.arange(0, length, length // q), out=image.reshape(length // q, q))
+    return Permutation._unchecked(image)
 
 
 def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
@@ -192,11 +203,12 @@ def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
 def witness_bytes(length: int) -> int:
     """Bytes a witness of ``length`` coordinates holds at its peak: three int64 arrays of the length.
 
-    The shuffle holds its index range beside the one-line image it copies
-    out, and ``Permutation`` its image beside the bincount check and the
-    stored copy: two arrays.  The inverse image the check gathers through
-    is built beside the image and an index range: three, as tracemalloc
-    measured (p = 2, t = 17; p = 3, t = 10; p = 5, t = 7), plus a few KiB.
+    The shuffle writes its image in place beside two index ranges of
+    length/q and q (q >= p) and wraps it unchecked and uncopied: at most
+    1.63 arrays while it is built, at q = p.  The inverse image the check
+    gathers through is built beside the image and an index range: three
+    arrays, as tracemalloc measured (p = 2, t = 17; p = 3, t = 10;
+    p = 5, t = 7), plus under 1 KiB.
     """
     return 3 * 8 * length + 2**16
 

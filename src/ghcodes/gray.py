@@ -89,6 +89,19 @@ class Permutation:
         img.flags.writeable = False
         object.__setattr__(self, "image", img)
 
+    @classmethod
+    def _unchecked(cls, image: np.ndarray) -> "Permutation":
+        """Wrap an int64 image that is a permutation by construction, with no check and no copy.
+
+        The array is made read-only and held as it is, so the caller must
+        own it.  Every image from outside the program goes through the
+        checking constructor.
+        """
+        perm = object.__new__(cls)
+        image.flags.writeable = False
+        object.__setattr__(perm, "image", image)
+        return perm
+
     @property
     def size(self) -> int:
         return self.image.size

@@ -34,7 +34,7 @@ from ghcodes import (
     verify_equivalence,
 )
 from ghcodes.classification import bound_types_reps
-from ghcodes.construction import GH_SAMPLE_PAIRS, materialize_additive, row_orders
+from ghcodes.construction import GH_SAMPLE_PAIRS, materialize_additive
 
 from goldens import (
     GAMMA3_CYCLES,
@@ -49,6 +49,7 @@ from goldens import (
     TAU3,
 )
 from paper_steps import gamma_extended
+from product_oracle import row_orders
 from sorted_key_code import set_equal
 
 

@@ -19,6 +19,7 @@ from ghcodes.classification import (
     isolated_types,
 )
 from ghcodes.construction import validate_type
+from ghcodes.equivalence import chain_members, chain_of
 from ghcodes.errors import InputError
 from ghcodes.invariants import structural_bytes
 
@@ -131,6 +132,25 @@ def test_census_single_level():
     result = census(5, 3, s=2)
     assert {row.ts for row in result.rows} == {(1, 4), (2, 2), (3, 0)}
     assert result.class_count == 3  # linear, (2,2), (3,0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_census_locates_every_type_as_chain_of_and_chain_members_do(p):
+    # the census places types by tuple algebra alone; the reference validates each type, locates it with
+    # chain_of and finds it at that position of chain_members.  (1, 0, ..., 0) has no second row (chain_of
+    # raises): it is the last member of the chain of (t,).  A linear type is one of the linear family's
+    # chain, whose representative has a single entry, or at p = 2 one of a chain (2, m).
+    for t in range(2, 13):
+        for row in census(t, p).rows:
+            if row.ts[0] == 1 and not any(row.ts[1:]):
+                rep, position = validate_type(p, (t,)), t + 1
+            else:
+                located = chain_of(validate_type(p, row.ts))
+                rep, position = located.representative, located.position
+            chain = [member.ts for member in chain_members(rep)]
+            assert chain[position - 1 : position] == [row.ts], (p, row.ts, rep.ts, position)
+            linear = rep.s == 1 or (p == 2 and rep.s == 2 and rep.ts[0] == 2)
+            assert (row.representative, row.position, row.chain_len, row.linear) == (rep.ts, position, len(chain), linear)
 
 
 @pytest.mark.parametrize("t,want", [(4, 1), (5, 2), (6, 2)])

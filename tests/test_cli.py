@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcodes import cli
 from ghcodes.cli import build_parser, main
@@ -590,6 +592,21 @@ GOLDEN = [
         "sha256:3b2ce5b97459891a3187e58c5de261701298b7294321f744c6819a4eaab5893d",
     ),
     (
+        ("classify", "--p", "2", "--t", "16", "--format", "json"),
+        0,
+        "sha256:471bec3784168751bb33561b14c154d26ebc9fb21d7a7fb51384c1a0a8cfd34e",
+    ),
+    (
+        ("classify", "--p", "2", "--t", "16", "--format", "csv"),
+        0,
+        "sha256:bd496a26f7eb8758344a16a7d5b1e0e43aeeef6d70358dbcfc2e2ce4be1e3386",
+    ),
+    (
+        ("classify", "--p", "2", "--t", "16", "--format", "table"),
+        0,
+        "sha256:f98733d021399439a49f41d7abb8c81e1a54e7b086f5b18d48bc8fe458da0615",
+    ),
+    (
         ("isolated", "--p", "3", "--t-max", "5"),
         0,
         "t=3  (2,0)\n"
@@ -640,6 +657,11 @@ GOLDEN = [
         ("tables", "--p", "3", "--t-min", "4", "--t-max", "5", "--format", "json"),
         0,
         "sha256:b3bb15d16aec96562b9228483a069d7ceaafb6817e40455f5587a63559728348",
+    ),
+    (
+        ("tables", "--kind", "types", "--p", "3", "--t-min", "4", "--t-max", "7", "--format", "json"),
+        0,
+        "sha256:c9265b9ac5c13677d71865aca5a6f106e11001126e8e2042dd091cc363a4c833",
     ),
     (
         ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "5", "--with-lower"),
@@ -704,6 +726,52 @@ def test_stdout_bytes_are_golden(capsys, argv, status, expected):
     assert code == status
     assert err == ""
     assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+# JSON documents of every shape: nested dicts, lists and tuples, empty containers, big and negative
+# ints, bools, None, floats (nan, infinities, -0.0), strings json must escape, and non-str keys
+_JSON_STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "é漢字😀\u2028"]))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _JSON_STRINGS,
+)
+_JSON_KEYS = st.one_of(_JSON_STRINGS, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=True))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_indented_json_is_what_json_dumps_writes(doc):
+    assert cli._json(doc, 2) == json.dumps(doc, indent=2)
+
+
+def test_every_indented_golden_document_is_what_json_dumps_writes(capsys, monkeypatch):
+    render, seen = cli._render, []
+
+    def checked(result, fmt):
+        if fmt == "json" and result.indent:
+            assert cli._json(result.doc, result.indent) == json.dumps(result.doc, indent=result.indent)
+            seen.append(result)
+        return render(result, fmt)
+
+    monkeypatch.setattr(cli, "_render", checked)
+    for argv, _, _ in GOLDEN:
+        run(capsys, *argv)
+    assert len(seen) == 5  # the classify and tables documents
 
 
 def test_output_file_bytes_are_golden(tmp_path, capsys):

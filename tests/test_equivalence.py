@@ -15,7 +15,6 @@ from ghcodes.construction import (
     generator_matrix,
     materialize_additive,
     order_p_split,
-    row_orders,
     validate_type,
 )
 from ghcodes.equivalence import (
@@ -34,6 +33,7 @@ from ghcodes.invariants import kernel
 from ghcodes.ring import RingParams
 
 from paper_steps import paper_step, paper_witness
+from product_oracle import row_orders
 from sorted_key_code import set_equal
 from streamed_set_check import streamed_set_equal
 from test_invariants import broken_phi, fresh_ring_caches  # noqa: F401 (a fixture)
@@ -333,6 +333,22 @@ def test_witness_is_composed_within_the_budget(p, rep):
         assert (report.verdict, report.mode) == ("PASS", "algebra-only")
         assert report.witness is None or peak <= budget, (budget, peak)
         assert (report.witness is not None) == (budget == witness_bytes(length))
+
+
+@pytest.mark.parametrize("p,t", [(2, 17), (3, 10), (5, 7)])
+def test_a_shuffle_is_built_in_place(p, t):
+    # the image is written beside two index ranges of length/q and q and wrapped with no check and no
+    # copy: at q = p tracemalloc measured at most 1.63 images, where checking and copying it held two
+    length = p**t
+    tracemalloc.start()
+    try:
+        witness = equivalence._shuffle(length, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 8 * length, peak / (8 * length)
+    assert not witness.image.flags.writeable
+    assert np.array_equal(witness.image, np.arange(length).reshape(p, length // p).T.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
