@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Subcommands: construct, gray, invariants, chain, equiv-check, classify,
-isolated, tables, verify.  Each command returns a `Result` with what it
-computed: its text lines, its JSON document and, for the tabular commands,
-its CSV rows.  `main` renders the one format asked for and writes it to
-stdout or ``--output``.  A subcommand offers only the formats it renders:
+isolated, tables, verify.  Each command returns a `Result` holding what it
+computed in the one form ``--format`` asks for: text lines, CSV rows or a
+JSON document.  `main` renders it and writes it to stdout or ``--output``.
+A subcommand offers only the formats it renders:
 
     construct, gray             text only (no --format)
     equiv-check                 json
@@ -37,6 +37,8 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .classification import bounds_report, census, isolated_types
 from .construction import (
@@ -113,7 +115,7 @@ def _check_limits(args: argparse.Namespace) -> None:
 
 @dataclass(frozen=True)
 class Result:
-    """What one command computed, in every form its formats need."""
+    """What one command computed, in the one form its --format asks for (the others stay empty)."""
 
     lines: "list[str]" = field(default_factory=list)  # text, the "table" format
     doc: object = None  # JSON document
@@ -122,23 +124,42 @@ class Result:
     status: int = 0  # exit code
 
 
-def _json(doc, indent: "int | None" = None) -> str:
-    """``doc`` as ``json.dumps`` writes it, keys in insertion order: compact on one line, or indented.
+@dataclass(frozen=True)
+class _Ints:
+    """The ints ``values + offset`` of an integer array in a JSON document, each nonnegative int64.
 
-    Python's C encoder serves only compact documents, so an indented one is
-    joined here from the scalar encoders json uses, byte for byte as its
-    pure-Python encoder writes it, and faster.
+    ``_json`` writes them as the JSON array of those ints, with no Python
+    int per value and no full-length copy of ``values``.
     """
-    if not indent:
-        return json.dumps(doc, separators=(",", ":"))
-    return _indented(doc, "\n", " " * indent)
+
+    values: np.ndarray
+    offset: int = 0
+
+
+def _json(doc, indent: "int | None" = None, end: str = "") -> str:
+    """``doc`` as ``json.dumps`` writes it, keys in insertion order: compact on one line, or indented;
+    then ``end``.
+
+    Python's C encoder serves only compact documents and knows no arrays,
+    so the text is joined here, once, from the scalar encoders json uses,
+    byte for byte as json writes it, and an ``_Ints`` as ``json.dumps``
+    writes the list of its ints.
+    """
+    out: "list[str]" = []
+    if indent:
+        _put(doc, out, "\n", " " * indent, ": ")
+    else:
+        _put(doc, out, "", "", ":")
+    out.append(end)
+    return "".join(out)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _indented(value, pad: str, step: str) -> str:
-    """``value`` as ``json.dumps(value, indent=len(step))`` writes it at the depth where lines start with ``pad``.
+def _put(value, out: "list[str]", pad: str, step: str, colon: str) -> None:
+    """Append the pieces of ``value`` as ``json.dumps`` writes it at the depth where lines start with
+    ``pad``: indented by ``step`` with ``colon`` ": ", or compact with both "" and ``colon`` ":".
 
     Ints inside a container are written in place, the commonest leaf, to
     save a call each.  Every int test is ``type(v) is int``, never
@@ -146,32 +167,103 @@ def _indented(value, pad: str, step: str) -> str:
     """
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = pad + step
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [int.__repr__(v) if type(v) is int else _indented(v, inner, step) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if kind is dict and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        items = [
-            _encode_str(k) + ": " + (int.__repr__(v) if type(v) is int else _indented(v, inner, step))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    # floats, non-str keys and every other type: json's own encoder, moved to this depth (JSON text
-    # holds no raw newline, so every newline in it starts a line)
-    return json.dumps(value, indent=len(step)).replace("\n", pad)
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is _Ints:
+        out += _int_pieces(value.values, value.offset)
+    elif (kind is list or kind is tuple or kind is dict) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is list or kind is tuple:
+        inner = pad + step
+        sep = "," + inner
+        out.append("[" + inner)
+        for v in value:
+            if type(v) is int:
+                out.append(int.__repr__(v))
+            else:
+                _put(v, out, inner, step, colon)
+            out.append(sep)
+        out[-1] = pad + "]"  # the last separator closes the list
+    elif kind is dict and all(type(k) is str for k in value):
+        inner = pad + step
+        sep = "," + inner
+        out.append("{" + inner)
+        for k, v in value.items():
+            out.append(_encode_str(k) + colon)
+            if type(v) is int:
+                out.append(int.__repr__(v))
+            else:
+                _put(v, out, inner, step, colon)
+            out.append(sep)
+        out[-1] = pad + "}"
+    else:
+        # floats, non-str keys and every other type: json's own encoder, moved to this depth (JSON
+        # text holds no raw newline, so every newline in it starts a line)
+        out.append(json.dumps(value, indent=len(step) or None, separators=(",", colon)).replace("\n", pad))
+
+
+_INT_STEP = 4096  # values written per step of _int_pieces: each of its buffers stays under 100 KiB
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The 4 ASCII digits of each n < 10^4, zero-padded, one little-endian uint32 an entry: the bytes
+    of an array of entries are their digits in order."""
+    n = np.arange(10**4, dtype=np.uint16)
+    digits = np.empty((10**4, 4), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = n // place % 10 + ord("0")
+    return digits.view("<u4").ravel()
+
+
+@functools.cache
+def _keep_table(limbs: int) -> np.ndarray:
+    """Row d - 1: the bytes a d-digit value keeps of its row, ``limbs`` entries of 4 digits and a
+    comma entry: its last d digits and the comma."""
+    width = 4 * limbs
+    cols = np.arange(width + 4)
+    return (cols >= width - np.arange(1, width + 1)[:, None]) & (cols <= width)
+
+
+def _int_pieces(values: np.ndarray, offset: int) -> "list[str]":
+    """The pieces of ``json.dumps((values + offset).tolist(), separators=(",", ":"))``, each value
+    nonnegative int64.
+
+    ``_INT_STEP`` values at a time go into a reused row per value: its 4-digit
+    limbs from ``_digit_table``, one divmod by 10^4 a limb, then a comma.  The
+    value's digit count picks its row of ``_keep_table``, and one boolean index
+    keeps those bytes of the step, one piece.
+    """
+    if not len(values):
+        return ["[]"]
+    limbs = -(-len(str(int(values.max()) + offset)) // 4)
+    table, keep_table = _digit_table(), _keep_table(limbs)
+    powers = 10 ** np.arange(1, min(4 * limbs, 19), dtype=np.int64)  # a value has 1 + (powers <= it) digits
+    size = min(_INT_STEP, len(values))
+    rows = np.empty((size, limbs + 1), dtype=table.dtype)
+    rows[:, limbs] = ord(",")
+    row_bytes = rows.view(np.uint8).reshape(size, -1)
+    keep = np.empty(row_bytes.shape, dtype=bool)
+    value, limb = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    pieces = ["["]
+    for start in range(0, len(values), size):
+        m = min(size, len(values) - start)
+        v, low = value[:m], limb[:m]
+        np.add(values[start : start + m], offset, out=v)
+        np.take(keep_table, np.searchsorted(powers, v, side="right"), axis=0, out=keep[:m], mode="clip")
+        for j in range(limbs - 1, -1, -1):
+            np.divmod(v, 10**4, out=(v, low))
+            np.take(table, low, out=rows[:m, j], mode="clip")
+        pieces.append(str(row_bytes[:m][keep[:m]], "ascii"))
+    pieces[-1] = pieces[-1][:-1] + "]"  # the last comma closes the array
+    return pieces
 
 
 def _cell(value):
@@ -184,8 +276,8 @@ def _cell(value):
 
 def _render(result: Result, fmt: str) -> str:
     if fmt == "json":
-        text = _json(result.doc, result.indent)
-    elif fmt == "csv":
+        return _json(result.doc, result.indent, "\n")
+    if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in result.rows)
         text = buf.getvalue()
@@ -229,7 +321,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
     if kind is None:
         rows = code.generator
     else:
-        rows = materialize_additive(code, args.budget_bytes) if kind == "additive" else materialize_gray(code, args.budget_bytes).words
+        rows = materialize_additive(code, args.budget_bytes) if kind == "additive" else materialize_gray(code).words
     descriptor = {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
     return Result([_json(descriptor), *_words(rows)])
 
@@ -244,10 +336,9 @@ def cmd_invariants(args: argparse.Namespace) -> Result:
     sig = _sig(args)
     r, k = structural_pair(sig, args.budget_bytes)
     linear = r == sig.t + 1  # p^rank = |C| = p^(t+1)
-    return Result(
-        lines=[f"r={r} k={k} linear={str(linear).lower()}"],
-        doc={"p": sig.p, "type": list(sig.ts), "r": r, "k": k, "linear": linear},
-    )
+    if args.format == "json":
+        return Result(doc={"p": sig.p, "type": list(sig.ts), "r": r, "k": k, "linear": linear})
+    return Result([f"r={r} k={k} linear={str(linear).lower()}"])
 
 
 def cmd_chain(args: argparse.Namespace) -> Result:
@@ -255,34 +346,36 @@ def cmd_chain(args: argparse.Namespace) -> Result:
     sig = _sig(args)
     cp = chain_of(sig)
     chain = chain_members(cp.representative)
+    if args.format == "json":
+        return Result(
+            doc={
+                "p": sig.p,
+                "type": list(sig.ts),
+                "representative": list(cp.representative.ts),
+                "position": cp.position,
+                "chain_len": len(chain),
+                "members": [list(m.ts) for m in chain],
+            }
+        )
     head = f"representative {cp.representative.label()} position {cp.position} members {len(chain)}"
-    return Result(
-        lines=[head, *(f"  {i}: {m.label()} (s={m.s})" for i, m in enumerate(chain, start=1))],
-        doc={
-            "p": sig.p,
-            "type": list(sig.ts),
-            "representative": list(cp.representative.ts),
-            "position": cp.position,
-            "chain_len": len(chain),
-            "members": [list(m.ts) for m in chain],
-        },
-    )
+    return Result([head, *(f"  {i}: {m.label()} (s={m.s})" for i, m in enumerate(chain, start=1))])
 
 
 def _witness_json_bytes(length: int) -> int:
-    """Bytes the rendered witness of ``length`` coordinates holds at most.
+    """Bytes the rendered witness of ``length`` coordinates holds at most, beside the witness.
 
-    Per coordinate 104 bytes of Python objects: the document's list of
-    ints, a 32-byte int and an 8-byte slot each, and, while the C encoder
-    writes them, the str of each int with its slot (64 bytes; the encoder
-    joins them in batches, so this share falls beyond about 60 000
-    coordinates).  Then its JSON text, at most three times over: the
-    joined text, the text with its last newline and its encoding on the
-    way out.  Under tracemalloc the whole command peaked at 104, 88 and
-    71 bytes a coordinate at p = 3, 5 and 2 (lengths 3^10, 5^7 and 2^17),
-    its witness included.
+    Per coordinate at most d + 1 bytes of JSON text, where d is the number
+    of digits of ``length``, the largest 1-based coordinate, and one more
+    is its comma.  The text is held three times over: the pieces
+    ``_int_pieces`` writes, their join with the rest of the document, and
+    its encoding on the way out.  Beside them ``_int_pieces`` holds its
+    step buffers, under 512 KiB.  Under tracemalloc, with stdout captured
+    as pytest captures it, the whole command peaked at 2.68, 2.91 and 2.93
+    times d + 1 bytes a coordinate above the witness's one int64 array
+    (lengths 2^17, 3^10 and 5^7, d + 1 = 7, 6 and 6), and at 2.60 times
+    at 2^20, its step buffers included.
     """
-    return length * (104 + 3 * (len(str(length)) + 1))
+    return 3 * length * (len(str(length)) + 1) + 2**19
 
 
 def cmd_equiv_check(args: argparse.Namespace) -> Result:
@@ -297,7 +390,7 @@ def cmd_equiv_check(args: argparse.Namespace) -> Result:
         "verdict": report.verdict,
         "representative": list(report.representative) if report.representative else None,
         "positions": list(report.positions),
-        "witness": (report.witness.image + 1).tolist() if report.witness is not None else None,  # 1-based
+        "witness": _Ints(report.witness.image, 1) if report.witness is not None else None,  # 1-based
         "mode": report.mode,
     }
     if report.detail:
@@ -305,28 +398,43 @@ def cmd_equiv_check(args: argparse.Namespace) -> Result:
     return Result(doc=doc, status=0 if report.passed else 1)
 
 
-def _census_rows(rows, json_keys, csv_keys) -> "tuple[list[dict], list[list]]":
-    """The fields ``json_keys`` of each census row as a JSON object, and a
-    CSV table of the fields ``csv_keys``, where r and k of a skipped row
-    read "skipped"."""
-    docs, cells = [], [list(csv_keys)]
+def _census_docs(rows, keys) -> "list[dict]":
+    """The fields ``keys`` of each census row as a JSON object, its ``ts`` as "type"."""
+    docs = []
     for row in rows:
-        fields = dict(vars(row), type=row.ts)  # JSON writes tuples as arrays
-        docs.append({key: fields[key] for key in json_keys})
+        fields = vars(row)
+        docs.append({key: fields["ts" if key == "type" else key] for key in keys})
+    return docs
+
+
+def _census_cells(rows, keys) -> "list[list]":
+    """A CSV table of the fields ``keys`` of the census rows, its ``ts`` as "type", where r and k of a
+    skipped row read "skipped"."""
+    cells = [list(keys)]
+    for row in rows:
+        fields = dict(vars(row), type=row.ts)
         if row.skipped:
             fields["r"] = fields["k"] = "skipped"
-        cells.append([fields[key] for key in csv_keys])
-    return docs, cells
+        cells.append([fields[key] for key in keys])
+    return cells
 
 
 def cmd_classify(args: argparse.Namespace) -> Result:
     """census of all types of one length"""
     c = census(args.t, args.p, s=args.s, with_invariants=args.invariants, budget_bytes=args.budget_bytes)
-    docs, cells = _census_rows(
-        c.rows,
-        ("s", "type", "representative", "position", "chain_len", "linear", "r", "k", "skipped"),
-        ("p", "t", "s", "type", "representative", "position", "chain_len", "linear", "r", "k"),
-    )
+    if args.format == "json":
+        keys = ("s", "type", "representative", "position", "chain_len", "linear", "r", "k", "skipped")
+        doc = {
+            "p": c.p,
+            "t": c.t,
+            "class_count": c.class_count,
+            "skipped_representatives": [list(rep) for rep in c.skipped_reps],
+            "rows": _census_docs(c.rows, keys),
+        }
+        return Result(doc=doc, indent=2)
+    if args.format == "csv":
+        keys = ("p", "t", "s", "type", "representative", "position", "chain_len", "linear", "r", "k")
+        return Result(rows=_census_cells(c.rows, keys))
     lines = [f"p={c.p} t={c.t} length={c.p}^{c.t} classes={c.class_count}"]
     for row in c.rows:
         rk = ""
@@ -339,29 +447,21 @@ def cmd_classify(args: argparse.Namespace) -> Result:
         )
     if c.skipped_reps:
         lines.append("skipped representatives: " + "; ".join(",".join(map(str, r)) for r in c.skipped_reps))
-    doc = {
-        "p": c.p,
-        "t": c.t,
-        "class_count": c.class_count,
-        "skipped_representatives": [list(rep) for rep in c.skipped_reps],
-        "rows": docs,
-    }
-    return Result(lines, doc, cells, indent=2)
+    return Result(lines)
 
 
-def _isolated(p: int, t_min: int, t_max: int) -> Result:
+def _isolated(p: int, t_min: int, t_max: int, fmt: str) -> Result:
     table = {t: hits for t, hits in sorted(isolated_types(t_max, p).items()) if t >= t_min}
-    lines = [f"t={t}  " + "  ".join(_label(ts) for ts in hits) for t, hits in table.items()]
-    return Result(
-        lines=lines or ["none"],
-        doc={"p": p, "t_max": t_max, "isolated": {str(t): [list(ts) for ts in hits] for t, hits in table.items()}},
-        rows=[["t", "type"], *([t, ts] for t, hits in table.items() for ts in hits)],
-    )
+    if fmt == "json":
+        return Result(doc={"p": p, "t_max": t_max, "isolated": {str(t): [list(ts) for ts in hits] for t, hits in table.items()}})
+    if fmt == "csv":
+        return Result(rows=[["t", "type"], *([t, ts] for t, hits in table.items() for ts in hits)])
+    return Result([f"t={t}  " + "  ".join(_label(ts) for ts in hits) for t, hits in table.items()] or ["none"])
 
 
 def cmd_isolated(args: argparse.Namespace) -> Result:
     """single-member chains (equivalent to no other type)"""
-    return _isolated(args.p, 0, args.t_max)
+    return _isolated(args.p, 0, args.t_max, args.format)
 
 
 def _tables_types(args: argparse.Namespace) -> Result:
@@ -371,36 +471,38 @@ def _tables_types(args: argparse.Namespace) -> Result:
         for row in census(t, args.p, with_invariants=True, budget_bytes=args.budget_bytes).rows
         if not row.linear
     ]
-    lines = []
-    for row in rows:
-        rk = "skipped" if row.skipped else f"({row.r},{row.k})"
-        lines.append(f"t={row.t} s={row.s}  {_label(row.ts)} -> {rk}")
-    docs, cells = _census_rows(
-        rows, ("p", "t", "s", "type", "r", "k", "skipped"), ("p", "t", "s", "type", "r", "k", "linear")
-    )
-    return Result(lines or ["none"], docs, cells, indent=2)
+    if args.format == "json":
+        return Result(doc=_census_docs(rows, ("p", "t", "s", "type", "r", "k", "skipped")), indent=2)
+    if args.format == "csv":
+        return Result(rows=_census_cells(rows, ("p", "t", "s", "type", "r", "k", "linear")))
+    lines = [f"t={row.t} s={row.s}  {_label(row.ts)} -> {'skipped' if row.skipped else f'({row.r},{row.k})'}" for row in rows]
+    return Result(lines or ["none"])
 
 
 def _tables_bounds(args: argparse.Namespace) -> Result:
     report = bounds_report(args.p, args.t_min, args.t_max, with_lower=args.with_lower, budget_bytes=args.budget_bytes)
+    if args.format == "json":
+        doc = {
+            "p": report.p,
+            "assumption": report.assumption,
+            "discrepancies": list(report.discrepancies),
+            "rows": [asdict(r) for r in report.rows],
+        }
+        return Result(doc=doc, indent=2)
+    lower = [None if r.lower_rk is None else (f"{r.lower_rk}+" if r.lower_rk_partial else str(r.lower_rk)) for r in report.rows]
+    if args.format == "csv":
+        cells = [["t", "types_all_s", "classes_all_s", "types_reps", "classes_reps", "lower_rk"]]
+        cells += [[r.t, r.types_all_s, r.classes_all_s, r.types_reps, r.classes_reps, lo] for r, lo in zip(report.rows, lower)]
+        return Result(rows=cells)
     # the * columns lean on the level-wise class-count assumption below
     lines = [f"{'t':>3} {'types(all s)':>13} {'classes(all s)*':>16} {'types(reps)':>12} {'classes(reps)*':>15} {'lower(r,k)':>11}"]
-    cells = [["t", "types_all_s", "classes_all_s", "types_reps", "classes_reps", "lower_rk"]]
-    for r in report.rows:
-        lower = None if r.lower_rk is None else (f"{r.lower_rk}+" if r.lower_rk_partial else str(r.lower_rk))
+    for r, lo in zip(report.rows, lower):
         lines.append(
-            f"{r.t:>3} {r.types_all_s:>13} {r.classes_all_s:>16} {r.types_reps:>12} {r.classes_reps:>15} {lower or '-':>11}"
+            f"{r.t:>3} {r.types_all_s:>13} {r.classes_all_s:>16} {r.types_reps:>12} {r.classes_reps:>15} {lo or '-':>11}"
         )
-        cells.append([r.t, r.types_all_s, r.classes_all_s, r.types_reps, r.classes_reps, lower])
     lines.append(f"* {report.assumption}")
     lines.extend(f"note: {d}" for d in report.discrepancies)
-    doc = {
-        "p": report.p,
-        "assumption": report.assumption,
-        "discrepancies": list(report.discrepancies),
-        "rows": [asdict(r) for r in report.rows],
-    }
-    return Result(lines, doc, cells, indent=2)
+    return Result(lines)
 
 
 def cmd_tables(args: argparse.Namespace) -> Result:
@@ -410,7 +512,7 @@ def cmd_tables(args: argparse.Namespace) -> Result:
     if args.t_min > args.t_max:
         raise InputError(f"empty t range: --t-min {args.t_min} > --t-max {args.t_max}")
     if args.kind == "isolated":
-        return _isolated(args.p, args.t_min, args.t_max)
+        return _isolated(args.p, args.t_min, args.t_max, args.format)
     if args.kind == "bounds":
         return _tables_bounds(args)
     return _tables_types(args)
@@ -425,27 +527,32 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     gc = build_gray_code(sig, args.budget_bytes)
     verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)
     ok = verdict.passed
-    lines = [
-        f"gh {'PASS' if verdict.passed else 'FAIL'} mode={verdict.mode} pairs={verdict.pairs_checked}"
-        + (f" reason={verdict.reason}" if verdict.reason else "")
-    ]
-    doc = {
-        "p": sig.p,
-        "type": list(sig.ts),
-        "gh": {
-            "passed": verdict.passed,
-            "mode": verdict.mode,
-            "pairs_checked": verdict.pairs_checked,
-            "reason": verdict.reason or None,
-        },
-    }
     if args.min_distance:
         md = min_distance(gc) if verdict._distance is None else verdict._distance
         expected = sig.p ** (sig.t - 1) * (sig.p - 1)
         ok = ok and md == expected
+    status = 0 if ok else 1
+    if args.format == "json":
+        doc = {
+            "p": sig.p,
+            "type": list(sig.ts),
+            "gh": {
+                "passed": verdict.passed,
+                "mode": verdict.mode,
+                "pairs_checked": verdict.pairs_checked,
+                "reason": verdict.reason or None,
+            },
+        }
+        if args.min_distance:
+            doc["min_distance"] = {"value": md, "expected": expected}
+        return Result(doc=doc, status=status)
+    lines = [
+        f"gh {'PASS' if verdict.passed else 'FAIL'} mode={verdict.mode} pairs={verdict.pairs_checked}"
+        + (f" reason={verdict.reason}" if verdict.reason else "")
+    ]
+    if args.min_distance:
         lines.append(f"min_distance {md} expected {expected}")
-        doc["min_distance"] = {"value": md, "expected": expected}
-    return Result(lines, doc, status=0 if ok else 1)
+    return Result(lines, status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ _BASIS_BYTES = 2**23  # reduced basis budgeted for: rank 96 at length 3^9 (p = 3
 
 def materialization_bytes(sig: TypeSignature) -> int:
     """Bytes held to build and analyse the Gray image: the image, its ring's
-    phi table and the working set of the largest stage that reads the image.
+    phi table and the working set of the largest stage that builds or reads it.
 
     Rank holds the basis (up to ``_BASIS_BYTES``) and its grown copy, and
     five float chunks (the chunk, its pivot coefficients, their product,
@@ -205,12 +205,14 @@ def materialization_bytes(sig: TypeSignature) -> int:
     lookup steps (the translates, the words located for them, their
     comparison, the decode arrays) and three 8-byte indices of every word.
     The pair scans of ``is_gh_code`` and ``min_distance`` hold four
-    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  Each is above the stream
-    that builds the image (``span_bytes``, at most 20.6 MiB where the image fits 4 GiB).
+    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  The build holds
+    the ``OdometerSpan`` of one range of coordinates (``_gray_span``), at
+    most ``_SPAN_BYTES`` wherever the span of one coordinate fits it: every
+    code whose image fits in memory.
     """
     rank = 2 * _BASIS_BYTES + 5 * _RANK_CHUNK_BYTES
     kernel = 4 * _LOOKUP_BYTES + 3 * 8 * sig.size
-    return gray_bytes(sig) + phi_bytes(sig.params) + max(rank, kernel, 5 * _PAIR_BLOCK_BYTES)
+    return gray_bytes(sig) + phi_bytes(sig.params) + max(rank, kernel, 5 * _PAIR_BLOCK_BYTES, _SPAN_BYTES)
 
 
 _CHUNK_BYTES = 2**18  # largest array made per block of _odometer_blocks and its consumers
@@ -413,27 +415,43 @@ class GrayCode:
         return bool(self.contains_rows(np.asarray(row)[None, :])[0])
 
 
-def materialize_gray(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
-    """Gray-expand every codeword into a (p^(t+1), p^t) uint8 matrix.
+_SPAN_BYTES = 2**24  # span tables materialize_gray holds at once, below the rank working set
+
+
+def _gray_span(sig: TypeSignature) -> "tuple[int, int]":
+    """(words a block, coordinates a span) of ``materialize_gray``: the blocks of ``_odometer_blocks``, and
+    all n coordinates, or as many as keep one ``OdometerSpan`` of them within ``_SPAN_BYTES`` (at least one)."""
+    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length))
+    per_coordinate = span_bytes(sig, sig.t + 1, words) // sig.n
+    return words, max(1, min(sig.n, _SPAN_BYTES // per_coordinate))
+
+
+def materialize_gray(code: AdditiveCode) -> GrayCode:
+    """Gray-expand every codeword into a (p^(t+1), p^t) uint8 matrix; the caller checks
+    ``materialization_bytes`` against its budget first.
 
     Each block of codewords is expanded straight into the one image; no
-    additive matrix is held.
+    additive matrix is held.  The words are spanned on one range of
+    coordinates at a time (``_gray_span``), so the span tables stay within
+    ``_SPAN_BYTES`` however long the code.
     """
     sig = code.sig
-    _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", materialization_bytes(sig), budget_bytes)
     table = phi_table(sig.params)
-    words = np.empty((sig.size, sig.gray_length), dtype=np.uint8)
-    for start, block in _odometer_blocks(code):
-        dest = words[start : start + len(block)].reshape(*block.shape, table.shape[1])
-        np.take(table, block, axis=0, out=dest, mode="clip")  # "raise" would buffer dest
-    words.flags.writeable = False
-    return GrayCode(sig, words)
+    width = table.shape[1]
+    words, columns = _gray_span(sig)
+    image = np.empty((sig.size, sig.gray_length), dtype=np.uint8)
+    for first in range(0, sig.n, columns):
+        for start, block in OdometerSpan(sig, code.basis[:, first : first + columns]).blocks(words):
+            dest = image[start : start + len(block), first * width : (first + columns) * width]
+            np.take(table, block, axis=0, out=dest.reshape(*block.shape, width), mode="clip")  # "raise" would buffer dest
+    image.flags.writeable = False
+    return GrayCode(sig, image)
 
 
 def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
     """The Gray image of a type's code, checked against the budget with its build before anything is built."""
     _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", build_bytes(sig) + materialization_bytes(sig), budget_bytes)
-    return materialize_gray(AdditiveCode.build(sig), budget_bytes)
+    return materialize_gray(AdditiveCode.build(sig))
 
 
 def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -58,7 +58,7 @@ one: the residues at the lower member's pinned coordinates decode an
 odometer index, and the word is a hit when it equals, whole, the Gray
 word rebuilt there from the ``OdometerSpan`` of the lower member's basis,
 so a hit is a word of Phi(C_lo).  T_hi is streamed a block at a time:
-its words are Gray-expanded, mapped by the witness (a column gather) and
+its words are Gray-expanded, mapped by the witness (a transpose) and
 located.  The reduced digit vectors of the m(tau) are distinct integer
 keys, so a PASS rests on no hash.  The check costs |T_hi| lookups, not
 p^(t+1).  No image, permuted copy or additive matrix of either member is
@@ -175,16 +175,6 @@ def chain_members(rep: TypeSignature) -> EquivalenceChain:
     return EquivalenceChain(rep, tuple(members))
 
 
-def _shuffle(length: int, q: int) -> Permutation:
-    """The q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to b*length/q + a.
-
-    The image is written in place, beside two index ranges of length/q and q.
-    """
-    image = np.empty(length, dtype=np.int64)
-    np.add(np.arange(length // q)[:, None], np.arange(0, length, length // q), out=image.reshape(length // q, q))
-    return Permutation._unchecked(image)
-
-
 def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
     """The permutation carrying Gray images one ring level down.
 
@@ -197,32 +187,33 @@ def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
     RingParams(p, s)
     if n_prime < 1:
         raise InputError("n must be >= 1")
-    return _shuffle(n_prime * p**s, p)
+    return Permutation._shuffle(n_prime * p**s, p)
 
 
 def witness_bytes(length: int) -> int:
-    """Bytes a witness of ``length`` coordinates holds at its peak: three int64 arrays of the length.
+    """Bytes a witness of ``length`` coordinates holds at its peak: two int64 arrays of the length.
 
-    The shuffle writes its image in place beside two index ranges of
-    length/q and q (q >= p) and wraps it unchecked and uncopied: at most
-    1.63 arrays while it is built, at q = p.  The inverse image the check
-    gathers through is built beside the image and an index range: three
-    arrays, as tracemalloc measured (p = 2, t = 17; p = 3, t = 10;
-    p = 5, t = 7), plus under 1 KiB.
+    ``Permutation._shuffle`` writes the q-shuffle's image in place beside two
+    index ranges of length/q and q and wraps it unchecked and uncopied; the
+    set check applies it by a transpose and builds no inverse image.  Under
+    tracemalloc the build peaked at 1.63, 1.61 and 1.41 arrays at q = p
+    (p = 2, t = 17; p = 3, t = 10; p = 5, t = 7), and at 2 arrays where
+    one range is the whole length (q = 1, the identity from a position to
+    itself), plus under 64 KiB.
     """
-    return 3 * 8 * length + 2**16
+    return 2 * 8 * length + 2**16
 
 
 def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     """Bytes the set-equality check of ``verify_equivalence`` allocates, all as held at once.
 
-    It counts the witness, built and then with its inverse image; the
-    phi and digit tables and ``build_bytes`` of both members; the lower
-    member's span tables (``span_bytes``); one block of mapped words, the
-    top rows or a block of T_hi, whichever has more words: the block with
-    its mapped copy (``block_bytes``), its pinned blocks with two int64
-    and two 16-bit arrays of their residues, the lower words rebuilt at
-    the decoded indices (two gathers, an ``_add_mod`` temporary and their
+    It counts the witness (``witness_bytes``); the phi and digit tables
+    and ``build_bytes`` of both members; the lower member's span tables
+    (``span_bytes``); one block of mapped words, the top rows or a block
+    of T_hi, whichever has more words: the block with its mapped copy
+    (``block_bytes``), its pinned blocks with two int64 and two 16-bit
+    arrays of their residues, the lower words rebuilt at the decoded
+    indices (two gathers, an ``_add_mod`` temporary and their
     np.take index), their Gray words and the comparison, and the int64 and
     float copies of the located digits reduced modulo N; and per word of
     T_hi its key and a byte to compare the sorted keys.
@@ -306,7 +297,7 @@ def verify_equivalence(
         _check_budget("set-equality check", cost, budget_bytes)
     witness: Permutation | None = None
     if witness_bytes(length) + render_bytes <= budget_bytes:
-        witness = _shuffle(length, rep.p ** (hi - lo))
+        witness = Permutation._shuffle(length, rep.p ** (hi - lo))
 
     if check_sets is not False and cost <= budget_bytes:  # the cost counts the witness, so it is there
         if not _maps_onto(AdditiveCode.build(lower_sig), AdditiveCode.build(higher_sig), witness):

@@ -68,6 +68,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _shuffle_image(length: int, q: int) -> np.ndarray:
+    """The image of the q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to
+    b*length/q + a.  It is written in place, beside two index ranges of length/q and q."""
+    image = np.empty(length, dtype=np.int64)
+    np.add(np.arange(length // q)[:, None], np.arange(0, length, length // q), out=image.reshape(length // q, q))
+    return image
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {0, ..., n-1} stored as its one-line image array.
@@ -75,10 +83,12 @@ class Permutation:
     ``image[k]`` is where coordinate k lands: applying the permutation to
     a word x yields y with y[image[k]] = x[k].  It is applied as a gather,
     y[j] = x[source[j]], through the inverse image ``source``, which is
-    computed on first use and kept.
+    computed on first use and kept; a q-shuffle (``_shuffle``) is applied
+    as a transpose instead.
     """
 
     image: np.ndarray
+    _q = 0  # q of a q-shuffle, 0 for every other permutation (not a field: the image alone is the value)
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=np.int64)
@@ -102,6 +112,18 @@ class Permutation:
         object.__setattr__(perm, "image", image)
         return perm
 
+    @classmethod
+    def _shuffle(cls, length: int, q: int) -> "Permutation":
+        """The q-shuffle of ``length`` coordinates (q divides length): a*q + b (b < q) moves to b*length/q + a.
+
+        Its image is written in place (``_shuffle_image``) and wrapped
+        unchecked.  Its inverse is the (length/q)-shuffle, written the same
+        way, and it is applied to words by a transpose, with neither.
+        """
+        perm = cls._unchecked(_shuffle_image(length, q))
+        object.__setattr__(perm, "_q", q)
+        return perm
+
     @property
     def size(self) -> int:
         return self.image.size
@@ -109,8 +131,11 @@ class Permutation:
     @cached_property
     def source(self) -> np.ndarray:
         """The inverse image: ``source[j]`` is the coordinate that lands on j."""
-        src = np.empty_like(self.image)
-        src[self.image] = np.arange(self.size)
+        if self._q:
+            src = _shuffle_image(self.size, self.size // self._q)
+        else:
+            src = np.empty_like(self.image)
+            src[self.image] = np.arange(self.size)
         src.flags.writeable = False
         return src
 
@@ -122,7 +147,13 @@ class Permutation:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to a word (last axis = coordinates)."""
-        return np.take(self._words(x), self.source, axis=-1)
+        x = self._words(x)
+        if not self._q:
+            return np.take(x, self.source, axis=-1)
+        # y[b*length/q + a] = x[a*q + b]: the (length/q, q) matrix of each word, transposed
+        out = np.empty(x.shape, dtype=x.dtype)
+        out.reshape(*x.shape[:-1], self._q, -1)[...] = x.reshape(*x.shape[:-1], -1, self._q).swapaxes(-1, -2)
+        return out
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         return np.take(self._words(x), self.image, axis=-1)

@@ -4,7 +4,7 @@ The paper carries the Gray image of a code over Z_{p^(s+1)} one ring
 level down by (gamma_ext . rho_lift)^(-1): gamma acting inside each
 phi-block, after rho interleaving the blocks.  The witness between two
 positions of a chain composes those steps.  The library builds the same
-witness as one index shuffle (``equivalence._shuffle``); the tests check
+witness as one index shuffle (``gray.Permutation._shuffle``); the tests check
 that the two agree on every chain pair.
 """
 

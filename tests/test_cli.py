@@ -248,6 +248,23 @@ def test_capacity_exit_code_on_construct(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--p", "3", "--type", "2,1", "--codewords", "gray"),
+        ("verify", "--p", "3", "--type", "2,1"),
+    ],
+    ids=["construct-gray", "verify"],
+)
+def test_a_held_image_is_refused_one_byte_under_its_estimate(capsys, argv):
+    # one check before the code is built: the image's own build checks nothing again
+    code, _, err = run(capsys, *argv, "--budget-bytes", "1")
+    need = int(err.split("needs ~")[1].split()[0])
+    assert code == 3
+    assert run(capsys, *argv, "--budget-bytes", str(need - 1))[0] == 3
+    assert run(capsys, *argv, "--budget-bytes", str(need))[0] == 0
+
+
+@pytest.mark.parametrize(
     "argv,status",
     [
         (("invariants", "--type", "2,8"), 3),
@@ -541,6 +558,23 @@ GOLDEN = [
         0,
         "sha256:1fa0f39daeb3df96a60e60c2150befad8f3a835039899e526a537e2a59cec79a",
     ),
+    # the longest witnesses the benchmark renders, written from their int64 images (digests taken
+    # when they were written from Python lists by json.dumps)
+    (
+        ("equiv-check", "--p", "2", "--type-a", "3,12", "--type-b", "1,0,0,0,0,0,0,0,0,0,0,0,2,0", "--sets", "never"),
+        0,
+        "sha256:fc8d1a4c1087faf72e7ac0ba23a0d21d28890e04f1e95ddb2169e5b2c5fc9396",
+    ),
+    (
+        ("equiv-check", "--p", "3", "--type-a", "2,7", "--type-b", "1,0,0,0,0,0,0,1,0", "--sets", "never"),
+        0,
+        "sha256:674d6417645f9f56e4058bb27fc1dc338948e4203c1146a60d14380e01eb2218",
+    ),
+    (
+        ("equiv-check", "--p", "5", "--type-a", "2,4", "--type-b", "1,0,0,0,1,0", "--sets", "never"),
+        0,
+        "sha256:a7bf3179350fdc39808cad4db3d63432e97f091c6fe61fc3d90da91eeb551c49",
+    ),
     (
         ("equiv-check", "--p", "3", "--type-a", "3,0", "--type-b", "2,2"),
         1,
@@ -590,6 +624,21 @@ GOLDEN = [
         ("classify", "--p", "3", "--t", "4", "--invariants", "--format", "json"),
         0,
         "sha256:3b2ce5b97459891a3187e58c5de261701298b7294321f744c6819a4eaab5893d",
+    ),
+    (
+        ("classify", "--p", "3", "--t", "6", "--invariants", "--format", "csv"),
+        0,
+        "sha256:4a9d8c2d07e7c831e6c9bf1e3711407d53dca7ca5855455229c28ea48786c1d0",
+    ),
+    (
+        ("classify", "--p", "3", "--t", "6", "--invariants", "--format", "table"),
+        0,
+        "sha256:96514c115fb6d0cf5faa0dc9381712838b329e2b77f5550a992407a1041f4424",
+    ),
+    (
+        ("classify", "--p", "3", "--t", "6", "--invariants", "--format", "json"),
+        0,
+        "sha256:46f697286c64fe812f720cc0e435f36f86c0397685d2d0aa994750997fac931c",
     ),
     (
         ("classify", "--p", "2", "--t", "16", "--format", "json"),
@@ -688,6 +737,21 @@ GOLDEN = [
         "sha256:58b59a25fa1476e3f6f0c569014df5cd0acd9e3f798ef70d6499cf4b698d209d",
     ),
     (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "12"),
+        0,
+        "sha256:41632ae2d0806ce5b7aa154228178d90898b37203f87d5b13b6d03e44a8e06b0",
+    ),
+    (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "12", "--format", "csv"),
+        0,
+        "sha256:2b9d9bffaead6422975cd63fef594e7d04ef359b03d79eb8f5a5356d7a968b46",
+    ),
+    (
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "12", "--format", "json"),
+        0,
+        "sha256:fb9fee0a89a8533206aa663a435828d4b5de6248ee2b2ad00924f100600aa590",
+    ),
+    (
         ("tables", "--kind", "isolated", "--p", "3", "--t-min", "4", "--t-max", "5"),
         0,
         "t=5  (3,0)  (2,0,0)\n",
@@ -759,6 +823,69 @@ def test_indented_json_is_what_json_dumps_writes(doc):
     assert cli._json(doc, 2) == json.dumps(doc, indent=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_compact_json_is_what_json_dumps_writes(doc):
+    assert cli._json(doc) == json.dumps(doc, separators=(",", ":"))
+
+
+# every digit count and limb boundary: 0, 10^k - 1, 10^k and 10^k + 1 for k <= 18, and the int64 maximum
+_EDGE_INTS = sorted({0, 2**63 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0, 1))})
+_STEP_LENGTHS = [1, cli._INT_STEP - 1, cli._INT_STEP, cli._INT_STEP + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_STEP_LENGTHS) | st.integers(1, 3 * cli._INT_STEP),
+    st.lists(st.sampled_from(_EDGE_INTS) | st.integers(0, 2**63 - 1), min_size=1, max_size=64),
+    st.integers(0, 2**20),
+    st.randoms(use_true_random=False),
+)
+def test_an_int_array_is_written_as_json_dumps_writes_its_list(length, pool, offset, rnd):
+    values = np.array([rnd.choice(pool) for _ in range(length)], dtype=np.int64)
+    values[values > 2**63 - 1 - offset] -= offset  # values + offset stays an int64
+    want = json.dumps((values.astype(object) + offset).tolist(), separators=(",", ":"))
+    assert cli._json(cli._Ints(values, offset)) == want
+
+
+@pytest.mark.parametrize("length", _STEP_LENGTHS)
+def test_every_edge_int_is_written_at_every_step_boundary(length):
+    for shift in range(len(_EDGE_INTS)):  # each edge int leads once
+        values = np.resize(np.roll(np.array(_EDGE_INTS, dtype=np.int64), shift), length)
+        assert cli._json(cli._Ints(values)) == json.dumps(values.tolist(), separators=(",", ":"))
+    assert cli._json(cli._Ints(values[:0])) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--p", "3", "--t", "5", "--invariants"),
+        ("tables", "--kind", "types", "--p", "3", "--t-min", "4", "--t-max", "5"),
+        ("tables", "--kind", "bounds", "--p", "3", "--t-min", "3", "--t-max", "6"),
+        ("tables", "--kind", "isolated", "--p", "3", "--t-min", "3", "--t-max", "6"),
+        ("isolated", "--p", "3", "--t-max", "6"),
+        ("invariants", "--p", "3", "--type", "2,1"),
+        ("chain", "--p", "3", "--type", "1,1,0"),
+        ("verify", "--p", "3", "--type", "1,1", "--min-distance"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_a_command_builds_only_the_format_asked_for(argv):
+    # no table lines or CSV cells for a JSON request, and so on: the other forms stay empty
+    formats = cli.FORMATS if argv[0] in ("classify", "tables", "isolated") else ("table", "json")
+    for fmt in formats:
+        args = build_parser().parse_args([*argv, "--format", fmt])
+        if args.command == "tables":
+            cli._check_kind(args)
+        cli._check_limits(args)
+        result = args.func(args)
+        assert (result.lines != [], result.rows is not None, result.doc is not None) == (
+            fmt == "table",
+            fmt == "csv",
+            fmt == "json",
+        ), fmt
+
+
 def test_every_indented_golden_document_is_what_json_dumps_writes(capsys, monkeypatch):
     render, seen = cli._render, []
 
@@ -771,7 +898,7 @@ def test_every_indented_golden_document_is_what_json_dumps_writes(capsys, monkey
     monkeypatch.setattr(cli, "_render", checked)
     for argv, _, _ in GOLDEN:
         run(capsys, *argv)
-    assert len(seen) == 5  # the classify and tables documents
+    assert len(seen) == 7  # the classify and tables documents
 
 
 def test_output_file_bytes_are_golden(tmp_path, capsys):

@@ -774,6 +774,27 @@ def test_materialize_gray_holds_only_the_image(ts):
     assert peak <= gray_bytes(code.sig) + 2**20, peak
 
 
+@pytest.mark.parametrize("p,ts", [(3, (7,)), (3, (3, 1)), (3, (1, 0, 4)), (2, (2, 0, 0, 1)), (5, (2, 1))])
+def test_a_long_code_is_spanned_one_range_of_coordinates_at_a_time(monkeypatch, p, ts):
+    # with room for the span of three coordinates, the image is the one spanned on all of them, and
+    # the build holds the span of one range beside it, the term materialization_bytes counts
+    a = sig(p, ts)
+    code = AdditiveCode.build(a)
+    whole = materialize_gray(code).words
+    words = construction._block_words(p, a.t + 1, max(8 * a.n, a.gray_length))
+    per_coordinate = construction.span_bytes(a, a.t + 1, words) // a.n
+    monkeypatch.setattr(construction, "_SPAN_BYTES", 3 * per_coordinate)
+    assert construction._gray_span(a) == (words, 3)
+    tracemalloc.start()
+    try:
+        split = materialize_gray(code).words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(split, whole)
+    assert peak <= gray_bytes(a) + 3 * per_coordinate + 2**18, peak
+
+
 # ---------------------------------------------------------------------------
 # randomized structural invariants
 # ---------------------------------------------------------------------------

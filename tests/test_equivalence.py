@@ -342,13 +342,39 @@ def test_a_shuffle_is_built_in_place(p, t):
     length = p**t
     tracemalloc.start()
     try:
-        witness = equivalence._shuffle(length, p)
+        witness = Permutation._shuffle(length, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * 8 * length, peak / (8 * length)
     assert not witness.image.flags.writeable
     assert np.array_equal(witness.image, np.arange(length).reshape(p, length // p).T.reshape(-1))
+    # its inverse, the (length/p)-shuffle, is written the same way
+    tracemalloc.start()
+    try:
+        source = witness.source
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 8 * length, peak / (8 * length)
+    assert np.array_equal(source[witness.image], np.arange(length))
+
+
+@pytest.mark.parametrize("p,t", [(2, 10), (3, 6), (5, 4)])
+def test_a_shuffle_is_applied_by_transpose(p, t):
+    # at every q = p^L, as the checked permutation of its image applies it: a gather through the
+    # inverse scattered from the image
+    length = p**t
+    words = np.random.default_rng(t).integers(0, p, size=(3, length), dtype=np.uint8)
+    for q in (p**L for L in range(t + 1)):
+        shuffle = Permutation._shuffle(length, q)
+        gather = Permutation(shuffle.image)
+        assert np.array_equal(shuffle.source, gather.source), q
+        for x in (words, words[0]):
+            mapped = shuffle(x)
+            assert np.array_equal(mapped, gather(x)), q
+            assert not np.shares_memory(mapped, x)
+        assert np.array_equal(shuffle.apply_inverse(shuffle(words)), words)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +460,8 @@ def test_corrupted_witness_fails_set_equality(monkeypatch):
     # the brute-force oracle: the corrupted witness does not map one image onto the other
     words_lo = {row.tobytes() for row in build_gray_code(lo).words}
     assert {row.tobytes() for row in corrupt(build_gray_code(hi).words)} != words_lo
-    shuffle = equivalence._shuffle
-    monkeypatch.setattr(equivalence, "_shuffle", lambda *a: shuffle(*a).compose(transposition))
+    shuffle = Permutation._shuffle
+    monkeypatch.setattr(Permutation, "_shuffle", lambda *a: shuffle(*a).compose(transposition))
     report = verify_equivalence(lo, hi, check_sets=True)
     assert report.verdict == "FAIL"
     assert report.mode == "set-equality"
