@@ -205,7 +205,11 @@ def materialization_bytes(sig: TypeSignature) -> int:
     lookup steps (the translates, the words located for them, their
     comparison, the decode arrays) and three 8-byte indices of every word.
     The pair scans of ``is_gh_code`` and ``min_distance`` hold four
-    ``_PAIR_BLOCK_BYTES`` buffers and the masks of a block.  The build holds
+    buffers of at most ``_PAIR_BLOCK_BYTES`` (the counts of a block of rows,
+    their float32 product and the two one-hot operands of p - 1 columns a
+    coordinate) and the masks of a block, which are no larger than its
+    counts; up to ~720 words a block has at most a quarter of the rows,
+    and the buffers hold far less.  The build holds
     the ``OdometerSpan`` of one range of coordinates (``_gray_span``), at
     most ``_SPAN_BYTES`` wherever the span of one coordinate fits it: every
     code whose image fits in memory.
@@ -610,37 +614,61 @@ def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np
 
     Yields (u0, counts) with counts[d, i, j] = #{c : words[u0+i, c] -
     words[u0+j, c] = d (mod p)} for d < syms, the block rows u0 + i against
-    the rows u0 + j from u0 on.  Entries with j <= i are not pairs of the
-    scan and are set to 0, which passes the GH test (as the constant p - 1)
-    and never raises the maximum of N_0.  Each count is a sum of float32 one-hot products over
-    coordinate chunks; a chunk adds at most its width (far below 2^24) to
-    an entry, so every sum is exact, and it is accumulated in int32.  The
-    yielded array is overwritten by the next block.  Each of the four
-    working buffers holds about _PAIR_BLOCK_BYTES, whatever the code size.
+    the rows u0 + j from u0 on, so only the blocks on or above the diagonal
+    are counted.  Entries with j <= i are not pairs of the scan and are set
+    to 0, which passes the GH test (as the constant p - 1) and never raises
+    the maximum of N_0.
+
+    One of the p symbols a coordinate is implied by the others, so each
+    coordinate takes p - 1 one-hot columns: with indices mod p,
+    N_d[i, j] = sum over s < p - 1 of ([w_i = s + d] - [w_i = p - 1 + d]) [w_j = s],
+    plus the per-row constant #{c : w_i,c = p - 1 + d}, added once a block.
+    The products are float32 GEMMs over coordinate chunks; a chunk adds an
+    integer of at most its width (far below 2^24) in absolute value to an
+    entry, so every sum is exact, and it is accumulated in int32.  The
+    yielded array is overwritten by the next block.
+
+    A block has at most ceil(m/4) rows (at least 64), so the scan counts
+    about 5/8 of the m x m square, and the counts, their float32 product
+    and the block's one-hot operand are a quarter of those of a block of
+    every row.  Each of the four working buffers (these three and the
+    one-hot operand of the rows from the block on) holds at most about
+    _PAIR_BLOCK_BYTES for a Gray image (n = m/p), whatever its size, and
+    at most 1.4 MB for 729 words of 243 symbols at p = 3.
     """
     m, n = words.shape
-    chunk_cols = min(n, max(1, _PAIR_BLOCK_BYTES // (4 * p * m)))
-    block_rows = min(m, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)))
-    values = np.arange(p, dtype=np.uint8)
-    shifted = ((values + np.arange(syms)[:, None]) % p).astype(np.uint8)  # [d, s] = s + d
+    k = p - 1
+    chunk_cols = min(n, max(1, _PAIR_BLOCK_BYTES // (4 * k * m)))
+    block_rows = min(m, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)), max(64, -(-m // 4)))
+    values = np.arange(k, dtype=np.uint8)
+    shift = np.arange(syms)
+    shifted = ((values + shift[:, None]) % p).astype(np.uint8)  # [d, s] = s + d
+    implied = ((k + shift) % p).astype(np.uint8)  # [d] = p - 1 + d
     acc = np.empty(syms * block_rows * m, dtype=np.int32)
     prod = np.empty(acc.size, dtype=np.float32)
     lhs = np.empty(syms * block_rows * p * chunk_cols, dtype=np.float32)
-    rhs = np.empty(m * p * chunk_cols, dtype=np.float32)
+    rhs = np.empty(m * k * chunk_cols, dtype=np.float32)
     for u0 in range(0, m, block_rows):
         left, rest = words[u0 : u0 + block_rows], words[u0:]
         rows, cols = syms * len(left), len(rest)
         counts = _head(acc, (rows, cols))
         counts[:] = 0
+        const = np.zeros((syms, len(left)), dtype=np.int64)
         for c0 in range(0, n, chunk_cols):
             width = min(chunk_cols, n - c0)
-            # row (d, i) of x holds [w_i,c = s + d] and row j of y holds [w_j,c = s], over (s, c)
-            x = _head(lhs, (syms, len(left), p, width))
+            # row (d, i) of x holds [w_i,c = s + d] - [w_i,c = p - 1 + d] and row j of y holds [w_j,c = s],
+            # over (s, c) with s < p - 1; z holds [w_i,c = p - 1 + d] in the tail of the same buffer
+            x = _head(lhs, (syms, len(left), k, width))
+            z = lhs[x.size : x.size + rows * width].reshape(syms, len(left), 1, width)
             np.equal(left[None, :, None, c0 : c0 + width], shifted[:, None, :, None], out=x, casting="unsafe")
-            y = _head(rhs, (cols, p, width))
+            np.equal(left[None, :, None, c0 : c0 + width], implied[:, None, None, None], out=z, casting="unsafe")
+            np.subtract(x, z, out=x)
+            const += np.count_nonzero(z, axis=(2, 3))
+            y = _head(rhs, (cols, k, width))
             np.equal(rest[:, None, c0 : c0 + width], values[:, None], out=y, casting="unsafe")
             part = np.matmul(x.reshape(rows, -1), y.reshape(cols, -1).T, out=_head(prod, (rows, cols)))
             np.add(counts, part, out=counts, casting="unsafe")
+        counts += const.reshape(rows, 1).astype(np.int32)
         counts = counts.reshape(syms, len(left), cols)
         counts[:, :, : len(left)][:, np.tri(len(left), dtype=bool)] = 0
         yield u0, counts
@@ -674,8 +702,10 @@ def is_gh_code(
     (zero difference) fails.  "auto" checks all pairs for codes up to 3^6
     words and falls back to seeded sampling beyond.
 
-    The exhaustive mode counts the symbols of all m(m-1)/2 differences at
-    once with blocked exact matrix products and reports the first failing
+    The exhaustive mode counts the symbols of all m(m-1)/2 differences with
+    exact matrix products over p - 1 one-hot columns a coordinate, one block
+    of at most ceil(m/4) rows (at least 64) against the rows from it on, so
+    only the blocks on or above the diagonal, and reports the first failing
     pair (u < v) in lexicographic order; ``pairs_checked`` is then the
     number of pairs up to and including row u.  The sampled mode draws
     ``pairs`` pairs u != v from ``seed``, 8192 per draw, and stops at the
@@ -735,8 +765,10 @@ def min_distance(gc: GrayCode) -> int:
 
     The distance of rows u and v is n - N_0[u, v], N_0 being the number of
     equal coordinates; all N_0 come from the blocked exact matrix products
-    of the exhaustive GH check, so the scan is O(m^2 n p) arithmetic in a
-    few MiB of working memory.
+    of the exhaustive GH check, on p - 1 one-hot columns a coordinate and
+    on the blocks on or above the diagonal only: at most m^2 n (p - 1)
+    multiply-adds, about 5/8 of that from 256 words on, in a few MiB of
+    working memory.
     """
     m, n = gc.words.shape
     if m < 2:

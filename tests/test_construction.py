@@ -622,10 +622,14 @@ def gh_inputs(draw):
     """A small Gray image, as is, column-permuted, with one symbol changed or with a row repeated."""
     p, ts = draw(st.sampled_from(GH_TYPES))
     gc = gh_code(p, ts)
-    words = gc.words.copy()
-    m, n = words.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     how = draw(st.sampled_from(["genuine", "permuted", "corrupted", "repeated"]))
+    return GrayCode(gc.sig, altered(gc.words.copy(), p, how, rng)), how
+
+
+def altered(words, p, how, rng):
+    """``words`` as is, column-permuted, with one symbol changed or with a row repeated."""
+    m, n = words.shape
     if how == "permuted":
         words = words[:, rng.permutation(n)]
     elif how == "corrupted":
@@ -634,7 +638,7 @@ def gh_inputs(draw):
     elif how == "repeated":
         r, q = rng.choice(m, size=2, replace=False)
         words[r] = words[q]
-    return GrayCode(gc.sig, words), how
+    return words
 
 
 @settings(max_examples=60, deadline=None)
@@ -681,7 +685,8 @@ def test_pair_counts_exact_across_block_and_chunk_seams(case, units, syms):
     syms = min(syms, p)
     a = gc.words.astype(np.int64)
     u0_next = 0
-    # a budget of 4 * m * units bytes gives blocks of units // syms rows and chunks of units // p columns
+    # a budget of 4 * m * units bytes gives blocks of units // syms rows (at most max(64, ceil(m/4))) and
+    # chunks of units // (p - 1) columns
     with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", 4 * len(a) * units):
         for u0, counts in _pair_counts(gc.words, p, syms):
             assert u0 == u0_next and counts.shape[::2] == (syms, len(a) - u0)
@@ -706,6 +711,56 @@ def test_pair_counts_exact_for_a_large_alphabet():
                 diff = (a[u0 + i] - a[u0 + i + 1 :]) % p
                 want = (diff[None, :, :] == np.arange(p - 1)[:, None, None]).sum(axis=2)
                 assert np.array_equal(counts[:, i, i + 1 :], want)
+
+
+# codes of more than 256 words, so the cap of ceil(m/4) rows a block binds; no Gray image at
+# p = 251 is small, so there the words are random, 300 of 7 symbols
+SEAM_CASES = [(2, (1, 0, 0, 0, 0, 0, 0, 1)), (3, (1, 0, 0, 0, 1)), (5, (4,)), (7, (1, 1)), (251, None)]
+
+
+@pytest.mark.parametrize("how", ["genuine", "permuted", "corrupted", "repeated"])
+@pytest.mark.parametrize("p,ts", SEAM_CASES)
+def test_pair_counts_exact_at_every_seam_under_the_row_cap(p, ts, how):
+    rng = np.random.default_rng(p)
+    words = rng.integers(0, p, size=(300, 7)).astype(np.uint8) if ts is None else gh_code(p, ts).words.copy()
+    words = altered(words, p, how, rng)
+    a = words.astype(np.int64)
+    m, n = a.shape
+    cap = max(64, -(-m // 4))
+    width = n // 4 + 1  # chunks of this width leave a shorter last chunk
+    # every symbol of 251 would take seconds here; test_pair_counts_exact_for_a_large_alphabet counts them all
+    for syms in (1, min(p - 1, 16)):
+        # the default budget, where the cap sets the blocks, then one of chunks of `width` columns
+        for block_bytes in (construction._PAIR_BLOCK_BYTES, 4 * (p - 1) * m * width):
+            with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", block_bytes):
+                u0_next = 0
+                for u0, counts in _pair_counts(words, p, syms):
+                    rows = counts.shape[1]
+                    assert u0 == u0_next and rows <= cap and counts.shape[::2] == (syms, m - u0)
+                    for i in {0, rows - 1}:  # the rows on either side of the seam
+                        diff = (a[u0 + i] - a[u0:]) % p
+                        want = (diff[None, :, :] == np.arange(syms)[:, None, None]).sum(axis=2)
+                        want[:, : i + 1] = 0  # v = u0 + j <= u is no pair of the scan
+                        assert np.array_equal(counts[:, i], want), (syms, block_bytes, u0, i)
+                    u0_next += rows
+                assert u0_next == m
+
+
+@pytest.mark.parametrize("p,ts", [(3, (1, 0, 0, 0, 1)), (5, (4,))])
+def test_exhaustive_scans_hold_a_quarter_square_block(p, ts):
+    # 729 words of 243 symbols and 625 of 125: the image is built before tracing starts, so the
+    # peak is what the GH check and then the minimum distance add above it (18.5 and 15.0 MiB
+    # when every block spanned all rows and p one-hot columns a coordinate)
+    gc = gh_code(p, ts)
+    tracemalloc.start()
+    try:
+        verdict = is_gh_code(gc, mode="exhaustive")
+        distance = min_distance(gc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and distance == p ** (gc.sig.t - 1) * (p - 1)
+    assert peak <= 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 131])
