@@ -56,20 +56,32 @@ def _partitions_max_part(total: int, largest: int) -> int:
 
 
 def enumerate_types(t: int, s: int) -> Iterator[tuple[int, ...]]:
-    """All (t_1, ..., t_s) with t_1 >= 1 and sum (s-i+1) t_i = t + 1."""
+    """All (t_1, ..., t_s) with t_1 >= 1 and sum (s-i+1) t_i = t + 1, in increasing lexicographic order.
+
+    t_s, of weight 1, takes what the others leave, so an odometer runs over
+    (t_1, ..., t_{s-1}): the next type raises the last entry that what is
+    left (with the entries after it zeroed) still pays for, and zeroes those after it.
+    """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
-
-    def rec(prefix: tuple[int, ...], remaining: int, weight: int) -> Iterator[tuple[int, ...]]:
-        if weight == 0:
-            if remaining == 0:
-                yield prefix
+    if s == 1:
+        if t >= 0:
+            yield (t + 1,)
+        return
+    head, left = [1] + [0] * (s - 2), t + 1 - s  # the least head: t_1 = 1, t_2 .. t_{s-1} = 0
+    if left < 0:
+        return
+    while True:
+        yield (*head, left)
+        i = s - 2
+        while i >= 0 and left < s - i:
+            left += (s - i) * head[i]
+            head[i] = 0
+            i -= 1
+        if i < 0:
             return
-        lo = 1 if not prefix else 0
-        for v in range(lo, remaining // weight + 1):
-            yield from rec(prefix + (v,), remaining - v * weight, weight - 1)
-
-    yield from rec((), t + 1, s)
+        head[i] += 1
+        left -= s - i
 
 
 def count_types(t: int, s: int) -> int:

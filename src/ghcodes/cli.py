@@ -52,11 +52,14 @@ from .construction import (
     additive_bytes,
     build_bytes,
     build_gray_code,
+    gh_mode,
     is_gh_code,
     materialization_bytes,
     materialize_additive,
     materialize_gray,
     min_distance,
+    plane_bytes,
+    sampled_gh_bytes,
     validate_type,
 )
 from .equivalence import chain_members, chain_of, verify_equivalence
@@ -523,12 +526,17 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     sig = _sig(args)
     if sig.t < 1:  # a Gray image of length 1 has no expected distance p^(t-1) (p-1)
         raise InputError(f"verify needs t >= 1, type {_label(sig.ts)} has t = {sig.t}")
-    _check_gh_options(args.mode, args.pairs, args.seed)  # before the image is built
-    gc = build_gray_code(sig, args.budget_bytes)
-    verdict = is_gh_code(gc, mode=args.mode, pairs=args.pairs, seed=args.seed)
+    _check_gh_options(args.mode, args.pairs, args.seed)  # before the code is built
+    sampled = gh_mode(args.mode, sig.size) == "sampled"
+    if sampled and not args.min_distance:  # the bit planes are streamed from the p-basis: no Gray image is held
+        _check_budget(f"sampled GH check of type {sig.ts}", build_bytes(sig) + sampled_gh_bytes(sig), args.budget_bytes)
+        code = AdditiveCode.build(sig)
+    else:
+        code = build_gray_code(sig, args.budget_bytes, plane_bytes(sig) if sampled else 0)
+    verdict = is_gh_code(code, mode=args.mode, pairs=args.pairs, seed=args.seed)
     ok = verdict.passed
     if args.min_distance:
-        md = min_distance(gc) if verdict._distance is None else verdict._distance
+        md = min_distance(code) if verdict._distance is None else verdict._distance
         expected = sig.p ** (sig.t - 1) * (sig.p - 1)
         ok = ok and md == expected
     status = 0 if ok else 1

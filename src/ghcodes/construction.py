@@ -23,8 +23,9 @@ digit word at any odometer row from the span of its basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,7 +205,7 @@ def materialization_bytes(sig: TypeSignature) -> int:
     the floor quotient, the echelonized window).  The kernel holds four
     lookup steps (the translates, the words located for them, their
     comparison, the decode arrays) and three 8-byte indices of every word.
-    The pair scans of ``is_gh_code`` and ``min_distance`` hold four
+    The exhaustive pair scans of ``is_gh_code`` and ``min_distance`` hold four
     buffers of at most ``_PAIR_BLOCK_BYTES`` (the counts of a block of rows,
     their float32 product and the two one-hot operands of p - 1 columns a
     coordinate) and the masks of a block, which are no larger than its
@@ -212,7 +213,9 @@ def materialization_bytes(sig: TypeSignature) -> int:
     and the buffers hold far less.  The build holds
     the ``OdometerSpan`` of one range of coordinates (``_gray_span``), at
     most ``_SPAN_BYTES`` wherever the span of one coordinate fits it: every
-    code whose image fits in memory.
+    code whose image fits in memory.  The sampled GH check's bit planes grow
+    with the image, so a caller that runs it on a held image adds them
+    (``plane_bytes``); its gathers are far below this working set.
     """
     rank = 2 * _BASIS_BYTES + 5 * _RANK_CHUNK_BYTES
     kernel = 4 * _LOOKUP_BYTES + 3 * 8 * sig.size
@@ -452,9 +455,11 @@ def materialize_gray(code: AdditiveCode) -> GrayCode:
     return GrayCode(sig, image)
 
 
-def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> GrayCode:
-    """The Gray image of a type's code, checked against the budget with its build before anything is built."""
-    _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", build_bytes(sig) + materialization_bytes(sig), budget_bytes)
+def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES, beside: int = 0) -> GrayCode:
+    """The Gray image of a type's code, checked against the budget with its build and the ``beside`` bytes
+    the caller holds with it (as the planes of a sampled GH check) before anything is built."""
+    need = build_bytes(sig) + materialization_bytes(sig) + beside
+    _check_budget(f"type {sig.ts} over Z_{sig.p}^{sig.s}", need, budget_bytes)
     return materialize_gray(AdditiveCode.build(sig))
 
 
@@ -586,27 +591,13 @@ def _gh_pairs_ok(counts: np.ndarray, n: int, p: int) -> np.ndarray:
     return balanced | constant
 
 
-def _pair_rows_ok(diffs: np.ndarray, p: int, mask: np.ndarray) -> np.ndarray:
-    """Per-row GH test of difference words.
-
-    Each symbol d < p - 1 is counted in one pass, writing (diffs == d) into ``mask``, a bool buffer
-    of their shape, and reducing its uint8 view into the narrowest unsigned type that holds the length.
-    """
-    m, n = diffs.shape
-    counts = np.empty((p - 1, m), dtype=np.min_scalar_type(n))
-    for d in range(p - 1):
-        np.equal(diffs, d, out=mask)
-        np.add.reduce(mask.view(np.uint8), axis=1, dtype=counts.dtype, out=counts[d])
-    return _gh_pairs_ok(counts, n, p)
-
-
 _PAIR_BLOCK_BYTES = 2**22  # per working buffer of _pair_counts
 _GATHER_BYTES = 2**18  # per gathered matrix of the sampled check, so its working set stays in cache
 
 
 def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The first prod(shape) entries of a flat buffer, as a C-contiguous array of that shape."""
-    return buf[: int(np.prod(shape))].reshape(shape)
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -674,8 +665,8 @@ def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np
         yield u0, counts
 
 
-def _failed(words: np.ndarray, mode: str, checked: int, u: int, v: int) -> GHVerdict:
-    what = "a repeated word" if np.array_equal(words[u], words[v]) else "neither constant nor balanced"
+def _failed(mode: str, checked: int, u: int, v: int, repeated: bool) -> GHVerdict:
+    what = "a repeated word" if repeated else "neither constant nor balanced"
     return GHVerdict(False, mode, checked, f"pair ({u}, {v}) is {what}")
 
 
@@ -689,75 +680,228 @@ def _check_gh_options(mode: str, pairs: int, seed: int) -> None:
         raise InputError(f"seed must be >= 0, got {seed}")
 
 
+def gh_mode(mode: str, words: int) -> str:
+    """The mode ``is_gh_code`` runs for ``mode`` on a code of ``words`` words: "auto" is exhaustive up to 3^6 words."""
+    if mode == "auto":
+        return "exhaustive" if words <= _EXHAUSTIVE_CUTOFF else "sampled"
+    return mode
+
+
+def _plane_shape(p: int, n: int) -> "tuple[int, int]":
+    """(b, lanes): the bit planes of a symbol in [0, p), b = bit_length(p - 1), and the uint64 lanes of n symbols."""
+    return (p - 1).bit_length(), -(-n // 64)
+
+
+def _bit_planes(p: int, m: int, n: int, blocks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The bit planes of m words of n symbols in [0, p), from (first index, words) blocks that cover them.
+
+    Plane i holds bit i of every symbol, b = bit_length(p - 1) planes in
+    all: (b, ceil(n/64), m) uint64, 64 coordinates a lane and the word
+    index last, so a gather of words is one np.take along the last axis.
+    The padding bits past n are 0.  Each block is packed through one
+    reused buffer of a byte per symbol, padded to the lanes.
+    """
+    b, lanes = _plane_shape(p, n)
+    planes = np.empty((b, lanes, m), dtype=np.uint64)
+    bits = np.zeros((0, 64 * lanes), dtype=np.uint8)
+    for start, words in blocks:
+        k = len(words)
+        if len(bits) < k:
+            bits = np.zeros((k, 64 * lanes), dtype=np.uint8)  # its padding columns stay 0
+        for i in range(b):
+            np.right_shift(words, i, out=bits[:k, :n])
+            np.bitwise_and(bits[:k, :n], 1, out=bits[:k, :n])
+            planes[i, :, start : start + k] = np.packbits(bits[:k], axis=1, bitorder="little").view(np.uint64).T
+    return planes
+
+
+def _plane_counts(x: np.ndarray, y: np.ndarray, p: int, work: np.ndarray, ones: np.ndarray, counts: np.ndarray) -> None:
+    """counts[d] = the bits, padding included, where z = x - y mod p is d, for each d < p - 1.
+
+    x and y are gathered (b, lanes, k) planes of k pairs; both are
+    overwritten, z into x and its complement into y.  z is a borrow chain
+    over the b bits, and where it borrowed (x < y, so z wrapped to
+    x - y + 2^b) p is added mod 2^b by a carry chain.  The count of d is
+    the popcount of the AND over i of z_i or its complement, by bit i of d,
+    summed over the lanes; d runs in increasing order, so only the ANDs
+    below the highest bit that changed are redone.  ``work`` holds b + 1
+    scratch planes and ``ones`` the popcounts of one plane.
+    """
+    b = len(x)
+    borrow, spare, levels = work[0], work[1], work[2:]
+    np.invert(x[0], out=borrow)
+    np.bitwise_and(borrow, y[0], out=borrow)
+    np.bitwise_xor(x[0], y[0], out=x[0])
+    for i in range(1, b):
+        np.bitwise_xor(x[i], y[i], out=spare)
+        np.bitwise_and(y[i], spare, out=y[i])  # ~x & y
+        np.bitwise_xor(spare, borrow, out=x[i])
+        np.bitwise_and(borrow, x[i], out=borrow)  # borrow & ~(x ^ y)
+        np.bitwise_or(borrow, y[i], out=borrow)
+    if p & 1:  # p = 2 is 0 mod 2^b; the carry lies within borrow, where the addend's set bits are
+        carry = y[0]
+        np.bitwise_and(x[0], borrow, out=carry)
+        np.bitwise_xor(x[0], borrow, out=x[0])
+        for i in range(1, b):
+            last = i == b - 1
+            if p >> i & 1:
+                if not last:
+                    np.bitwise_or(x[i], carry, out=spare)
+                    np.bitwise_and(spare, borrow, out=spare)  # borrow & (z | carry)
+                np.bitwise_xor(x[i], borrow, out=x[i])
+            elif not last:
+                np.bitwise_and(x[i], carry, out=spare)  # z & carry
+            np.bitwise_xor(x[i], carry, out=x[i])
+            carry, spare = spare, carry
+    np.invert(x, out=y)
+    literal = (y, x)  # literal[bit][i]: where bit i of z is ``bit``
+    level = [x[0]] * b  # level[j]: the AND of the literals of bits b - 1 .. b - 1 - j of d
+    for d in range(p - 1):
+        for j in range(b - (d ^ (d - 1)).bit_length() if d else 0, b):
+            i = b - 1 - j
+            plane = literal[d >> i & 1][i]
+            level[j] = plane if j == 0 else np.bitwise_and(level[j - 1], plane, out=levels[j - 1])
+        np.bitwise_count(level[-1], out=ones)
+        np.add.reduce(ones, axis=0, dtype=counts.dtype, out=counts[d])
+
+
+def _scan_step(p: int, n: int) -> int:
+    """Pairs gathered a step by ``_sampled_scan``: as many as keep one gather of planes within ``_GATHER_BYTES``."""
+    return min(8192, max(1, _GATHER_BYTES // (8 * math.prod(_plane_shape(p, n)))))
+
+
+def plane_bytes(sig: TypeSignature) -> int:
+    """Bytes of the bit planes of the sampled GH check (``_bit_planes``): bit_length(p - 1) planes of
+    ceil(p^t / 64) uint64 lanes a word, about ceil(log2 p)/8 of the Gray image."""
+    return math.prod(_plane_shape(sig.p, sig.gray_length)) * 8 * sig.size
+
+
+def _scan_bytes(p: int, n: int) -> int:
+    """Bytes of the working set of ``_sampled_scan`` on words of n symbols: per pair of a step, two gathers
+    and b + 1 scratch planes of uint64 lanes, the popcounts of one plane and the p - 1 counts with the bool
+    temporaries of their test; and six int64 arrays of 8192 pairs with a mask: the two of a draw, the two
+    kept, and the two kept of the draw before, which its last step still views; and numpy.random, which
+    the first draw of a process imports (a peak of 1.0 MB under tracemalloc with numpy 2.4)."""
+    b, lanes = _plane_shape(p, n)
+    per_pair = (3 * b + 1) * lanes * 8 + lanes + (p - 1) * (np.min_scalar_type(n).itemsize + 2) + 5
+    return _scan_step(p, n) * per_pair + 8192 * (6 * 8 + 1) + 2**20
+
+
+def sampled_gh_bytes(sig: TypeSignature) -> int:
+    """Bytes the sampled GH check holds when it streams the bit planes from the p-basis (``is_gh_code`` on
+    an ``AdditiveCode``), no Gray image held: the planes (``plane_bytes``), the ring's phi table, one block of
+    ``_gray_blocks`` with its span (``span_bytes``), np.take index and Gray words, the Gray words of the block
+    before, the block's packing temporaries (a byte per symbol padded to the lanes, and its packed bytes), and
+    the working set of the scan (``_scan_bytes``)."""
+    n = sig.gray_length
+    lanes = _plane_shape(sig.p, n)[1]
+    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, n))
+    block = span_bytes(sig, sig.t + 1, words) + words * (8 * sig.n + 2 * n + 72 * lanes)
+    return plane_bytes(sig) + phi_bytes(sig.params) + block + _scan_bytes(sig.p, n)
+
+
+def _sampled_scan(planes: np.ndarray, n: int, p: int, pairs: int, seed: int) -> "tuple[int, tuple[int, int, bool] | None]":
+    """The seeded sampled GH check on the bit planes of ``_bit_planes``: (pairs drawn, None) when every
+    drawn pair passes, else (pairs drawn, (u, v, repeated)) for the first failing pair drawn.
+
+    ``pairs`` pairs are drawn from ``seed`` 8192 at a time, pairs u = v
+    dropped, and the scan stops after the first draw with a failing pair.
+    Each step gathers both members' planes into reused buffers and counts
+    the symbols of their differences (``_plane_counts``); the padding bits,
+    where every difference is 0, are taken off N_0.
+    """
+    b, lanes, m = planes.shape
+    flat = planes.reshape(b * lanes, m)
+    step = _scan_step(p, n)
+    gathered = np.empty((2, b * lanes * step), dtype=np.uint64)  # made once: a fresh array a step costs mmap calls
+    work = np.empty((b + 1) * lanes * step, dtype=np.uint64)
+    ones = np.empty(lanes * step, dtype=np.uint8)
+    counts = np.empty((p - 1) * step, dtype=np.min_scalar_type(n))  # sums wrap where the padding lifts N_0 past it
+    rng = np.random.default_rng(seed)
+    checked, remaining = 0, pairs
+    while remaining > 0:
+        k = min(8192, remaining)
+        u, v = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        checked += int(u.size)
+        remaining -= int(u.size)
+        for s0 in range(0, u.size, step):
+            us, vs = u[s0 : s0 + step], v[s0 : s0 + step]
+            rows, cols = (b * lanes, len(us)), (lanes, len(us))
+            x = np.take(flat, us, axis=1, out=_head(gathered[0], rows), mode="clip")  # "raise" would buffer out
+            y = np.take(flat, vs, axis=1, out=_head(gathered[1], rows), mode="clip")
+            c = _head(counts, (p - 1, len(us)))
+            _plane_counts(x.reshape(b, *cols), y.reshape(b, *cols), p, _head(work, (b + 1, *cols)), _head(ones, cols), c)
+            c[0] -= 64 * lanes - n
+            ok = _gh_pairs_ok(c, n, p)
+            if not ok.all():
+                bad = int(np.flatnonzero(~ok)[0])
+                return checked, (int(us[bad]), int(vs[bad]), bool(c[0, bad] == n))
+    return checked, None
+
+
 def is_gh_code(
-    gc: GrayCode,
+    code: "GrayCode | AdditiveCode",
     mode: str = "auto",
     pairs: int = GH_SAMPLE_PAIRS,
     seed: int = GH_SAMPLE_SEED,
 ) -> GHVerdict:
-    """Check the Hadamard difference property of a materialized Gray image.
+    """Check the Hadamard difference property of a Gray image.
 
     Every difference of two distinct rows must be a nonzero constant word
     or take each of the p symbols exactly length/p times; a repeated row
     (zero difference) fails.  "auto" checks all pairs for codes up to 3^6
-    words and falls back to seeded sampling beyond.
+    words and falls back to seeded sampling beyond (``gh_mode``).  ``code``
+    is a held image, or an ``AdditiveCode`` whose image is never held by
+    the sampled mode (the exhaustive mode builds it; the caller budgets it).
 
     The exhaustive mode counts the symbols of all m(m-1)/2 differences with
     exact matrix products over p - 1 one-hot columns a coordinate, one block
     of at most ceil(m/4) rows (at least 64) against the rows from it on, so
     only the blocks on or above the diagonal, and reports the first failing
     pair (u < v) in lexicographic order; ``pairs_checked`` is then the
-    number of pairs up to and including row u.  The sampled mode draws
-    ``pairs`` pairs u != v from ``seed``, 8192 per draw, and stops at the
-    first draw with a failing pair, reporting the first such pair drawn;
-    ``pairs_checked`` then counts the whole draw.  An exhaustive pass with no
+    number of pairs up to and including row u.  An exhaustive pass with no
     failing pair keeps the minimum distance, n less the largest N_0 counted.
-    ``pairs`` must be at least 1 and ``seed`` nonnegative (InputError).
+
+    The sampled mode holds the words as bit_length(p - 1) bit planes of
+    64-coordinate uint64 lanes (``_bit_planes``), about ceil(log2 p)/8 of
+    the image (``plane_bytes``): packed from row slices of a held image, or
+    from the Gray blocks of the p-basis span (``_gray_blocks``), so no image
+    is held.  It draws ``pairs`` pairs u != v from ``seed``, 8192 per draw,
+    and stops at the first draw with a failing pair, reporting the first
+    such pair drawn; ``pairs_checked`` then counts the whole draw
+    (``_sampled_scan``).  ``pairs`` must be at least 1 and ``seed``
+    nonnegative (InputError).
     """
     _check_gh_options(mode, pairs, seed)
-    m, n = gc.words.shape
-    p = gc.sig.p
-    if mode == "auto":
-        mode = "exhaustive" if m <= _EXHAUSTIVE_CUTOFF else "sampled"
+    sig, p = code.sig, code.sig.p
+    m, n = code.words.shape if isinstance(code, GrayCode) else (sig.size, sig.gray_length)
+    mode = gh_mode(mode, m)
     if n % p:
         return GHVerdict(False, mode, 0, f"length {n} not divisible by p")
-    if m != gc.sig.size:
-        return GHVerdict(False, mode, 0, f"expected {gc.sig.size} words, found {m}")
+    if m != sig.size:
+        return GHVerdict(False, mode, 0, f"expected {sig.size} words, found {m}")
 
-    words = gc.words
     if mode == "exhaustive":
+        words = code.words if isinstance(code, GrayCode) else materialize_gray(code).words
         same = 0
         for u0, counts in _pair_counts(words, p, p - 1):
             bad = np.flatnonzero(~_gh_pairs_ok(counts, n, p))
             if bad.size:
                 i, j = divmod(int(bad[0]), counts.shape[2])
-                u = u0 + i
-                return _failed(words, mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, u0 + j)
+                u, v = u0 + i, u0 + j
+                return _failed(mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, v, np.array_equal(words[u], words[v]))
             same = max(same, int(counts[0].max()))
         return GHVerdict(True, mode, m * (m - 1) // 2, _distance=n - same)
 
-    rng = np.random.default_rng(seed)
-    checked, remaining, step = 0, pairs, max(1, _GATHER_BYTES // n)
-    left, right = np.empty((2, step, n), dtype=np.uint8)  # made once: a fresh array a step costs mmap calls
-    mask = np.empty((step, n), dtype=bool)
-    while remaining > 0:
-        k = min(8192, remaining)
-        u, v = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        if u.size == 0:
-            continue
-        checked += int(u.size)
-        remaining -= int(u.size)
-        for s0 in range(0, u.size, step):
-            us, vs = u[s0 : s0 + step], v[s0 : s0 + step]
-            a = np.take(words, us, axis=0, out=left[: len(us)], mode="clip")  # in range; "raise" would buffer out
-            b = np.take(words, vs, axis=0, out=right[: len(us)], mode="clip")
-            ok = _pair_rows_ok(_mod_p_diff(a, b, p), p, mask[: len(us)])
-            if not ok.all():
-                bad = int(np.flatnonzero(~ok)[0])
-                return _failed(words, mode, checked, int(us[bad]), int(vs[bad]))
-    return GHVerdict(True, mode, checked)
+    if isinstance(code, GrayCode):
+        rows = max(1, _CHUNK_BYTES // n)
+        blocks = ((start, code.words[start : start + rows]) for start in range(0, m, rows))
+    else:
+        blocks = _gray_blocks(sig, code.basis)
+    checked, bad = _sampled_scan(_bit_planes(p, m, n, blocks), n, p, pairs, seed)
+    return GHVerdict(True, mode, checked) if bad is None else _failed(mode, checked, *bad)
 
 
 def min_distance(gc: GrayCode) -> int:

@@ -35,9 +35,30 @@ def brute_types(t, s):
     return sorted(out)
 
 
+def recursive_types(t, s):
+    """The types in the order of one recursive generator frame per prefix: each entry from its least value up."""
+
+    def rec(prefix, remaining, weight):
+        if weight == 0:
+            if remaining == 0:
+                yield prefix
+            return
+        lo = 1 if not prefix else 0
+        for v in range(lo, remaining // weight + 1):
+            yield from rec(prefix + (v,), remaining - v * weight, weight - 1)
+
+    yield from rec((), t + 1, s)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+
+def test_enumerate_types_lists_the_recursive_oracle_in_its_order():
+    for t in range(21):
+        for s in range(1, t + 2):
+            assert list(enumerate_types(t, s)) == list(recursive_types(t, s)), (t, s)
 
 
 @pytest.mark.parametrize("t", range(1, 11))

@@ -1,5 +1,6 @@
 """Generator matrices, code materialization and the Hadamard checks."""
 
+import math
 import tracemalloc
 from functools import lru_cache
 from unittest import mock
@@ -31,7 +32,8 @@ from ghcodes.construction import (
     phi_bytes,
     validate_type,
 )
-from ghcodes.construction import _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _odometer_digits, _pair_counts
+from ghcodes.construction import _bit_planes, _digit_blocks, _gray_blocks, _mod_p_diff, _odometer_blocks, _odometer_digits
+from ghcodes.construction import _pair_counts, _plane_counts, _sampled_scan
 from ghcodes.invariants import _PROBE_COORDS, _float_dtype, _rank_words
 from ghcodes.errors import CapacityError, InputError
 from ghcodes.gray import _phi_table_cached, phi_table
@@ -675,6 +677,75 @@ def test_sampled_check_matches_oracle(case, pairs, seed, gather_bytes):
     assert verdict.pairs_checked == checked
     if first_bad is not None:
         assert verdict.reason.startswith("pair ({}, {}) is ".format(*first_bad))
+
+
+# a small Gray image for each prime, tiled along its coordinates to a length that is a multiple of 64 and
+# to a ragged one past 64: a difference balanced or a nonzero constant on each copy is so on all;
+# at p = 251 (b = 8 planes) the words are shifts of one random word, every difference a constant
+PLANE_BASES = {2: (2, 2), 3: (1, 1), 5: (2,), 7: (2,), 11: (2,), 251: None}
+
+
+def plane_words(p, length):
+    """Words over Z_p of n < 64 symbols ("short"), n a multiple of 64 ("aligned") or a ragged n past 64."""
+    if p == 251:
+        base = np.random.default_rng(p).integers(0, p, size={"short": 7, "aligned": 64, "ragged": 100}[length])
+        return ((base + np.arange(40)[:, None]) % p).astype(np.uint8)
+    words = gh_code(p, PLANE_BASES[p]).words
+    n = words.shape[1]
+    return np.tile(words, {"short": 1, "aligned": 64 // math.gcd(n, 64), "ragged": 64 // n + 1}[length])
+
+
+@pytest.mark.parametrize("length", ["short", "aligned", "ragged"])
+@pytest.mark.parametrize("p", sorted(PLANE_BASES))
+def test_plane_counts_are_the_symbol_counts_of_every_difference(p, length):
+    # random words, so every d < p - 1 occurs; row 1 repeats row 0 and row 2 is row 0 plus 1
+    n = plane_words(p, length).shape[1]
+    words = np.random.default_rng(n).integers(0, p, size=(40, n)).astype(np.uint8)
+    words[1], words[2] = words[0], (words[0] + 1) % p
+    planes = _bit_planes(p, 40, n, [(0, words)])
+    b, lanes, _ = planes.shape
+    assert planes.shape == (max(1, math.ceil(math.log2(p))), -(-n // 64), 40)
+    u, v = (w.ravel() for w in np.meshgrid(np.arange(40), np.arange(40)))
+    counts = np.empty((p - 1, len(u)), dtype=np.min_scalar_type(n))
+    work = np.empty((b + 1, lanes, len(u)), dtype=np.uint64)
+    _plane_counts(planes[:, :, u], planes[:, :, v], p, work, np.empty((lanes, len(u)), dtype=np.uint8), counts)
+    counts[0] -= 64 * lanes - n  # the padding bits, all differences 0
+    diff = (words[u].astype(np.int64) - words[v]) % p
+    assert np.array_equal(counts, (diff[None] == np.arange(p - 1)[:, None, None]).sum(axis=2))
+
+
+@pytest.mark.parametrize("gather_bytes", [1, 2**8, None])
+@pytest.mark.parametrize("how", ["genuine", "permuted", "corrupted", "repeated"])
+@pytest.mark.parametrize("length", ["short", "aligned", "ragged"])
+@pytest.mark.parametrize("p", sorted(PLANE_BASES))
+def test_plane_scan_matches_the_sampled_oracle(p, length, how, gather_bytes):
+    words = altered(plane_words(p, length).copy(), p, how, np.random.default_rng([p, len(how)]))
+    m, n = words.shape
+    # two draws at the default gather below p = 128; p - 1 counts a step cost 250 ANDs and popcounts at p = 251
+    pairs = (300 if gather_bytes == 1 else 2500 if gather_bytes else 9000) // (4 if p > 127 else 1)
+    with mock.patch.object(construction, "_GATHER_BYTES", gather_bytes or construction._GATHER_BYTES):
+        planes = _bit_planes(p, m, n, [(0, words[:7]), (7, words[7:])])  # a seam, and a larger second block
+        checked, bad = _sampled_scan(planes, n, p, pairs, seed=p)
+    want_checked, want_bad = naive_sampled_scan(words, p, pairs, p)
+    assert checked == want_checked
+    if want_bad is None:
+        assert bad is None
+    else:
+        assert bad == (*want_bad, np.array_equal(words[want_bad[0]], words[want_bad[1]]))
+    if how in ("genuine", "permuted"):
+        assert bad is None
+
+
+@pytest.mark.parametrize("p,ts", [(2, (2, 2)), (2, (1, 0, 0, 0, 0, 0, 1)), (3, (2, 1)), (3, (3, 1)), (5, (2, 1)), (7, (3,)), (11, (2,))])
+def test_streamed_planes_are_the_planes_of_the_held_image(p, ts):
+    # the planes of the p-basis span's Gray blocks are those of the image's rows, and so are the verdicts
+    a = sig(p, ts)
+    code = AdditiveCode.build(a)
+    gc = materialize_gray(code)
+    held = _bit_planes(p, a.size, a.gray_length, [(0, gc.words)])
+    assert np.array_equal(_bit_planes(p, a.size, a.gray_length, _gray_blocks(a, code.basis)), held)
+    for mode in ("sampled", "exhaustive") if a.size <= 3**6 else ("sampled",):
+        assert is_gh_code(code, mode=mode, pairs=3000, seed=5) == is_gh_code(gc, mode=mode, pairs=3000, seed=5)
 
 
 @settings(max_examples=40, deadline=None)
