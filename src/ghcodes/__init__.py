@@ -24,8 +24,8 @@ from .construction import (
     validate_type,
 )
 from .equivalence import EquivalenceReport, chain_members, chain_of, verify_equivalence
-from .errors import CapacityError, GHCodeError, InputError, NotAGrayImage
-from .gray import Permutation, gamma, gray, gray_inverse, gray_matrix, phi_table, rho, tau, tau_tilde
+from .errors import CapacityError, GHCodeError, InputError
+from .gray import Permutation, gray, gray_matrix, phi_table
 from .invariants import invariant_pair, is_linear, kernel, rank
 from .ring import RingParams
 
@@ -42,7 +42,6 @@ __all__ = [
     "GHVerdict",
     "GrayCode",
     "InputError",
-    "NotAGrayImage",
     "Permutation",
     "RingParams",
     "TypeSignature",
@@ -52,10 +51,8 @@ __all__ = [
     "chain_members",
     "chain_of",
     "enumerate_types",
-    "gamma",
     "generator_matrix",
     "gray",
-    "gray_inverse",
     "gray_matrix",
     "invariant_pair",
     "is_gh_code",
@@ -66,9 +63,6 @@ __all__ = [
     "min_distance",
     "phi_table",
     "rank",
-    "rho",
-    "tau",
-    "tau_tilde",
     "validate_type",
     "verify_equivalence",
 ]

@@ -324,7 +324,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
     if kind is None:
         rows = code.generator
     else:
-        rows = materialize_additive(code, args.budget_bytes) if kind == "additive" else materialize_gray(code).words
+        rows = materialize_additive(code) if kind == "additive" else materialize_gray(code).words
     descriptor = {"p": sig.p, "s": sig.s, "type": list(sig.ts), "t": sig.t, "n": sig.n}
     return Result([_json(descriptor), *_words(rows)])
 

@@ -321,10 +321,10 @@ def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     return OdometerSpan(sig, code.basis).blocks(_block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length)))
 
 
-def materialize_additive(code: AdditiveCode, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
-    """All codewords as one (p^(t+1), n) matrix, odometer row order."""
+def materialize_additive(code: AdditiveCode) -> np.ndarray:
+    """All codewords as one (p^(t+1), n) matrix, odometer row order; the caller checks ``additive_bytes``
+    against its budget first."""
     sig = code.sig
-    _check_budget(f"additive matrix for type {sig.ts}", additive_bytes(sig), budget_bytes)
     out = np.empty((sig.size, sig.n), dtype=sig.params.dtype())
     for start, block in _odometer_blocks(code):
         out[start : start + len(block)] = block

@@ -21,7 +21,9 @@ L of them rotate by L places, moving a q + b (b < q = p^L) to
 b p^t / q + a, the q-shuffle.  The steps are powers of one permutation,
 so their order does not matter, and the witness from position hi down
 to lo is the p^(hi-lo)-shuffle (the identity when hi = lo).  It maps one
-Gray image exactly onto the other, with no monomial part.
+Gray image exactly onto the other, with no monomial part.  gamma, rho,
+the unmapping tau_tilde and the step-by-step composition are not in the
+library: they are the oracle of this shuffle in ``tests/paper_steps.py``.
 
 That claim is checked on the order-p split C = T + C[p] that gives rank
 and kernel (``construction.order_p_split``), holding neither Gray image.
@@ -182,7 +184,9 @@ def step_permutation(p: int, s: int, n_prime: int) -> Permutation:
     unmapping tau_tilde(H) has type one chain-position lower, the returned
     pi in S_{n_prime * p^s} satisfies pi(Phi(H)) = Phi(tau_tilde(H)).  The
     paper's pi = (gamma_ext . rho_lift)^(-1) is the p-shuffle of those
-    coordinates, for every n_prime (see the module docstring).
+    coordinates, for every n_prime (see the module docstring); tau_tilde,
+    gamma, rho and the paper's pi are kept in ``tests/paper_steps.py`` as
+    its oracle.
     """
     RingParams(p, s)
     if n_prime < 1:

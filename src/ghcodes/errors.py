@@ -11,10 +11,6 @@ class InputError(GHCodeError, ValueError):
     """Malformed or out-of-domain input (CLI exit code 2)."""
 
 
-class NotAGrayImage(InputError):
-    """A word is not in the image of the Gray map."""
-
-
 class NoSecondRow(InputError):
     """The type has a single generator row, so no second-row order exists."""
 

@@ -1,4 +1,4 @@
-"""The generalized Gray map over Z_{p^s} and its companion permutations.
+"""The generalized Gray map over Z_{p^s} and the coordinate permutations of Gray images.
 
 The carrier map phi sends a residue u in Z_{p^s}, with base-p digits
 (u_0, ..., u_{s-1}), to the p-ary word of length p^(s-1)
@@ -13,29 +13,19 @@ block by block.  For s = 1 phi is the identity on Z_p.
 
 Residues and Gray words are plain numpy arrays (int64 residues, uint8
 symbols), with the ring passed as a ``RingParams``.  ``phi_table`` holds
-phi(u) for every u, and ``gray`` computes one row alone; ``gray_matrix``
-expands a batch of residue vectors and ``gray_inverse`` decodes one word.
-The rows ``gray`` and ``tau`` return are read-only.
+phi(u) for every u, and ``gray`` computes one row alone, read-only;
+``gray_matrix`` expands a batch of residue vectors.
 
 phi is GF(p)-linear and injective on the base-p digits of u.
 ``digit_table`` holds the digits of every residue and checks that once
 per ring, so the rank, kernel and chain checks of the other modules run
 on digit words, s symbols a coordinate against the p^(s-1) of Gray words.
 
-Two families of coordinate permutations make Gray images of codes over
-neighbouring rings comparable:
-
-* ``gamma(p, s)`` acts on the p^(s-1) coordinates of one phi-block;
-* ``rho(p, n)`` interleaves p consecutive runs of length n.
-
-Both are returned as explicit :class:`Permutation` objects.  Throughout,
-"pi moves coordinate k to pi(k)" means ``result[pi(k)] = input[k]``;
-one-line images are 1-based in I/O and 0-based internally.
-
-The unmapping ``tau`` recovers, for u in Z_{p^s}, the unique vector over
-Z_{p^(s-1)} of length p whose Gray image is gamma^(-1)(phi(u)); its
-interleaved variant ``tau_tilde`` additionally undoes rho.  These drive
-the recursive equivalence between codes over Z_{p^(s+1)} and Z_{p^s}.
+A ``Permutation`` moves coordinate k to pi(k): ``result[pi(k)] =
+input[k]``.  The chain witness between the Gray images of two members of
+one chain is a q-shuffle of their coordinates (``Permutation._shuffle``).
+The paper's maps it replaces, gamma, rho, tau, tau_tilde and the inverse
+Gray map, are kept in ``tests/paper_steps.py`` as its oracle.
 """
 
 from __future__ import annotations
@@ -46,20 +36,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GHCodeError, InputError, NotAGrayImage
+from .errors import GHCodeError, InputError
 from .ring import RingParams
 
 __all__ = [
     "Permutation",
     "digit_table",
-    "gamma",
     "gray",
-    "gray_inverse",
     "gray_matrix",
     "phi_table",
-    "rho",
-    "tau",
-    "tau_tilde",
 ]
 
 
@@ -155,51 +140,14 @@ class Permutation:
         out.reshape(*x.shape[:-1], self._q, -1)[...] = x.reshape(*x.shape[:-1], -1, self._q).swapaxes(-1, -2)
         return out
 
-    def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.take(self._words(x), self.image, axis=-1)
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         if self.size != other.size:
             raise InputError("size mismatch in composition")
         return Permutation(self.image[other.image])
 
-    def inverse(self) -> "Permutation":
-        return Permutation(self.source)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.image, other.image)
-
-    def one_based(self) -> tuple[int, ...]:
-        """One-line image with 1-based coordinates, for display and JSON."""
-        return tuple((self.image + 1).tolist())
-
-    @classmethod
-    def from_one_based(cls, image: "list[int] | tuple[int, ...]") -> "Permutation":
-        return cls(np.asarray(image, dtype=np.int64) - 1)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles (1-based), each starting at its smallest point."""
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = []
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                cyc.append(k + 1)
-                k = int(self.image[k])
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "id"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,106 +272,3 @@ def _block_residues(params: RingParams, words: np.ndarray, blocks) -> np.ndarray
         out *= p
         out += digit
     return out
-
-
-def _decode(words: np.ndarray, params: RingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Phi^(-1) of each uint8 row, (len(words), blocks) int64 residues, and the preimage mask.
-
-    The residues are read by ``_block_residues``, then re-encoded and
-    compared: the mask says which rows are the Gray images of their residues.
-    """
-    out = _block_residues(params, words, slice(None))
-    return out, (np.take(phi_table(params), out, axis=0).reshape(words.shape) == words).all(axis=1)
-
-
-def gray_inverse(w: np.ndarray, params: RingParams) -> np.ndarray:
-    """Phi^(-1) of one p-ary word: its int64 residues, one per p^(s-1)-block.
-
-    NotAGrayImage names the first block that is not a phi-image."""
-    w = np.asarray(w)
-    width = params.p ** (params.s - 1)
-    if w.ndim != 1 or w.dtype.kind not in "iu":
-        raise InputError(f"expected one integer word, got {w.dtype} of shape {w.shape}")
-    if w.size % width:
-        raise InputError(f"word length {w.size} is not a multiple of {width}")
-    if w.size and (w.min() < 0 or w.max() >= params.p):
-        raise InputError(f"symbols must lie in [0, {params.p})")
-    out, preimage = _decode(w.astype(np.uint8)[None, :], params)
-    if not preimage[0]:
-        i = int(np.flatnonzero(phi_table(params)[out[0]].reshape(-1) != w)[0]) // width
-        raise NotAGrayImage(f"block {i} = {w[i * width : (i + 1) * width].tolist()} has no Gray preimage")
-    return out[0]
-
-
-# ---------------------------------------------------------------------------
-# companion permutations
-# ---------------------------------------------------------------------------
-
-
-def gamma(p: int, s: int) -> Permutation:
-    """The block permutation of one phi-image, an element of S_{p^(s-1)}.
-
-    Writing k-1 = j*p^(s-2) + i with 0 <= j < p and 0 <= i < p^(s-2),
-    coordinate k moves to j + i*p + 1 (1-based).  Requires s >= 2.
-    """
-    RingParams(p, s)
-    if s < 2:
-        raise InputError("gamma is defined for s >= 2 only")
-    n = p ** (s - 2)
-    k = np.arange(p ** (s - 1))
-    j, i = divmod(k, n)
-    return Permutation(j + i * p)
-
-
-def rho(p: int, n: int) -> Permutation:
-    """Interleave p runs of length n: an element of S_{pn}.
-
-    Writing k-1 = j*n + i with 0 <= j < p and 0 <= i < n, coordinate k
-    moves to i*p + j + 1 (1-based).
-    """
-    RingParams(p, 1)
-    if n < 1:
-        raise InputError("n must be >= 1")
-    k = np.arange(p * n)
-    j, i = divmod(k, n)
-    return Permutation(i * p + j)
-
-
-# ---------------------------------------------------------------------------
-# unmapping residues down one ring level
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _tau_table(params: RingParams) -> np.ndarray:
-    """Rows = tau(u) for u = 0..p^s-1; shape (p^s, p), int64."""
-    unshuffled = gamma(params.p, params.s).apply_inverse(phi_table(params))
-    # the rows end to end are one word of p^s blocks: NotAGrayImage counts its blocks across the rows
-    table = gray_inverse(unshuffled.reshape(-1), RingParams(params.p, params.s - 1)).reshape(params.modulus, params.p)
-    table.flags.writeable = False
-    return table
-
-
-def tau(u: int, params: RingParams) -> np.ndarray:
-    """The vector over Z_{p^(s-1)} of length p with Gray image gamma^(-1)(phi(u)), read-only."""
-    if params.s < 2:
-        raise InputError("tau is defined for s >= 2 only")
-    return _tau_table(params)[_residue(u, params)]
-
-
-def tau_tilde(v: np.ndarray, params: RingParams) -> np.ndarray:
-    """Coordinate-wise tau followed by rho^(-1); length p * len(v).
-
-    For v over Z_{p^s} the result lies over Z_{p^(s-1)} and satisfies
-    Phi_s(v) == gamma_ext(Phi_{s-1}(rho(tau_tilde(v)))), with gamma
-    extended over len(v) blocks and rho = rho(p, len(v)).
-    """
-    if params.s < 2:
-        raise InputError("tau_tilde is defined for s >= 2 only")
-    v = np.asarray(v)
-    if v.ndim != 1 or v.dtype.kind not in "iu":
-        raise InputError(f"expected one integer residue vector, got {v.dtype} of shape {v.shape}")
-    r = rho(params.p, len(v))
-    if v.min() < 0 or v.max() >= params.modulus:
-        raise InputError(f"entries out of range mod {params.modulus}")
-    return r.apply_inverse(_tau_table(params)[v].reshape(-1))

@@ -213,7 +213,7 @@ def test_equiv_check_forced_sets_over_budget(capsys):
 
 @pytest.mark.parametrize("p,rep", [(2, (3, 12)), (3, (2, 7)), (5, (2, 4))])
 def test_equiv_check_budget_counts_the_rendered_witness(capsys, p, rep):
-    # the longest witnesses the benchmark renders: at p = 2 its one_based() tuple and JSON text
+    # the longest witnesses the benchmark renders: at p = 2 its 1-based image and JSON text
     # peaked at 9.37 MB against the 8.45 MB of its composition alone
     members = chain_members(validate_type(p, rep)).members
     length = members[0].gray_length
@@ -252,9 +252,10 @@ def test_capacity_exit_code_on_construct(capsys):
     "argv",
     [
         ("construct", "--p", "3", "--type", "2,1", "--codewords", "gray"),
+        ("construct", "--p", "3", "--type", "2,1", "--codewords", "additive"),
         ("verify", "--p", "3", "--type", "2,1"),
     ],
-    ids=["construct-gray", "verify"],
+    ids=["construct-gray", "construct-additive", "verify"],
 )
 def test_a_held_image_is_refused_one_byte_under_its_estimate(capsys, argv):
     # one check before the code is built: the image's own build checks nothing again
@@ -305,6 +306,23 @@ def test_a_sampled_check_with_the_distance_budgets_the_image_and_its_planes(caps
     code, _, err = run(capsys, "verify", "--p", "3", "--type", "2,0,2", "--min-distance", "--budget-bytes", "1")
     assert code == 3
     assert f"needs ~{build_bytes(a) + materialization_bytes(a) + plane_bytes(a)} bytes" in err
+
+
+@pytest.mark.parametrize("ts", [(3, 1), (2, 0, 1), (1, 0, 0, 0, 0, 0, 0)])
+def test_a_sampled_check_with_the_distance_stays_within_its_estimate(capsys, ts):
+    # p = 3, t = 6: the image (1.6 MB) and its bit planes are held beside the distance's pair scans, which
+    # the one working set of the estimate covers; the phi table is built cold
+    a = validate_type(3, ts)
+    _phi_table_cached.cache_clear()
+    argv = ("verify", "--p", "3", "--type", ",".join(map(str, ts)), "--mode", "sampled", "--pairs", "20000")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv, "--min-distance")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "gh PASS mode=sampled pairs=20000\nmin_distance 486 expected 486\n")
+    assert peak <= build_bytes(a) + materialization_bytes(a) + plane_bytes(a), peak
 
 
 @pytest.mark.parametrize(

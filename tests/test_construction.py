@@ -449,9 +449,6 @@ def test_capacity_errors_carry_sizes():
     assert exc.value.budget_bytes == 128
     assert exc.value.required_bytes > 128
 
-    with pytest.raises(CapacityError):
-        materialize_additive(AdditiveCode.build(a), budget_bytes=128)
-
 
 @pytest.mark.parametrize("p,t_max", [(2, 15), (3, 10), (5, 6), (7, 5)])
 def test_estimate_is_the_image_its_phi_table_and_one_working_set(p, t_max):

@@ -1,9 +1,10 @@
-"""Gray map, the gamma/rho permutations and the tau unmapping.
+"""Gray map, permutations, and the paper's gamma/rho permutations and tau unmapping.
 
 The frozen tables for p=3, s=3 (all 27 Gray rows and tau values) pin the
 conventions; the property tests then cover other p and s.  The Y matrix
 of the Gray map's definition is kept here, as the oracle phi is built
-against.
+against; gamma, rho, tau, tau_tilde and the inverse Gray map are kept in
+``paper_steps`` as the oracle of the chain witness.
 """
 
 import tracemalloc
@@ -14,23 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcodes.errors import InputError, NotAGrayImage
-from ghcodes.gray import (
-    Permutation,
-    _phi_table_cached,
+from ghcodes.errors import InputError
+from ghcodes.gray import Permutation, _phi_table_cached, gray, gray_matrix, phi_table
+from ghcodes.ring import RingParams
+
+from goldens import PHI3, TAU3
+from paper_steps import (
+    NotAGrayImage,
+    apply_inverse,
+    block_lift,
+    cycle_string,
+    from_one_based,
     gamma,
-    gray,
+    gamma_extended,
     gray_inverse,
-    gray_matrix,
-    phi_table,
+    identity_permutation,
+    inverse,
+    one_based,
     rho,
     tau,
     tau_tilde,
 )
-from ghcodes.ring import RingParams
-
-from goldens import PHI3, TAU3
-from paper_steps import block_lift, gamma_extended, identity_permutation
 
 PS = RingParams(3, 3)
 
@@ -57,7 +62,7 @@ def test_apply_moves_k_to_image_k():
     pi = Permutation(np.array([1, 2, 0]))
     x = np.array([10, 20, 30])
     assert pi(x).tolist() == [30, 10, 20]
-    assert pi.apply_inverse(pi(x)).tolist() == x.tolist()
+    assert apply_inverse(pi, pi(x)).tolist() == x.tolist()
 
 
 def scatter(pi, x):
@@ -76,8 +81,8 @@ def test_gather_equals_scatter_reference(shape):
         y = pi(x)
         assert y.shape == x.shape and y.dtype == x.dtype
         assert np.array_equal(y, scatter(pi, x))
-        assert np.array_equal(pi(pi.apply_inverse(x)), x)
-        assert np.array_equal(pi.apply_inverse(y), x)
+        assert np.array_equal(pi(apply_inverse(pi, x)), x)
+        assert np.array_equal(apply_inverse(pi, y), x)
         # a strided view and a wider dtype go through the same gather
         wide = x[..., ::-1].astype(np.int64)
         assert np.array_equal(pi(wide), scatter(pi, wide))
@@ -86,12 +91,12 @@ def test_gather_equals_scatter_reference(shape):
 def test_permutation_arrays_stay_read_only():
     pi = Permutation(np.random.default_rng(3).permutation(10))
     pi(np.arange(10))
-    pi.apply_inverse(np.arange(10))
+    apply_inverse(pi, np.arange(10))
     assert not pi.image.flags.writeable
     assert not pi.source.flags.writeable
     assert pi.source is pi.source  # computed once
     assert np.array_equal(pi.source[pi.image], np.arange(10))
-    assert pi.inverse().image.tolist() == pi.source.tolist()
+    assert inverse(pi).image.tolist() == pi.source.tolist()
     with pytest.raises(ValueError):
         pi.image[0] = 1
     with pytest.raises(ValueError):
@@ -104,13 +109,13 @@ def test_compose_is_apply_after():
     g = Permutation(rng.permutation(12))
     x = rng.integers(0, 100, size=12)
     assert np.array_equal(f.compose(g)(x), f(g(x)))
-    assert np.array_equal(f.compose(f.inverse())(x), x)
+    assert np.array_equal(f.compose(inverse(f))(x), x)
 
 
 def test_one_based_roundtrip():
     pi = Permutation(np.array([2, 0, 1, 3]))
-    assert pi.one_based() == (3, 1, 2, 4)
-    assert Permutation.from_one_based(pi.one_based()) == pi
+    assert one_based(pi) == (3, 1, 2, 4)
+    assert from_one_based(one_based(pi)) == pi
 
 
 def test_block_lift():
@@ -122,18 +127,18 @@ def test_block_lift():
 
 def test_gamma3_golden():
     g = gamma(3, 3)
-    assert g.one_based() == (1, 4, 7, 2, 5, 8, 3, 6, 9)
-    assert g.cycle_string() == "(2,4)(3,7)(6,8)"
+    assert one_based(g) == (1, 4, 7, 2, 5, 8, 3, 6, 9)
+    assert cycle_string(g) == "(2,4)(3,7)(6,8)"
 
 
 def test_gamma4_golden():
     g = gamma(3, 4)
-    assert g.one_based() == (
+    assert one_based(g) == (
         1, 4, 7, 10, 13, 16, 19, 22, 25,
         2, 5, 8, 11, 14, 17, 20, 23, 26,
         3, 6, 9, 12, 15, 18, 21, 24, 27,
     )
-    assert g.cycle_string() == (
+    assert cycle_string(g) == (
         "(2,4,10)(3,7,19)(5,13,11)(6,16,20)(8,22,12)(9,25,21)(15,17,23)(18,26,24)"
     )
 
@@ -146,7 +151,7 @@ def test_gamma2_is_identity():
 def test_gamma_extended_golden():
     g = gamma_extended(3, 3, 9)
     assert g.size == 81
-    assert g.cycle_string() == (
+    assert cycle_string(g) == (
         "(2,4)(3,7)(6,8)(11,13)(12,16)(15,17)(20,22)(21,25)(24,26)"
         "(29,31)(30,34)(33,35)(38,40)(39,43)(42,44)(47,49)(48,52)"
         "(51,53)(56,58)(57,61)(60,62)(65,67)(66,70)(69,71)(74,76)(75,79)(78,80)"
@@ -154,9 +159,9 @@ def test_gamma_extended_golden():
 
 
 def test_rho_golden():
-    assert rho(3, 2).one_based() == (1, 4, 2, 5, 3, 6)
-    assert rho(3, 4).one_based() == (1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12)
-    assert rho(3, 9).one_based() == (
+    assert one_based(rho(3, 2)) == (1, 4, 2, 5, 3, 6)
+    assert one_based(rho(3, 4)) == (1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12)
+    assert one_based(rho(3, 9)) == (
         1, 4, 7, 10, 13, 16, 19, 22, 25,
         2, 5, 8, 11, 14, 17, 20, 23, 26,
         3, 6, 9, 12, 15, 18, 21, 24, 27,
@@ -366,7 +371,7 @@ def test_gamma_on_block_patterns(p, s):
     v = np.tile(np.arange(p, dtype=np.uint8), n // p)
     g = gamma(p, s)
     assert np.array_equal(g(u), v)
-    assert np.array_equal(g.apply_inverse(v), u)
+    assert np.array_equal(apply_inverse(g, v), u)
     if s <= 3:
         assert np.array_equal(g(v), u)
 

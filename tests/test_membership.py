@@ -9,7 +9,7 @@ with no Gray preimage and words of the wrong length as queries.
 ``RegeneratedDigits``, which holds no words and rebuilds the digit word
 at each decoded row from two span tables, is checked against
 ``GrayCode.locate`` on the full image: the same kinds of Gray queries go
-through the boundary decode (``gray._decode``, a miss where a word has no
+through the boundary decode (``paper_steps._decode``, a miss where a word has no
 Gray preimage) to digit words, over moduli whose sums widen the dtype
 (243) or fill it (256, 512), and with chunks of one word and of a few.
 So does the chain check's locate (``equivalence._gray_locator``), which
@@ -42,10 +42,11 @@ from ghcodes.construction import (
     validate_type,
 )
 from ghcodes.equivalence import _gray_locator
-from ghcodes.gray import _decode, _digit_words, gray_matrix, phi_table
+from ghcodes.gray import _digit_words, gray_matrix, phi_table
 from ghcodes.ring import RingParams
 
 from goldens import PHI3
+from paper_steps import _decode
 from sorted_key_code import SortedKeyCode, same_multiset, set_equal
 from test_construction import small_types
 
@@ -277,7 +278,7 @@ def regenerated_cases(draw):
 
 
 def decode_digits(words, params):
-    """The digit words of the residues ``gray._decode`` reads off uint8 rows, and which rows are Gray images."""
+    """The digit words of the residues ``paper_steps._decode`` reads off uint8 rows, and which rows are Gray images."""
     residues, preimage = _decode(words, params)
     return _digit_words(params, residues), preimage
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ghcodes.errors import InputError
-from ghcodes.gray import gray, tau
+from ghcodes.gray import gray
 from ghcodes.ring import RingParams, is_prime
+
+from paper_steps import tau
 
 
 def test_is_prime_small():
