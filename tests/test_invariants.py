@@ -37,6 +37,7 @@ from ghcodes.invariants import (
 )
 from ghcodes.ring import RingParams
 
+from probe_oracle import probe_survivors_one_at_a_time
 from sorted_key_code import SortedKeyCode, set_equal
 
 construction = importlib.import_module("ghcodes.construction")
@@ -502,6 +503,60 @@ def test_structural_kernel_checks_every_probe_survivor(probes, coords, monkeypat
         assert structural_pair(code.sig) == (r, k), code.sig.ts
         spurious += len(_probe_survivors(code, order_p_split(code)[1])) - code.sig.p ** (k - code.sig.num_rows)
     assert spurious > 0
+
+
+PROBE_T_MAX = {2: 9, 3: 7, 5: 4}  # per p, the lengths p^t on which the probe rounds meet their oracle
+
+
+@pytest.fixture
+def locate_calls(monkeypatch):
+    """(queries, locate step) of each ``RegeneratedDigits.locate`` call made while it is in use."""
+    calls = []
+    real = construction.RegeneratedDigits.locate
+
+    def counted(self, rows):
+        calls.append((len(rows), self.step))
+        return real(self, rows)
+
+    monkeypatch.setattr(construction.RegeneratedDigits, "locate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["default-steps", "one-word-steps"])
+@pytest.mark.parametrize("p", sorted(PROBE_T_MAX))
+def test_probe_rounds_leave_the_survivors_of_one_probe_at_a_time(p, chunk_bytes, locate_calls, monkeypatch):
+    # with _CHUNK_BYTES = 1 a locate step and a block of T hold one word, so each round applies one probe;
+    # at any size no round sends more queries than one locate step
+    if chunk_bytes is not None:
+        monkeypatch.setattr(construction, "_CHUNK_BYTES", chunk_bytes)
+    for ts in nonlinear_types(p, PROBE_T_MAX[p]):
+        code = AdditiveCode.build(validate_type(p, ts))
+        other = order_p_split(code)[1]
+        want = probe_survivors_one_at_a_time(code, other)
+        locate_calls.clear()
+        got = _probe_survivors(code, other)
+        assert got.dtype == want.dtype and np.array_equal(got, want), ts
+        assert all(queries <= step for queries, step in locate_calls), ts
+        if chunk_bytes == 1:
+            assert all(queries == 1 for queries, _ in locate_calls), ts
+
+
+def test_a_single_block_of_t_takes_at_most_two_probe_rounds(locate_calls):
+    # on a chain representative (t_1 >= 2) the first round leaves little more than the kernel words, and the
+    # second applies every probe left; a type with t_1 = 1 can keep many kernel words in T (81 of 3^7 at
+    # (1,0,0,0,1,0)), and those take three
+    single = 0
+    for p, t_max in PROBE_T_MAX.items():
+        for ts in (ts for ts in nonlinear_types(p, t_max) if ts[0] >= 2):
+            code = AdditiveCode.build(validate_type(p, ts))
+            sig, other = code.sig, order_p_split(code)[1]
+            step = construction.RegeneratedDigits(code, invariants._spread(sig.n, invariants._PROBE_COORDS)).step
+            locate_calls.clear()
+            _probe_survivors(code, other)
+            if p ** len(other) <= step:
+                single += 1
+                assert len(locate_calls) <= 2, (p, ts, locate_calls)
+    assert single > 40
 
 
 @pytest.mark.parametrize("p,ts", [(2, (3, 0, 1)), (3, (2, 0, 1)), (3, (1, 1, 1, 0)), (5, (2, 0)), (3, (1, 0, 0, 0, 2))])
