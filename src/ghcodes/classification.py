@@ -16,9 +16,8 @@ attach (rank, kernel) pairs of each class's representative, computed by
 ``invariants.structural_pair`` without holding its Gray image, one at a
 time in the calling thread with the whole budget.  A representative with
 order-p rows (t_s >= 1) is computed from the shorter code without them
-(``_invariants_for_rep``), once per ``census`` or ``bounds_report`` call.
-A representative whose computation is over the budget
-(``CapacityError``) is marked skipped.
+(``_invariants_for_rep``).  A representative whose computation is over
+the budget (``CapacityError``) is marked skipped.
 """
 
 from __future__ import annotations
@@ -171,15 +170,12 @@ def _locate(ts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int, int]:
     return rep, position, rep[-1] + 1
 
 
-def _invariants_for_rep(
-    p: int, rep: tuple[int, ...], budget_bytes: int, memo: "dict[tuple[int, ...], tuple[int, int] | None]"
-) -> "tuple[int, int] | None":
+def _invariants_for_rep(p: int, rep: tuple[int, ...], budget_bytes: int) -> "tuple[int, int] | None":
     """(rank, kernel dimension) of the representative, or None where it is over the budget.
 
     A type with t_s >= 1 gets the pair of (t_1, ..., t_{s-1}, 0), a code
     p^(t_s) times shorter, plus (t_s, t_s); the budget is checked for that
-    smaller type, and ``memo`` memoises its pair (None when over the
-    budget) for the caller's other representatives.
+    smaller type.
 
     Adding one order-p row adds (1, 1).  The order-p rows come last in the
     product construction, so appending one to a code C of length n gives C'
@@ -197,14 +193,11 @@ def _invariants_for_rep(
     2006).
     """
     *head, top = rep
-    reduced = (*head, 0)
-    if reduced not in memo:
-        try:
-            memo[reduced] = structural_pair(validate_type(p, reduced), budget_bytes)
-        except CapacityError:
-            memo[reduced] = None
-    pair = memo[reduced]
-    return None if pair is None else (pair[0] + top, pair[1] + top)
+    try:
+        r, k = structural_pair(validate_type(p, (*head, 0)), budget_bytes)
+    except CapacityError:
+        return None
+    return r + top, k + top
 
 
 def census(
@@ -218,22 +211,9 @@ def census(
 
     Rows carry the chain location and the linear flag; with_invariants
     attaches (rank, kernel dimension) per equivalence class, computed on
-    the representative (by ``_invariants_for_rep``) when it fits the budget
-    and marked skipped otherwise.  Linear classes get (t+1, t+1) without
-    computation.
+    the representative when it fits the budget and marked skipped
+    otherwise.  Linear classes get (t+1, t+1) without computation.
     """
-    return _census(t, p, s, with_invariants, budget_bytes, {})
-
-
-def _census(
-    t: int,
-    p: int,
-    s: "int | None",
-    with_invariants: bool,
-    budget_bytes: int,
-    memo: "dict[tuple[int, ...], tuple[int, int] | None]",
-) -> Census:
-    """``census``, with the pairs of ``_invariants_for_rep`` memoised in ``memo``."""
     _check_tp(t, p)
     levels = range(2, t + 2) if s is None else [s]
     located: list[tuple[tuple[int, ...], int, tuple[int, ...], int, int, bool]] = []
@@ -247,7 +227,7 @@ def _census(
     class_ids = {("linear",) if lin else rep for _, _, rep, _, _, lin in located}
     nonlinear_reps = sorted({rep for _, _, rep, _, _, lin in located if not lin})
 
-    results = {rep: _invariants_for_rep(p, rep, budget_bytes, memo) for rep in nonlinear_reps} if with_invariants else {}
+    results = {rep: _invariants_for_rep(p, rep, budget_bytes) for rep in nonlinear_reps} if with_invariants else {}
 
     rows = []
     for ts, lvl, rep, pos, clen, lin in located:
@@ -374,12 +354,11 @@ def bounds_report(
         raise InputError("empty t range")
     rows = []
     discrepancies = []
-    memo: "dict[tuple[int, ...], tuple[int, int] | None]" = {}  # of _invariants_for_rep, shared by every t
     for t in range(t_min, t_max + 1):
         lower = None
         partial = False
         if with_lower:
-            c = _census(t, p, None, True, budget_bytes, memo)
+            c = census(t, p, with_invariants=True, budget_bytes=budget_bytes)
             pairs = {(row.r, row.k) for row in c.rows if row.r is not None}
             lower = len(pairs)
             partial = bool(c.skipped_reps)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,10 +41,7 @@ _EXHAUSTIVE_CUTOFF = 3**6  # largest code size checked pair-by-pair by default
 
 @dataclass(frozen=True)
 class TypeSignature:
-    """A validated type (t_1, ..., t_s) over Z_{p^s}.
-
-    The derived sizes are computed once per instance; as they are no
-    fields, equality and hashing see only ``params`` and ``ts``."""
+    """A validated type (t_1, ..., t_s) over Z_{p^s}."""
 
     params: RingParams
     ts: tuple[int, ...]
@@ -58,27 +54,27 @@ class TypeSignature:
     def s(self) -> int:
         return self.params.s
 
-    @cached_property
+    @property
     def t(self) -> int:
         """Length exponent: the Gray image has length p^t."""
         s = self.s
         return sum((s - i) * ti for i, ti in enumerate(self.ts)) - 1
 
-    @cached_property
+    @property
     def n(self) -> int:
         """Length of the additive code."""
         return self.p ** (self.t - self.s + 1)
 
-    @cached_property
+    @property
     def size(self) -> int:
         """Number of codewords, p^(t+1)."""
         return self.p ** (self.t + 1)
 
-    @cached_property
+    @property
     def gray_length(self) -> int:
         return self.p**self.t
 
-    @cached_property
+    @property
     def num_rows(self) -> int:
         return sum(self.ts)
 

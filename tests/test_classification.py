@@ -320,20 +320,12 @@ def test_t10_lower_bound_is_partial_where_a_basis_outgrows_the_budget():
     got = {row.representative: (row.r, row.k) for row in c.rows if row.r is not None and not row.linear}
     assert c.skipped_reps and got and set(c.skipped_reps) | set(got) == set(T10_RK)
     assert got.items() <= T10_RK.items()
-    (row,) = bounds_report(3, 10, 10, with_lower=True, budget_bytes=budget).rows
-    assert (row.lower_rk, row.lower_rk_partial) == (len(set(got.values())) + 1, True)
-
-
-def test_t10_reduction_computes_rows_whose_own_code_is_over_the_partial_budget():
-    # at the budget above, (3,5) and (4,3) were skipped when computed on their own codes; their pairs now
-    # come from (3,0) and (4,0), whose bases fit, and equal the goldens; (5,1) is still skipped
-    budget = max(structural_bytes(validate_type(3, rep)) for rep in T10_RK)
-    c = census(10, 3, with_invariants=True, budget_bytes=budget)
-    got = {row.representative: (row.r, row.k) for row in c.rows if row.r is not None and not row.linear}
-    assert {rep: got[rep] for rep in ((3, 5), (4, 3))} == {(3, 5): T10_RK[(3, 5)], (4, 3): T10_RK[(4, 3)]}
-    assert c.skipped_reps == ((5, 1),)
+    # (3,5) and (4,3) are over this budget on their own codes; their pairs come from (3,0) and (4,0)
+    assert c.skipped_reps == ((5, 1),) and {(3, 5), (4, 3)} <= got.keys()
     with pytest.raises(CapacityError):
         structural_pair(validate_type(3, (3, 5)), budget)
+    (row,) = bounds_report(3, 10, 10, with_lower=True, budget_bytes=budget).rows
+    assert (row.lower_rk, row.lower_rk_partial) == (len(set(got.values())) + 1, True)
 
 
 REDUCTION_T_MAX = {2: 12, 3: 8, 5: 5}  # per p, the lengths p^t of the reduction's differential test
@@ -349,13 +341,14 @@ def test_top_row_reduction_matches_the_direct_pair_on_every_type_with_order_p_ro
             for ts in enumerate_types(t, s):
                 if ts[-1]:
                     want = structural_pair(validate_type(p, ts))
-                    assert classification._invariants_for_rep(p, ts, DEFAULT_BUDGET_BYTES, {}) == want, ts
+                    assert classification._invariants_for_rep(p, ts, DEFAULT_BUDGET_BYTES) == want, ts
                     checked += 1
     assert checked == {2: 259, 3: 58, 5: 13}[p]
 
 
-def test_bounds_report_computes_each_reduced_type_once_per_call(monkeypatch):
-    # one memo serves every t of one call and lives no longer: a second identical call computes them again
+def test_census_computes_each_representative_on_its_reduced_type_every_call(monkeypatch):
+    # one structural_pair a nonlinear representative, on (t_1, ..., t_{s-1}, 0); nothing is kept between
+    # calls, so an identical second census computes them all again
     computed = Counter()
 
     def counted(sig, budget_bytes):
@@ -363,14 +356,12 @@ def test_bounds_report_computes_each_reduced_type_once_per_call(monkeypatch):
         return structural_pair(sig, budget_bytes)
 
     monkeypatch.setattr(classification, "structural_pair", counted)
-    reps = {row.representative for t in range(3, 11) for row in census(t, 3).rows if not row.linear}
-    reduced = {(*rep[:-1], 0) for rep in reps}
-    assert len(reduced) < len(reps)
-    first = bounds_report(3, 3, 10, with_lower=True)
-    assert computed == Counter(dict.fromkeys(reduced, 1))
-    assert bounds_report(3, 3, 10, with_lower=True) == first
-    assert computed == Counter(dict.fromkeys(reduced, 2))
-    assert [row.lower_rk for row in first.rows] == [2, 2, 4, 4, 7, 8, 12, 14]
+    first = census(8, 3, with_invariants=True)
+    reps = {row.representative for row in first.rows if not row.linear}
+    reduced = Counter((*rep[:-1], 0) for rep in reps)
+    assert computed == reduced and any(rep[-1] for rep in reps)
+    assert census(8, 3, with_invariants=True) == first
+    assert computed == reduced + reduced
 
 
 @pytest.mark.slow

@@ -78,18 +78,6 @@ def test_signature_arithmetic():
     assert b.gray_length == 3**4
 
 
-def test_cached_sizes_leave_equality_and_hashing_to_the_fields():
-    # the derived sizes are cached on first use; a signature read and one not read stay equal, with one hash
-    read, fresh = sig(3, (2, 1)), sig(3, (2, 1))
-    sizes = (read.t, read.n, read.size, read.gray_length, read.num_rows)
-    assert sizes == (4, 27, 3**5, 3**4, 3) and read.t is read.t
-    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
-    assert len({read, fresh}) == 1 and {read: 1}[fresh] == 1
-    assert read != sig(3, (2, 1, 0)) and read != sig(2, (2, 1))
-    with pytest.raises(AttributeError):
-        fresh.ts = (3, 0)  # still frozen
-
-
 def test_generator_matrix_2_1():
     got = generator_matrix(sig(3, (2, 1)))
     want = np.vstack(
