@@ -26,7 +26,7 @@ from .construction import (
 from .equivalence import EquivalenceReport, chain_members, chain_of, verify_equivalence
 from .errors import CapacityError, GHCodeError, InputError
 from .gray import Permutation, gray, gray_matrix, phi_table
-from .invariants import invariant_pair, is_linear, kernel, rank
+from .invariants import structural_pair
 from .ring import RingParams
 
 __version__ = "0.1.0"
@@ -54,15 +54,12 @@ __all__ = [
     "generator_matrix",
     "gray",
     "gray_matrix",
-    "invariant_pair",
     "is_gh_code",
-    "is_linear",
     "isolated_types",
-    "kernel",
     "materialize_gray",
     "min_distance",
     "phi_table",
-    "rank",
+    "structural_pair",
     "validate_type",
     "verify_equivalence",
 ]

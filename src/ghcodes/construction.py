@@ -173,7 +173,7 @@ def build_bytes(sig: TypeSignature) -> int:
 
 def additive_bytes(sig: TypeSignature) -> int:
     """Bytes ``materialize_additive`` holds: the matrix, and the span and block of its stream."""
-    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length))
+    words = _gray_block_words(sig, sig.t + 1)
     return sig.size * sig.n * sig.params.dtype().itemsize + span_bytes(sig, sig.t + 1, words)
 
 
@@ -244,15 +244,24 @@ def _sum_dtype(sig: TypeSignature) -> np.dtype:
 
 def _block_words(p: int, span: int, word_bytes: int, budget: "int | None" = None, up: bool = False) -> int:
     """Words per block: the largest power of p whose words of ``word_bytes`` fit ``budget`` bytes
-    (``_CHUNK_BYTES`` by default), or with ``up`` the smallest whose words reach it; at least 1, at most p^span.
-
-    Gray words take max(8, p^(s-1)) bytes a coordinate (the symbols, or the np.take index of their
-    residues), digit words max(8, s); a reduced basis absorbs float rows."""
+    (``_CHUNK_BYTES`` by default), or with ``up`` the smallest whose words reach it; at least 1, at most p^span."""
     rows = max(1, (_CHUNK_BYTES if budget is None else budget) // word_bytes)
     words = 1
     while words < p**span and (words < rows if up else words * p <= rows):
         words *= p
     return words
+
+
+def _gray_block_words(sig: TypeSignature, k: int) -> int:
+    """Words a block of Gray words of a span of k rows: max(8, p^(s-1)) bytes a coordinate, the symbols or
+    the np.take index of their residues."""
+    return _block_words(sig.p, k, max(8 * sig.n, sig.gray_length))
+
+
+def _lookup_step(sig: TypeSignature, coords: int) -> int:
+    """Queries a ``RegeneratedDigits.locate`` step on digit words of ``coords`` additive coordinates, and
+    words a block of the digit streams through it: max(8, s) bytes a coordinate."""
+    return _block_words(sig.p, sig.t + 1, coords * max(8, sig.s))
 
 
 def _span_table(sig: TypeSignature, rows: np.ndarray) -> np.ndarray:
@@ -318,7 +327,7 @@ def span_bytes(sig: TypeSignature, k: int, words: int = 0) -> int:
 def _odometer_blocks(code: AdditiveCode) -> Iterator[tuple[int, np.ndarray]]:
     """All p^(t+1) codewords in odometer order over the p-basis, in the blocks of ``_gray_blocks``."""
     sig = code.sig
-    return OdometerSpan(sig, code.basis).blocks(_block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length)))
+    return OdometerSpan(sig, code.basis).blocks(_gray_block_words(sig, sig.t + 1))
 
 
 def materialize_additive(code: AdditiveCode) -> np.ndarray:
@@ -428,7 +437,7 @@ _SPAN_BYTES = 2**24  # span tables materialize_gray holds at once, below the ran
 def _gray_span(sig: TypeSignature) -> "tuple[int, int]":
     """(words a block, coordinates a span) of ``materialize_gray``: the blocks of ``_odometer_blocks``, and
     all n coordinates, or as many as keep one ``OdometerSpan`` of them within ``_SPAN_BYTES`` (at least one)."""
-    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, sig.gray_length))
+    words = _gray_block_words(sig, sig.t + 1)
     per_coordinate = span_bytes(sig, sig.t + 1, words) // sig.n
     return words, max(1, min(sig.n, _SPAN_BYTES // per_coordinate))
 
@@ -465,8 +474,7 @@ def build_gray_code(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES
 
 def _gray_blocks(sig: TypeSignature, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The Gray images of the odometer span of ``rows``, one fresh block of 256 KiB at a time."""
-    words = _block_words(sig.p, len(rows), max(8 * sig.n, sig.gray_length))
-    for start, block in OdometerSpan(sig, rows).blocks(words):
+    for start, block in OdometerSpan(sig, rows).blocks(_gray_block_words(sig, len(rows))):
         yield start, gray_matrix(sig.params, block)
 
 
@@ -499,27 +507,24 @@ class RegeneratedDigits:
     with the word rebuilt there.
 
     Given ``sample``, additive coordinates, it and its span are restricted
-    to ``coords``: the pinned coordinates, then the sampled ones not among
-    them, increasing.  A restricted query is found when it equals the
-    restriction of the word its pinned coordinates decode to, as every
-    member's does.
+    to ``coords``: the pinned and the sampled coordinates, increasing (all
+    n without a sample, which reads the basis uncopied).  A restricted
+    query is found when it equals the restriction of the word its pinned
+    coordinates decode to, as every member's does.
     """
 
     def __init__(self, code: AdditiveCode, sample: "np.ndarray | None" = None):
         sig = code.sig
-        coords, divisors, weights = _decode_plan(sig)
-        self.coords = np.arange(sig.n)  # the additive coordinates of the words, in their order
-        basis = code.basis
-        if sample is not None:
-            rest = np.bincount(sample, minlength=sig.n).astype(bool)  # not np.setdiff1d, which imports numpy.ma
-            rest[coords] = False
-            self.coords = np.r_[coords, np.flatnonzero(rest)]
-            basis = basis[:, self.coords]
-            coords = np.arange(len(coords))
+        pinned, divisors, weights = _decode_plan(sig)
+        keep = np.zeros(sig.n, dtype=bool)  # not np.union1d, which imports numpy.ma
+        keep[pinned] = True
+        keep[slice(None) if sample is None else sample] = True
+        self.coords = np.flatnonzero(keep)  # the additive coordinates of the words, in their order
+        basis = code.basis if len(self.coords) == sig.n else code.basis[:, self.coords]
         self.sig = sig
-        self.plan = coords, divisors, weights
-        self.width = basis.shape[1] * sig.s
-        self.step = _block_words(sig.p, sig.t + 1, basis.shape[1] * max(8, sig.s))
+        self.plan = np.searchsorted(self.coords, pinned), divisors, weights
+        self.width = len(self.coords) * sig.s
+        self.step = _lookup_step(sig, len(self.coords))
         self.span = OdometerSpan(sig, basis)
 
     @staticmethod
@@ -528,7 +533,7 @@ class RegeneratedDigits:
         pinned digits and two int64 arrays of their residues, two gathered table rows, their np.take index,
         the rebuilt digit words and their comparison with the queries."""
         per_query = 3 * 8 * sig.num_rows * sig.s + sig.n * (2 * _sum_dtype(sig).itemsize + 8) + 2 * sig.s * sig.n
-        return span_bytes(sig, sig.t + 1) + _block_words(sig.p, sig.t + 1, sig.n * max(8, sig.s)) * per_query
+        return span_bytes(sig, sig.t + 1) + _lookup_step(sig, sig.n) * per_query
 
     def __len__(self) -> int:
         return self.sig.size
@@ -540,9 +545,7 @@ class RegeneratedDigits:
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """For each digit word, the index of the equal word of the code, or -1 if it is none.
 
-        Queries run ``step`` at a time: as many digit words of the held
-        coordinates as fit ``_CHUNK_BYTES`` (see ``_block_words``), so a
-        rebuilt batch is never larger than a block of a digit stream.
+        Queries run ``step`` at a time (``_lookup_step``).
         """
         return _locate(self.sig, self.plan, _digit_residues, rows, len(self), self.rows, self.step, self.width)
 
@@ -795,7 +798,7 @@ def sampled_gh_bytes(sig: TypeSignature) -> int:
     the working set of the scan (``_scan_bytes``)."""
     n = sig.gray_length
     lanes = _plane_shape(sig.p, n)[1]
-    words = _block_words(sig.p, sig.t + 1, max(8 * sig.n, n))
+    words = _gray_block_words(sig, sig.t + 1)
     block = span_bytes(sig, sig.t + 1, words) + words * (8 * sig.n + 2 * n + 72 * lanes)
     return plane_bytes(sig) + phi_bytes(sig.params) + block + _scan_bytes(sig.p, n)
 

@@ -87,9 +87,9 @@ from .construction import (
     AdditiveCode,
     OdometerSpan,
     TypeSignature,
-    _block_words,
     _check_budget,
     _decode_plan,
+    _gray_block_words,
     _gray_blocks,
     _locate,
     _odometer_digits,
@@ -224,7 +224,7 @@ def set_check_bytes(lower: TypeSignature, higher: TypeSignature) -> int:
     """
     length, digits = lower.gray_length, lower.t + 1
     span = higher.t + 1 - higher.num_rows
-    rows = max(higher.num_rows, _block_words(lower.p, span, max(8 * higher.n, length)))
+    rows = max(higher.num_rows, _gray_block_words(higher, span))
     read = lower.num_rows * (lower.p ** (lower.s - 1) + 20)
     locate = read + lower.n * (3 * _sum_dtype(lower).itemsize + 8) + 2 * length + 40 * digits
     held = span_bytes(lower, digits) + block_bytes(higher, span, length, rows) + rows * locate

@@ -32,17 +32,16 @@ and both need the p^(t+1 - sum t_i) words of T, not the p^(t+1) of C.
 psi(T) is generated by one ``construction.OdometerSpan`` of the other
 rows, in blocks that each stage asks for in its own size
 (``construction._block_words``): rank absorbs chunks of the smallest power
-of p whose float rows reach _RANK_CHUNK_BYTES, and the kernel's probes and
-translate checks take one locate step of their ``RegeneratedDigits``,
-from one span that also gives the probe and candidate words.
-The probes filter each block of T in rounds (``_probe_survivors``): one
-locate call applies as many of the probes left as one locate step holds
-for the block's survivors so far, at least one.  On a representative the
-first round leaves little more than the kernel words of T (1 at p odd, 2
-at p = 2), so the second applies every probe left: a block takes at most
-two calls, not one a probe, on every representative at p = 3, t = 8-10,
-p = 2, t = 12 and p = 5, t = 6.  The survivors are the same intersection,
-and each one is then checked exactly against all of psi(T).
+of p whose float rows reach _RANK_CHUNK_BYTES, and the kernel one locate
+step of its ``RegeneratedDigits``.  The kernel has one membership filter,
+``_survivors``: the words w of a span with w + probe in a lookup for every
+probe, filtered a block at a time in rounds of one locate call.  A few
+probes of T on a sample of coordinates prune T, and every kernel tau
+survives.  As addition commutes, a survivor x outside L and the kernel
+words found so far is in the kernel exactly when the filter with the one
+probe x keeps all of T, on every coordinate.  The whole-code lookup this
+reads is built for the first such survivor: on the census representatives
+the tests cover, once at p = 2 and never at p odd.
 This generalizes the coset-of-kernel argument of Phelps, Rifà and
 Villanueva for Z4-linear codes (IEEE Trans. IT 52(1), 2006).  The chain
 witnesses of ``equivalence`` are checked on the same split, on the
@@ -69,6 +68,7 @@ from .construction import (
     _check_budget,
     _digit_blocks,
     _mod_p_diff,
+    _odometer_digits,
     block_bytes,
     build_bytes,
     order_p_split,
@@ -298,10 +298,11 @@ def structural_bytes(sig: TypeSignature) -> int:
     rank chunk of digit words of T (``block_bytes``; the kernel's blocks
     are no larger), and the larger working set of its two stages.  Rank's is five float chunks, as in
     ``materialization_bytes``, each one block of ``_rank_words`` words and
-    counted as at least _RANK_CHUNK_BYTES.  The kernel's is a
-    ``RegeneratedDigits``'s span and one locate step, the probe
-    words, a few words of the candidate at hand and two 8-byte indices of
-    every word of T.  Each basis checks its own growth against what the
+    counted as at least _RANK_CHUNK_BYTES.  The kernel's is the whole
+    code's ``RegeneratedDigits`` (its span and one locate step), which
+    only a survivor that needs the exact check builds, the probe words, a
+    few words of the candidate at hand and two 8-byte indices of every
+    word of T.  Each basis checks its own growth against what the
     budget leaves (see ``ReducedBasis``), so no rank is guessed here.
     """
     p, width = sig.p, sig.s * sig.n
@@ -320,66 +321,64 @@ def _split_rank(sig: TypeSignature, tops: np.ndarray, other: np.ndarray, budget_
     return basis.rank
 
 
-def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
-    """The indices i of T for which psi(tau_i) + psi(probe) is in psi(C) on a sample of coordinates, for each probe.
+def _survivors(lookup: RegeneratedDigits, span: OdometerSpan, negs: np.ndarray) -> np.ndarray:
+    """The indices of the words w of ``span`` with psi(w) - neg found by ``lookup`` for each neg of ``negs``.
 
-    Every kernel tau survives; the probes (words of T spread over its
-    odometer order) and the coordinate sample only prune.  Each block of T
-    is filtered in rounds: one ``locate`` call applies as many of the probes
-    left as one locate step holds for the survivors so far (at least one).
+    A round's ``locate`` call applies as many of the negs left as one locate
+    step holds for the block's survivors so far (at least one).
     """
-    sig, p = code.sig, code.sig.p
-    restricted = RegeneratedDigits(code, _spread(sig.n, _PROBE_COORDS))
-    span = OdometerSpan(sig, other[:, restricted.coords])
-    negs = _negated(_digit_words(sig.params, span.words(_spread(len(span), _PROBES)[1:])), p)
+    p = lookup.sig.p
     survivors = []
-    for start, words in _digit_blocks(span, restricted.step):
+    for start, words in _digit_blocks(span, lookup.step):
         idx = np.arange(start, start + len(words))
         done = 0
         while done < len(negs) and len(idx):
-            probes = negs[done : done + max(1, restricted.step // len(idx))]
+            probes = negs[done : done + max(1, lookup.step // len(idx))]
             # the sums of every survivor with each probe of the round, probe-major, in a fresh array
             sums = _mod_p_diff(np.repeat(words[None], len(probes), axis=0), probes[:, None], p)
-            inside = (restricted.locate(sums.reshape(-1, words.shape[1])) >= 0).reshape(len(probes), -1).all(axis=0)
+            inside = (lookup.locate(sums.reshape(-1, words.shape[1])) >= 0).reshape(len(probes), -1).all(axis=0)
             words, idx = words[inside], idx[inside]
             done += len(probes)
         survivors.append(idx)
     return np.concatenate(survivors)
 
 
-def _split_kernel(code: AdditiveCode, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
-    """dim ker: L spanned by ``tops`` = psi(top), then each probe survivor tau checked against all of psi(T).
+def _probe_survivors(code: AdditiveCode, other: np.ndarray) -> np.ndarray:
+    """The indices i of T for which psi(tau_i) + psi(probe) is in psi(C) on a sample of coordinates, for each probe.
 
-    A survivor in the span of L and the kernel words already found (0
-    among them) is in the kernel; any other is checked exactly, block by
-    block of psi(T), with ``RegeneratedDigits.locate``.  The dimension is
-    len(tops) + log_p of the number of kernel tau, 0 included.
+    Every kernel tau survives; the probes (words of T spread over its
+    odometer order) and the coordinate sample only prune.
     """
     sig = code.sig
-    survivors = _probe_survivors(code, other)
-    lookup = RegeneratedDigits(code)
-    span = OdometerSpan(sig, other)
+    restricted = RegeneratedDigits(code, _spread(sig.n, _PROBE_COORDS))
+    span = OdometerSpan(sig, other[:, restricted.coords])
+    negs = _negated(_digit_words(sig.params, span.words(_spread(len(span), _PROBES)[1:])), sig.p)
+    return _survivors(restricted, span, negs)
+
+
+def _split_kernel(code: AdditiveCode, tops: np.ndarray, other: np.ndarray, budget_bytes: int) -> int:
+    """dim ker: L spanned by ``tops`` = psi(top), and the probe survivors x in the kernel.
+
+    A survivor in the span of L and the kernel words found so far (0 among
+    them) is one.  Any other is one exactly when x + psi(tau') is in psi(C)
+    for every tau' of T (psi(C) = psi(T) + L, and L lies in the kernel):
+    when ``_survivors`` of the whole code's lookup and the one probe x keeps
+    all of T.  The lookup and the full-width span of T are built for the
+    first survivor that needs them.
+    """
+    sig = code.sig
     basis = ReducedBasis(sig.p, sig.s * sig.n, budget_bytes=budget_bytes)
     basis.absorb(tops)
-    for i in survivors:
-        x = _digit_words(sig.params, span.words(np.array([i])))
-        if not basis.contains(x[0]) and _in_split_kernel(lookup, span, x[0]):
+    lookup = span = None
+    for i in _probe_survivors(code, other):
+        x = _digit_words(sig.params, _odometer_digits(sig.p, np.array([i]), len(other)) @ other % sig.params.modulus)
+        if basis.contains(x[0]):
+            continue
+        if lookup is None:
+            lookup, span = RegeneratedDigits(code), OdometerSpan(sig, other)
+        if len(_survivors(lookup, span, _negated(x, sig.p))) == len(span):
             basis.absorb(x)
     return basis.rank
-
-
-def _in_split_kernel(lookup: RegeneratedDigits, span: OdometerSpan, x: np.ndarray) -> bool:
-    """Is x + psi(tau') in psi(C) for every tau' of T, the words of ``span``?
-
-    With T from ``order_p_split``, that is x in ker psi(C): psi(C) =
-    psi(T) + L, and L lies in the kernel.  psi(T) is streamed one locate
-    step of ``lookup`` at a time.
-    """
-    sig = lookup.sig
-    neg = _negated(x, sig.p)
-    blocks = _digit_blocks(span, lookup.step)
-    # each block is fresh, so it can hold the sum
-    return all((lookup.locate(_mod_p_diff(words, neg, sig.p)) >= 0).all() for _, words in blocks)
 
 
 def structural_pair(sig: TypeSignature, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[int, int]:

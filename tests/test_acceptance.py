@@ -22,7 +22,6 @@ from ghcodes import (
     generator_matrix,
     gray,
     gray_matrix,
-    invariant_pair,
     is_gh_code,
     isolated_types,
     min_distance,
@@ -31,6 +30,7 @@ from ghcodes import (
 )
 from ghcodes.classification import bound_types_reps
 from ghcodes.construction import GH_SAMPLE_PAIRS, materialize_additive
+from ghcodes.invariants import invariant_pair
 
 from goldens import (
     GAMMA3_CYCLES,

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghcodes import invariants
+from ghcodes import classification, invariants
 from ghcodes.classification import census, enumerate_types, is_linear_type
 from ghcodes.construction import (
+    DEFAULT_BUDGET_BYTES,
     AdditiveCode,
+    OdometerSpan,
     build_gray_code,
     materialization_bytes,
     materialize_gray,
@@ -21,7 +23,7 @@ from ghcodes.construction import (
     validate_type,
 )
 from ghcodes.errors import CapacityError, GHCodeError, InputError
-from ghcodes.gray import Permutation, _phi_table_cached, digit_table, gray, phi_table
+from ghcodes.gray import Permutation, _digit_words, _phi_table_cached, digit_table, gray, gray_matrix, phi_table
 from ghcodes.invariants import (
     ReducedBasis,
     _float_dtype,
@@ -37,7 +39,7 @@ from ghcodes.invariants import (
 )
 from ghcodes.ring import RingParams
 
-from probe_oracle import probe_survivors_one_at_a_time
+from probe_oracle import survivors_one_at_a_time
 from sorted_key_code import SortedKeyCode, set_equal
 
 construction = importlib.import_module("ghcodes.construction")
@@ -532,13 +534,77 @@ def test_probe_rounds_leave_the_survivors_of_one_probe_at_a_time(p, chunk_bytes,
     for ts in nonlinear_types(p, PROBE_T_MAX[p]):
         code = AdditiveCode.build(validate_type(p, ts))
         other = order_p_split(code)[1]
-        want = probe_survivors_one_at_a_time(code, other)
         locate_calls.clear()
         got = _probe_survivors(code, other)
+        rounds = list(locate_calls)
+        with monkeypatch.context() as patched:
+            patched.setattr(invariants, "_survivors", survivors_one_at_a_time)  # the same lookup, span and probes
+            want = _probe_survivors(code, other)
         assert got.dtype == want.dtype and np.array_equal(got, want), ts
-        assert all(queries <= step for queries, step in locate_calls), ts
+        assert all(queries <= step for queries, step in rounds), ts
         if chunk_bytes == 1:
-            assert all(queries == 1 for queries, _ in locate_calls), ts
+            assert all(queries == 1 for queries, _ in rounds), ts
+
+
+# per p, the lengths p^t on which every nonzero word of T goes through the exact check, and how many of
+# those words are in the kernel and how many are not
+EXACT_T_MAX = {2: 6, 3: 4, 5: 3}
+EXACT_COUNTS = {2: (10, 80), 3: (2, 40), 5: (0, 24)}
+
+
+@pytest.mark.parametrize("p", sorted(EXACT_T_MAX))
+def test_one_probe_exact_check_keeps_all_of_t_exactly_on_kernel_words(p, monkeypatch):
+    # each nonzero tau of T, kernel word or not, is the probe filter's only survivor in turn, so the exact
+    # check alone decides it (tau = 0 is in L, the span of the top rows).  It keeps the tau' of T with
+    # Phi(tau') + Phi(tau) in the held image: all of T exactly when Phi(tau) is in the span of the held
+    # image's kernel basis, and then the dimension grows by one.  x and -x are in the kernel together, so
+    # only the words kept from a non-member tell a probe of +x from one of -x (at p >= 3)
+    real = invariants._survivors
+    inside = outside = 0
+    for ts in nonlinear_types(p, EXACT_T_MAX[p]):
+        code = AdditiveCode.build(validate_type(p, ts))
+        sig = code.sig
+        top, other = order_p_split(code)
+        tops = _digit_words(sig.params, top)
+        gc = materialize_gray(code)
+        held = kernel(gc)[1]
+        span = OdometerSpan(sig, other)
+        grays = gray_matrix(sig.params, span.words(np.arange(len(span))))
+        for i in range(1, len(span)):
+            kept = []
+            monkeypatch.setattr(invariants, "_probe_survivors", lambda *_: np.array([i]))
+            monkeypatch.setattr(invariants, "_survivors", lambda *args: kept.append(real(*args)) or kept[-1])
+            dim = invariants._split_kernel(code, tops, other, DEFAULT_BUDGET_BYTES)
+            member = held.contains(grays[i])
+            assert len(kept) == 1 and np.array_equal(kept[0], np.flatnonzero(gc.contains_rows((grays + grays[i]) % p)))
+            assert (len(kept[0]) == len(span)) == member and dim == len(tops) + member, (ts, i)
+            inside += member
+            outside += not member
+    assert (inside, outside) == EXACT_COUNTS[p]
+
+
+@pytest.mark.parametrize("p,t_max", [(2, 10), (3, 8), (5, 6)])
+def test_the_whole_code_lookup_is_built_only_on_demand(p, t_max, monkeypatch):
+    # on each census representative's reduced type the probes leave only the kernel words of T: 0 alone at
+    # p odd, which L spans, so no exact check builds the lookup; 0 and one more at p = 2, one exact check
+    built, per_call = [], []
+    real_init = construction.RegeneratedDigits.__init__
+
+    def counted_init(self, code, sample=None):
+        built.append(sample is None)
+        real_init(self, code, sample)
+
+    def counted_pair(sig, budget_bytes):
+        built.clear()
+        pair = structural_pair(sig, budget_bytes)
+        per_call.append(sum(built))
+        return pair
+
+    monkeypatch.setattr(construction.RegeneratedDigits, "__init__", counted_init)
+    monkeypatch.setattr(classification, "structural_pair", counted_pair)
+    for t in range(2, t_max + 1):
+        census(t, p, with_invariants=True)
+    assert per_call and max(per_call) == (1 if p == 2 else 0), per_call
 
 
 def test_a_single_block_of_t_takes_at_most_two_probe_rounds(locate_calls):

@@ -343,7 +343,9 @@ def test_restricted_regenerated_gray_never_drops_a_member(p, ts):
     everything = RegeneratedDigits(code).rows(np.arange(len(full)))
     for sample in (np.arange(0, full.sig.n, 5), np.array([], dtype=np.int64), np.arange(full.sig.n)):
         regen = RegeneratedDigits(code, sample)
-        assert list(regen.coords[: code.sig.num_rows]) == list(construction._decode_plan(code.sig)[0])
+        pinned = construction._decode_plan(code.sig)[0]
+        assert np.array_equal(regen.coords, np.union1d(pinned, sample))  # increasing, the pinned among them
+        assert np.array_equal(regen.coords[regen.plan[0]], pinned)
         assert np.array_equal(regen.rows(np.arange(len(full))), digits_at(everything, full.sig, regen.coords))
         got = regen.locate(digits_at(digits, full.sig, regen.coords))
         assert ((held < 0) | (got == held)).all()
