@@ -23,6 +23,7 @@ digit word at any odometer row from the span of its basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -210,7 +211,12 @@ def materialization_bytes(sig: TypeSignature) -> int:
     their float32 product and the two one-hot operands of p - 1 columns a
     coordinate) and the masks of a block, which are no larger than its
     counts; up to ~720 words a block has at most a quarter of the rows,
-    and the buffers hold far less.  The build holds
+    and the buffers hold far less.  On a Gray image they scan only the rows
+    of the transversal T against all rows, after a check of the translate
+    structure (``_transversal_rows``) that holds two sums of a slab of the
+    image, each within ``_PAIR_BLOCK_BYTES``, and their comparison,
+    and then the 8-byte index of every word; a block's counts then span all
+    rows, still within the same buffers.  The build holds
     the ``OdometerSpan`` of one range of coordinates (``_gray_span``), at
     most ``_SPAN_BYTES`` wherever the span of one coordinate fits it: every
     code whose image fits in memory.  The sampled GH check's bit planes grow
@@ -603,15 +609,21 @@ def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact difference counts of all pairs of rows, one block of rows at a time.
+def _pair_counts(
+    words: np.ndarray, p: int, syms: int, left: "np.ndarray | None" = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact difference counts of all pairs of rows, or of the ``left`` rows against all rows, one block of
+    rows at a time.
 
     Yields (u0, counts) with counts[d, i, j] = #{c : words[u0+i, c] -
     words[u0+j, c] = d (mod p)} for d < syms, the block rows u0 + i against
     the rows u0 + j from u0 on, so only the blocks on or above the diagonal
     are counted.  Entries with j <= i are not pairs of the scan and are set
     to 0, which passes the GH test (as the constant p - 1) and never raises
-    the maximum of N_0.
+    the maximum of N_0.  Given ``left``, increasing row indices (the
+    transversal rows of ``_transversal_rows``), block row i is row
+    left[u0 + i] and column j is row j, every row: only the self-pairs
+    j = left[u0 + i] are set to 0, and a block may take every left row.
 
     One of the p symbols a coordinate is implied by the others, so each
     coordinate takes p - 1 one-hot columns: with indices mod p,
@@ -622,18 +634,24 @@ def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np
     entry, so every sum is exact, and it is accumulated in int32.  The
     yielded array is overwritten by the next block.
 
-    A block has at most ceil(m/4) rows (at least 64), so the scan counts
-    about 5/8 of the m x m square, and the counts, their float32 product
-    and the block's one-hot operand are a quarter of those of a block of
-    every row.  Each of the four working buffers (these three and the
-    one-hot operand of the rows from the block on) holds at most about
+    Without ``left`` a block has at most ceil(m/4) rows (at least 64), so
+    the scan counts about 5/8 of the m x m square, and the counts, their
+    float32 product and the block's one-hot operand are a quarter of those
+    of a block of every row.  With ``left`` the scan counts len(left) x m
+    entries: on the transversal of a Gray image, |T| m n (p - 1)
+    multiply-adds a symbol counted, |T| = m / p^(sum t_i).  Each of the
+    four working buffers (these three and the one-hot operand of the rows
+    from the block on, or of every row) holds at most about
     _PAIR_BLOCK_BYTES for a Gray image (n = m/p), whatever its size, and
-    at most 1.4 MB for 729 words of 243 symbols at p = 3.
+    at most 1.4 MB for 729 words of 243 symbols at p = 3.  The left rows of
+    a block are gathered, at most a quarter of its counts.
     """
     m, n = words.shape
     k = p - 1
+    total = m if left is None else len(left)
+    cap = max(64, -(-m // 4)) if left is None else total  # short blocks only trim the square's lower triangle
     chunk_cols = min(n, max(1, _PAIR_BLOCK_BYTES // (4 * k * m)))
-    block_rows = min(m, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)), max(64, -(-m // 4)))
+    block_rows = min(total, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)), cap)
     values = np.arange(k, dtype=np.uint8)
     shift = np.arange(syms)
     shifted = ((values + shift[:, None]) % p).astype(np.uint8)  # [d, s] = s + d
@@ -642,20 +660,23 @@ def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np
     prod = np.empty(acc.size, dtype=np.float32)
     lhs = np.empty(syms * block_rows * p * chunk_cols, dtype=np.float32)
     rhs = np.empty(m * k * chunk_cols, dtype=np.float32)
-    for u0 in range(0, m, block_rows):
-        left, rest = words[u0 : u0 + block_rows], words[u0:]
-        rows, cols = syms * len(left), len(rest)
+    for u0 in range(0, total, block_rows):
+        if left is None:
+            block, rest = words[u0 : u0 + block_rows], words[u0:]
+        else:
+            block, rest = words[left[u0 : u0 + block_rows]], words
+        rows, cols = syms * len(block), len(rest)
         counts = _head(acc, (rows, cols))
         counts[:] = 0
-        const = np.zeros((syms, len(left)), dtype=np.int64)
+        const = np.zeros((syms, len(block)), dtype=np.int64)
         for c0 in range(0, n, chunk_cols):
             width = min(chunk_cols, n - c0)
             # row (d, i) of x holds [w_i,c = s + d] - [w_i,c = p - 1 + d] and row j of y holds [w_j,c = s],
             # over (s, c) with s < p - 1; z holds [w_i,c = p - 1 + d] in the tail of the same buffer
-            x = _head(lhs, (syms, len(left), k, width))
-            z = lhs[x.size : x.size + rows * width].reshape(syms, len(left), 1, width)
-            np.equal(left[None, :, None, c0 : c0 + width], shifted[:, None, :, None], out=x, casting="unsafe")
-            np.equal(left[None, :, None, c0 : c0 + width], implied[:, None, None, None], out=z, casting="unsafe")
+            x = _head(lhs, (syms, len(block), k, width))
+            z = lhs[x.size : x.size + rows * width].reshape(syms, len(block), 1, width)
+            np.equal(block[None, :, None, c0 : c0 + width], shifted[:, None, :, None], out=x, casting="unsafe")
+            np.equal(block[None, :, None, c0 : c0 + width], implied[:, None, None, None], out=z, casting="unsafe")
             np.subtract(x, z, out=x)
             const += np.count_nonzero(z, axis=(2, 3))
             y = _head(rhs, (cols, k, width))
@@ -663,9 +684,80 @@ def _pair_counts(words: np.ndarray, p: int, syms: int) -> Iterator[tuple[int, np
             part = np.matmul(x.reshape(rows, -1), y.reshape(cols, -1).T, out=_head(prod, (rows, cols)))
             np.add(counts, part, out=counts, casting="unsafe")
         counts += const.reshape(rows, 1).astype(np.int32)
-        counts = counts.reshape(syms, len(left), cols)
-        counts[:, :, : len(left)][:, np.tri(len(left), dtype=bool)] = 0
+        counts = counts.reshape(syms, len(block), cols)
+        if left is None:
+            counts[:, :, : len(block)][:, np.tri(len(block), dtype=bool)] = 0
+        else:
+            counts[:, np.arange(len(block)), left[u0 : u0 + len(block)]] = 0
         yield u0, counts
+
+
+def _gh_scan(words: np.ndarray, p: int, left: "np.ndarray | None" = None) -> "tuple[tuple[int, int] | None, int]":
+    """(the first pair u < v of rows that fails the GH test, or None, and the largest N_0 of the pairs
+    scanned before it), by the scan of ``_pair_counts``.  With ``left`` a failing pair only tells that
+    one fails: the scan of all pairs finds the first."""
+    n = words.shape[1]
+    same = 0
+    for u0, counts in _pair_counts(words, p, p - 1, left):
+        bad = np.flatnonzero(~_gh_pairs_ok(counts, n, p))
+        if bad.size:
+            i, j = divmod(int(bad[0]), counts.shape[2])
+            return (u0 + i, u0 + j), same
+        same = max(same, int(counts[0].max()))
+    return None, same
+
+
+def _transversal_rows(gc: GrayCode) -> "np.ndarray | None":
+    """The rows of the transversal T of ``order_p_split`` (odometer indices whose top digits are all 0),
+    increasing, when the held words have the translate structure of a Gray image; else None.
+
+    On the order-p subgroup C[p] the Gray map is Z_p-linear, and
+    Phi(c + z) = Phi(c) + Phi(z) mod p for z in C[p] (the coset-of-kernel
+    argument of Phelps, Rifà and Villanueva, IEEE Trans. IT 52(1), 2006).
+    So the words of a Gray image in odometer order have two properties:
+    word m is word r plus word k mod p, where r is m with its top-row
+    digits zeroed and k is m with its other digits zeroed; and the words at
+    top digits only are the Z_p span of the words at p^j, j a top digit.
+    Both are checked at once, exactly: word m must equal word r plus
+    sum_j k_j word p^j mod p.  At m = p^j that makes word 0 the zero word,
+    so the words at top digits only are the span itself.
+
+    The rows are viewed as a grid with two axes a basis row, highest row
+    first: its top digit (p) and its other digits (p^(sigma - 1)).  The
+    words of T are the grid at top digits 0, and the span is a sum of the
+    multiples of the words p^j broadcast along the top axes, reduced mod p
+    once: in uint8 where the unreduced sum fits, else in uint16, where it
+    fits for any image that fits in memory.  The grid is compared a slab of
+    its leading axes at a time, each slab's sum within
+    ``_PAIR_BLOCK_BYTES``; the top digits of a slab's leading axes add one
+    multiple each.  No digit matrix is made: the rows of T come from the
+    grid of odometer indices.
+    """
+    sig, words = gc.sig, gc.words
+    p, n = sig.p, words.shape[1]
+    sigmas = [sig.s - i for i, ti in enumerate(sig.ts) for _ in range(ti)]  # as ``_sigmas``, lowest row first
+    shape = [d for sigma in reversed(sigmas) for d in (p, p ** (sigma - 1))]
+    if len(words) != math.prod(shape):
+        return None
+    grid = words.reshape(*shape, n)
+    low = (slice(0, 1), slice(None)) * len(sigmas)  # top digits 0: the words of T
+    tops = [p ** (d - 1) for d in itertools.accumulate(sigmas)][::-1]  # each row's top digit 1, highest row first
+    # holds c (p - 1), c < p, and a word of T plus one multiple a row, unreduced
+    dtype = np.dtype(np.uint8 if (p - 1) * max(p - 1, len(sigmas) + 1) < 256 else np.uint16)
+    mult = np.multiply.outer(np.arange(p, dtype=dtype), words[tops])  # [c, q]: c times word tops[q]
+    mult %= p
+    lead = 0
+    while lead < len(shape) and math.prod(shape[lead:]) * n * dtype.itemsize > _PAIR_BLOCK_BYTES:
+        lead += 1
+    for idx in itertools.product(*map(range, shape[:lead])):
+        want = grid[low][tuple(0 if a % 2 == 0 else i for a, i in enumerate(idx))]
+        for a in range(0, len(shape), 2):  # the top axes
+            axis = (p,) + (1,) * (len(shape) - a - 1) + (n,)
+            want = want + (mult[idx[a], a // 2] if a < lead else mult[:, a // 2].reshape(axis))
+        want %= p
+        if not (want == grid[idx]).all():
+            return None
+    return np.arange(len(words)).reshape(shape)[low].ravel()
 
 
 def _failed(mode: str, checked: int, u: int, v: int, repeated: bool) -> GHVerdict:
@@ -859,13 +951,25 @@ def is_gh_code(
     is a held image, or an ``AdditiveCode`` whose image is never held by
     the sampled mode (the exhaustive mode builds it; the caller budgets it).
 
-    The exhaustive mode counts the symbols of all m(m-1)/2 differences with
-    exact matrix products over p - 1 one-hot columns a coordinate, one block
-    of at most ceil(m/4) rows (at least 64) against the rows from it on, so
-    only the blocks on or above the diagonal, and reports the first failing
-    pair (u < v) in lexicographic order; ``pairs_checked`` is then the
-    number of pairs up to and including row u.  An exhaustive pass with no
-    failing pair keeps the minimum distance, n less the largest N_0 counted.
+    The exhaustive mode counts the symbols of differences with exact matrix
+    products over p - 1 one-hot columns a coordinate (``_pair_counts``).
+    The Gray map is a translate map on the order-p subgroup:
+    Phi(c + z) = Phi(c) + Phi(z) mod p for z in C[p].  So with C = T + C[p]
+    (``order_p_split``), every difference of two words is the difference
+    of a word of T and another word, and scanning the |T| = m / p^(sum t_i)
+    rows of T against all m rows checks every pair: |T| m n (p - 1)
+    multiply-adds a symbol, p^(sum t_i)/2 times fewer than all pairs.  The
+    held words take this path when they have the translate structure of a
+    Gray image, which ``_transversal_rows`` checks exactly: a genuine or
+    column-permuted image has it, a corrupted, repeated or reordered one
+    does not.  Otherwise, and whenever the reduced scan meets a failing
+    pair, all m(m-1)/2 pairs are scanned: one block of at most ceil(m/4)
+    rows (at least 64) against the rows from it on, so only the blocks on
+    or above the diagonal, reporting the first failing pair (u < v) in
+    lexicographic order; ``pairs_checked`` is then the number of pairs up
+    to and including row u.  A pass reports all m(m-1)/2 pairs, each being
+    a translate of one scanned, and keeps the minimum distance, n less the
+    largest N_0 counted.
 
     The sampled mode holds the words as bit_length(p - 1) bit planes of
     64-coordinate uint64 lanes (``_bit_planes``), about ceil(log2 p)/8 of
@@ -887,15 +991,14 @@ def is_gh_code(
         return GHVerdict(False, mode, 0, f"expected {sig.size} words, found {m}")
 
     if mode == "exhaustive":
-        words = code.words if isinstance(code, GrayCode) else materialize_gray(code).words
-        same = 0
-        for u0, counts in _pair_counts(words, p, p - 1):
-            bad = np.flatnonzero(~_gh_pairs_ok(counts, n, p))
-            if bad.size:
-                i, j = divmod(int(bad[0]), counts.shape[2])
-                u, v = u0 + i, u0 + j
-                return _failed(mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, v, np.array_equal(words[u], words[v]))
-            same = max(same, int(counts[0].max()))
+        gc = code if isinstance(code, GrayCode) else materialize_gray(code)
+        left = _transversal_rows(gc)
+        bad, same = _gh_scan(gc.words, p, left)
+        if bad is not None and left is not None:  # the scan of all pairs finds the first failing pair in order
+            bad, same = _gh_scan(gc.words, p)
+        if bad is not None:
+            u, v = bad
+            return _failed(mode, (u + 1) * (m - 1) - u * (u + 1) // 2, u, v, np.array_equal(gc.words[u], gc.words[v]))
         return GHVerdict(True, mode, m * (m - 1) // 2, _distance=n - same)
 
     if isinstance(code, GrayCode):
@@ -911,14 +1014,19 @@ def min_distance(gc: GrayCode) -> int:
     """Minimum Hamming distance over all pairs of rows u < v (0 if a word repeats).
 
     The distance of rows u and v is n - N_0[u, v], N_0 being the number of
-    equal coordinates; all N_0 come from the blocked exact matrix products
-    of the exhaustive GH check, on p - 1 one-hot columns a coordinate and
-    on the blocks on or above the diagonal only: at most m^2 n (p - 1)
-    multiply-adds, about 5/8 of that from 256 words on, in a few MiB of
-    working memory.
+    equal coordinates, counted by the blocked exact matrix products of the
+    exhaustive GH check on p - 1 one-hot columns a coordinate.  When the
+    held words have the translate structure of a Gray image
+    (``_transversal_rows``), every difference is that of a row of the
+    transversal T and another row (see ``is_gh_code``), so only the |T|
+    rows of T are counted against all m: |T| m n (p - 1) multiply-adds,
+    |T| = m / p^(sum t_i).  Otherwise every pair is, on the blocks on or
+    above the diagonal only: at most m^2 n (p - 1) multiply-adds, about 5/8
+    of that from 256 words on.  Either takes a few MiB of working memory.
     """
     m, n = gc.words.shape
     if m < 2:
         raise InputError("need at least two words")
-    same = max(int(counts[0].max()) for _, counts in _pair_counts(gc.words, gc.sig.p, 1))
+    left = _transversal_rows(gc)
+    same = max(int(counts[0].max()) for _, counts in _pair_counts(gc.words, gc.sig.p, 1, left))
     return n - same

@@ -616,18 +616,28 @@ def gh_code(p, ts):
     return build_gray_code(sig(p, ts))
 
 
+ALTERATIONS = ["genuine", "permuted", "corrupted", "repeated", "copied", "swapped"]
+# the alterations that keep the translate structure of a Gray image, on which the exhaustive scans take
+# only the rows of the transversal T against all rows
+TRANSLATE_STRUCTURED = ("genuine", "permuted", "copied")
+
+
 @st.composite
 def gh_inputs(draw):
-    """A small Gray image, as is, column-permuted, with one symbol changed or with a row repeated."""
+    """A small Gray image, altered by one of ``ALTERATIONS`` (see ``altered``)."""
     p, ts = draw(st.sampled_from(GH_TYPES))
     gc = gh_code(p, ts)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    how = draw(st.sampled_from(["genuine", "permuted", "corrupted", "repeated"]))
+    how = draw(st.sampled_from(ALTERATIONS))
     return GrayCode(gc.sig, altered(gc.words.copy(), p, how, rng)), how
 
 
 def altered(words, p, how, rng):
-    """``words`` as is, column-permuted, with one symbol changed or with a row repeated."""
+    """``words`` as is, column-permuted, with one symbol changed, with a row repeated, with a column
+    overwritten by a copy of another ("copied": each word's relations to the others hold column by column,
+    so the translate structure stays, but differences lose their balance) or with row 0 swapped with
+    another ("swapped": the same set of words, out of odometer order, so the structure, whose row 0 is
+    the zero word, is lost)."""
     m, n = words.shape
     if how == "permuted":
         words = words[:, rng.permutation(n)]
@@ -637,6 +647,12 @@ def altered(words, p, how, rng):
     elif how == "repeated":
         r, q = rng.choice(m, size=2, replace=False)
         words[r] = words[q]
+    elif how == "copied":
+        c, d = rng.choice(n, size=2, replace=False)
+        words[:, c] = words[:, d]
+    elif how == "swapped":
+        r = rng.integers(1, m)
+        words[[0, r]] = words[[r, 0]]
     return words
 
 
@@ -658,9 +674,39 @@ def test_exhaustive_check_and_distance_match_oracle(case, block_bytes):
         assert verdict.reason.startswith("pair ({}, {}) is ".format(*first_bad))
         assert verdict._distance is None
     assert distance == naive_min_distance(gc.words)
-    if how in ("genuine", "permuted"):
+    if how in ("genuine", "permuted", "swapped"):
         assert verdict.passed
         assert distance == gc.sig.p ** (gc.sig.t - 1) * (gc.sig.p - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gh_inputs(), st.sampled_from([0, 2**10, 2**13]))
+def test_exhaustive_scans_take_the_transversal_rows_on_a_translate_structured_image(case, block_bytes):
+    # the reduced scans run T's rows, the odometer rows whose top digits are 0, against every row,
+    # and a GH pass still reports every pair checked
+    gc, how = case
+    sig = gc.sig
+    real, scanned = construction._pair_counts, []
+
+    def spy(words, p, syms, left=None):
+        scanned.append(left)
+        return real(words, p, syms, left)
+
+    with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", block_bytes or construction._PAIR_BLOCK_BYTES):
+        left = construction._transversal_rows(gc)
+        with mock.patch.object(construction, "_pair_counts", spy):
+            verdict = is_gh_code(gc, mode="exhaustive")
+            min_distance(gc)
+    if how not in TRANSLATE_STRUCTURED:
+        assert left is None and scanned == [None, None]
+        return
+    top = construction._top_rows(sig)
+    want = [m for m in range(sig.size) if not (_odometer_digits(sig.p, np.array([m]), sig.t + 1)[0] * top).any()]
+    assert left.tolist() == want and len(want) == sig.p ** (sig.t + 1 - sum(sig.ts))
+    # a failing reduced scan is followed by the scan of all pairs, which reports the first failing pair
+    assert [x is None for x in scanned] == [False, False] if verdict.passed else [False, True, False]
+    if verdict.passed:
+        assert verdict.pairs_checked == sig.size * (sig.size - 1) // 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -766,6 +812,28 @@ def test_pair_counts_exact_across_block_and_chunk_seams(case, units, syms):
                     want[: i + 1] = 0  # v = u0 + j <= u is no pair of the scan
                     assert np.array_equal(counts[d, i], want)
     assert u0_next == len(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gh_inputs(), st.integers(1, 4 * 40), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_pair_counts_of_left_rows_exact_across_block_and_chunk_seams(case, units, syms, random):
+    # given left rows, each block of them is counted against every row, and only the self-pairs are 0
+    gc, _ = case
+    p = gc.sig.p
+    syms = min(syms, p)
+    a = gc.words.astype(np.int64)
+    left = np.array(sorted(random.sample(range(len(a)), random.randint(1, len(a)))))
+    u0_next = 0
+    with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", 4 * len(a) * units):
+        for u0, counts in _pair_counts(gc.words, p, syms, left):
+            assert u0 == u0_next and counts.shape[::2] == (syms, len(a))
+            u0_next += counts.shape[1]
+            for i in range(counts.shape[1]):
+                diff = (a[left[u0 + i]] - a) % p
+                want = (diff[None] == np.arange(syms)[:, None, None]).sum(axis=2)
+                want[:, left[u0 + i]] = 0
+                assert np.array_equal(counts[:, i], want)
+    assert u0_next == len(left)
 
 
 def test_pair_counts_exact_for_a_large_alphabet():
