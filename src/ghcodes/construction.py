@@ -601,6 +601,7 @@ def _gh_pairs_ok(counts: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 _PAIR_BLOCK_BYTES = 2**22  # per working buffer of _pair_counts
+_LEFT_BLOCK_ROWS = 16  # left rows a block of _pair_counts, so a reduced scan's memory hardly depends on |T|
 _GATHER_BYTES = 2**18  # per gathered matrix of the sampled check, so its working set stays in cache
 
 
@@ -623,7 +624,8 @@ def _pair_counts(
     the maximum of N_0.  Given ``left``, increasing row indices (the
     transversal rows of ``_transversal_rows``), block row i is row
     left[u0 + i] and column j is row j, every row: only the self-pairs
-    j = left[u0 + i] are set to 0, and a block may take every left row.
+    j = left[u0 + i] are set to 0, and a block takes at most
+    _LEFT_BLOCK_ROWS of them.
 
     One of the p symbols a coordinate is implied by the others, so each
     coordinate takes p - 1 one-hot columns: with indices mod p,
@@ -639,17 +641,22 @@ def _pair_counts(
     float32 product and the block's one-hot operand are a quarter of those
     of a block of every row.  With ``left`` the scan counts len(left) x m
     entries: on the transversal of a Gray image, |T| m n (p - 1)
-    multiply-adds a symbol counted, |T| = m / p^(sum t_i).  Each of the
-    four working buffers (these three and the one-hot operand of the rows
-    from the block on, or of every row) holds at most about
+    multiply-adds a symbol counted, |T| = m / p^(sum t_i).  Its blocks of
+    _LEFT_BLOCK_ROWS rows keep the counts, their product and the block's
+    one-hot operand at most syms * 16 * m entries each on a Gray image, so
+    the scan's memory is nearly the same whatever |T|, and when one chunk
+    spans every coordinate the one-hot operand of every row is made once.
+    Each of the four working buffers (these three and the one-hot operand
+    of the rows from the block on, or of every row) holds at most about
     _PAIR_BLOCK_BYTES for a Gray image (n = m/p), whatever its size, and
     at most 1.4 MB for 729 words of 243 symbols at p = 3.  The left rows of
-    a block are gathered, at most a quarter of its counts.
+    a block are gathered, far less than its counts.
     """
     m, n = words.shape
     k = p - 1
     total = m if left is None else len(left)
-    cap = max(64, -(-m // 4)) if left is None else total  # short blocks only trim the square's lower triangle
+    # short blocks only trim the square's lower triangle; the left rows go a few at a time
+    cap = max(64, -(-m // 4)) if left is None else _LEFT_BLOCK_ROWS
     chunk_cols = min(n, max(1, _PAIR_BLOCK_BYTES // (4 * k * m)))
     block_rows = min(total, max(1, _PAIR_BLOCK_BYTES // (4 * syms * m)), cap)
     values = np.arange(k, dtype=np.uint8)
@@ -660,6 +667,9 @@ def _pair_counts(
     prod = np.empty(acc.size, dtype=np.float32)
     lhs = np.empty(syms * block_rows * p * chunk_cols, dtype=np.float32)
     rhs = np.empty(m * k * chunk_cols, dtype=np.float32)
+    whole = left is not None and chunk_cols == n  # every block of left rows meets the same one-hot operand
+    if whole:
+        np.equal(words[:, None, :], values[:, None], out=_head(rhs, (m, k, n)), casting="unsafe")
     for u0 in range(0, total, block_rows):
         if left is None:
             block, rest = words[u0 : u0 + block_rows], words[u0:]
@@ -680,7 +690,8 @@ def _pair_counts(
             np.subtract(x, z, out=x)
             const += np.count_nonzero(z, axis=(2, 3))
             y = _head(rhs, (cols, k, width))
-            np.equal(rest[:, None, c0 : c0 + width], values[:, None], out=y, casting="unsafe")
+            if not whole:
+                np.equal(rest[:, None, c0 : c0 + width], values[:, None], out=y, casting="unsafe")
             part = np.matmul(x.reshape(rows, -1), y.reshape(cols, -1).T, out=_head(prod, (rows, cols)))
             np.add(counts, part, out=counts, casting="unsafe")
         counts += const.reshape(rows, 1).astype(np.int32)

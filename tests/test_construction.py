@@ -827,6 +827,7 @@ def test_pair_counts_of_left_rows_exact_across_block_and_chunk_seams(case, units
     with mock.patch.object(construction, "_PAIR_BLOCK_BYTES", 4 * len(a) * units):
         for u0, counts in _pair_counts(gc.words, p, syms, left):
             assert u0 == u0_next and counts.shape[::2] == (syms, len(a))
+            assert counts.shape[1] <= construction._LEFT_BLOCK_ROWS
             u0_next += counts.shape[1]
             for i in range(counts.shape[1]):
                 diff = (a[left[u0 + i]] - a) % p
@@ -897,6 +898,22 @@ def test_exhaustive_scans_hold_a_quarter_square_block(p, ts):
         tracemalloc.stop()
     assert verdict.passed and distance == p ** (gc.sig.t - 1) * (p - 1)
     assert peak <= 8 * 2**20, peak
+
+
+def test_reduced_scan_memory_hardly_depends_on_the_transversal():
+    # every type of 625 words at p = 5, |T| from 1 to 125: blocks of at most _LEFT_BLOCK_ROWS rows of T
+    # keep the GH check's peak within 1.3-1.9 MiB (1.3-5.2 MiB when a block took every row of T)
+    peaks = []
+    for ts in [ts for s in range(1, 5) for ts in enumerate_types(3, s)]:
+        gc = gh_code(5, ts)
+        tracemalloc.start()
+        try:
+            verdict = is_gh_code(gc, mode="exhaustive")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed
+    assert max(peaks) - min(peaks) <= 2**20, peaks
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 131])
